@@ -11,6 +11,7 @@ rest of the package run on codes through these tables.
 """
 
 from functools import lru_cache
+from itertools import compress
 
 from .errors import NoEmbedding, NotPrime, SizeCapExceeded
 
@@ -169,6 +170,18 @@ class FieldDesc:
         return self._encode(
             _poly_mul_mod(list(self._coeffs[a]), list(self._coeffs[b]), list(self.modulus), self.p)
         )
+
+    def sub_mul_row(self, row, f, b):
+        """The row of codes ``row - f * b``, as a list."""
+        if self._mul is None:
+            return [self.sub(x, self.mul(f, y)) for x, y in zip(row, b)]
+        # only the entries where b is nonzero change; rows here are mostly sparse
+        q, add, mul = self.q, self._add, self._mul
+        start = self._neg[f] * q
+        out = list(row)
+        for i in compress(range(len(b)), b):
+            out[i] = add[out[i] * q + mul[start + b[i]]]
+        return out
 
     def inv(self, a):
         if a == 0:

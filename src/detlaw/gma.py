@@ -14,9 +14,9 @@ from .algebras import FinAlgebra, GroupAlgebra
 from .errors import GmaAxiomFailure, PointCapExceeded, ShapeMismatch
 from .fields import embed_code
 from .linalg import Mat, rref, in_span, reduce_vector, _perm_sign
-from .poly import MPoly
+from .poly import MPoly, symbolic_det
 from .pseudo import (PseudoRep, algebra_base_change, ch_quotient, from_group_rep,
-                     generic_vars, _symbolic_det)
+                     generic_vars)
 from .reps import Representation
 
 
@@ -506,7 +506,7 @@ class AdaptedScheme:
                     for e, c in cell.terms.items():
                         p = p + MPoly(F, both, {e + xslot: c})
                 entries.append(p)
-        det = _symbolic_det(F, both, entries, d)
+        det = symbolic_det(F, both, entries, d)
         # reduce the scheme variables away modulo relations
         return self._reduce_mixed(det)
 

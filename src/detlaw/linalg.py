@@ -120,15 +120,22 @@ class Mat:
         return tuple(out)
 
     def __pow__(self, e):
-        assert self.nrows == self.ncols and e >= 0
-        r = Mat.identity(self.field, self.nrows)
+        if self.nrows != self.ncols:
+            raise ShapeMismatch(f"power of a non-square {self.nrows}x{self.ncols} matrix")
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponent must be a non-negative int, got {e!r}")
+        if e == 0:
+            return Mat.identity(self.field, self.nrows)
+        # identity * b == b, so the first factor is taken as is
+        r = None
         b = self
-        while e:
+        while True:
             if e & 1:
-                r = r * b
-            b = b * b
+                r = b if r is None else r * b
             e >>= 1
-        return r
+            if not e:
+                return r
+            b = b * b
 
     def transpose(self):
         return Mat(self.field, self.ncols, self.nrows,
@@ -171,8 +178,7 @@ class Mat:
             for r in range(col + 1, n):
                 f = F.mul(rows[r][col], inv)
                 if f:
-                    for c in range(col, n):
-                        rows[r][c] = F.sub(rows[r][c], F.mul(f, rows[col][c]))
+                    rows[r][col:] = F.sub_mul_row(rows[r][col:], f, rows[col][col:])
         return det
 
     def char_poly_coeffs(self):
@@ -209,7 +215,7 @@ class Mat:
             for r in range(n):
                 if r != col and rows[r][col]:
                     f = rows[r][col]
-                    rows[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[r], rows[col])]
+                    rows[r] = F.sub_mul_row(rows[r], f, rows[col])
         return Mat(F, n, n, [x for row in rows for x in row[n:]])
 
     def is_invertible(self):
@@ -263,8 +269,7 @@ def rref(field, rows):
     for row in work:
         for b, p in zip(basis, pivots):
             if row[p]:
-                f = row[p]
-                row[:] = [F.sub(x, F.mul(f, y)) for x, y in zip(row, b)]
+                row[:] = F.sub_mul_row(row, row[p], b)
         piv = next((i for i, x in enumerate(row) if x), None)
         if piv is None:
             continue
@@ -272,8 +277,7 @@ def rref(field, rows):
         row[:] = [F.mul(inv, x) for x in row]
         for b, p in zip(basis, pivots):
             if b[piv]:
-                f = b[piv]
-                b[:] = [F.sub(x, F.mul(f, y)) for x, y in zip(b, row)]
+                b[:] = F.sub_mul_row(b, b[piv], row)
         basis.append(row)
         pivots.append(piv)
     order = sorted(range(len(pivots)), key=lambda i: pivots[i])
@@ -286,8 +290,7 @@ def reduce_vector(field, vec, basis, pivots):
     row = list(vec)
     for b, p in zip(basis, pivots):
         if row[p]:
-            f = row[p]
-            row = [F.sub(x, F.mul(f, y)) for x, y in zip(row, b)]
+            row = F.sub_mul_row(row, row[p], b)
     return tuple(row)
 
 

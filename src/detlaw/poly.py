@@ -3,10 +3,129 @@
 Terms are stored as a dict mapping exponent tuples to nonzero coefficient
 codes.  The canonical term order used for printing and serialization is
 graded lexicographic (total degree first, then lex on the exponent vector).
+
+Every product (``*``, ``**``, ``substitute``) runs through one kernel,
+``_mul_terms``.  When the field has add/mul tables (q <= 256) and no exponent
+of the result can reach 256, exponent tuples are first packed into ints, one
+byte per variable (``int.from_bytes(bytes(e), "little")``), so multiplying
+two monomials is a single integer add and each coefficient is one table
+lookup.  Otherwise, and for ``*`` on at most ``SMALL_PRODUCT`` term pairs,
+where packing costs more than it saves, the kernel adds exponent tuples entry
+by entry through the field's methods.  Both paths visit term pairs in the
+same order and update the result dict the same way, so a result's terms, and
+their insertion order, do not depend on the path.
 """
+
+from functools import reduce
+from itertools import permutations, repeat
+from operator import add as _add_ints, or_
 
 from .errors import VariableMismatch
 from .fields import FFElem, embed_code
+from .linalg import _perm_sign
+
+PACK_LIMIT = 256  # exponents must stay below this to fit one byte each
+SMALL_PRODUCT = 16  # up to this many term pairs, packing costs more than it saves
+
+
+def _pack(F, terms, nv):
+    """A packed copy of a term dict and an upper bound on its exponents.
+
+    Returns (None, PACK_LIMIT) when F has no tables or an exponent does not
+    fit a byte.  The bound is the largest byte of the OR of all keys.
+    """
+    if F._mul is None:
+        return None, PACK_LIMIT
+    try:
+        keys = list(map(int.from_bytes, map(bytes, terms), repeat("little")))
+    except ValueError:  # bytes() rejects values >= 256
+        return None, PACK_LIMIT
+    top = max(reduce(or_, keys, 0).to_bytes(nv, "little"), default=0)
+    return dict(zip(keys, terms.values())), top
+
+
+def _unpack(packed, nv):
+    keys = map(tuple, map(int.to_bytes, packed, repeat(nv), repeat("little")))
+    return dict(zip(keys, packed.values()))
+
+
+def _mul_terms(F, a, b, packed):
+    """The product of two term dicts over F, as a new term dict.
+
+    With ``packed`` the keys are packed ints and F has tables; otherwise
+    they are exponent tuples.  Pairs are visited in (a, b) order and a
+    cancelled key is deleted, so later hits re-insert it at the end.
+    """
+    out = {}
+    get = out.get
+    if packed:
+        mul, add, q = F._mul, F._add, F.q
+        b_items = list(b.items())
+        for k1, c1 in a.items():
+            row = c1 * q
+            for k2, c2 in b_items:
+                c = mul[row + c2]
+                if not c:
+                    continue
+                k = k1 + k2
+                prev = get(k)
+                if prev is None:
+                    out[k] = c
+                else:
+                    s = add[prev * q + c]
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        return out
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            c = F.mul(c1, c2)
+            if not c:
+                continue
+            e = tuple(map(_add_ints, e1, e2))
+            prev = get(e)
+            if prev is None:
+                out[e] = c
+            else:
+                s = F.add(prev, c)
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
+def _pow_terms(F, terms, n, packed):
+    """terms ** n for n >= 1 by binary powering through _mul_terms.
+
+    Squares only while higher bits remain, so 2**k costs k squarings.
+    """
+    result = None
+    while True:
+        if n & 1:
+            # 1 * terms == terms, so the first factor is taken as is
+            result = terms if result is None else _mul_terms(F, result, terms, packed)
+        n >>= 1
+        if not n:
+            return result
+        terms = _mul_terms(F, terms, terms, packed)
+
+
+def _add_into(F, out, items):
+    """Add (key, code) pairs into the term dict ``out`` in place."""
+    get = out.get
+    tab, q = F._add, F.q
+    for k, c in items:
+        prev = get(k)
+        if prev is None:
+            out[k] = c
+            continue
+        s = tab[prev * q + c] if tab is not None else F.add(prev, c)
+        if s:
+            out[k] = s
+        else:
+            del out[k]
 
 
 class MPoly:
@@ -45,15 +164,7 @@ class MPoly:
     @classmethod
     def from_terms(cls, field, variables, pairs):
         terms = {}
-        F = field
-        for exps, code in pairs:
-            if code:
-                prev = terms.get(exps)
-                s = F.add(prev, code) if prev is not None else code
-                if s:
-                    terms[exps] = s
-                elif prev is not None:
-                    del terms[exps]
+        _add_into(field, terms, ((e, c) for e, c in pairs if c))
         return cls(field, variables, terms)
 
     # --- helpers ---
@@ -78,19 +189,9 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        F = self.field
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = terms.get(e)
-            if prev is None:
-                terms[e] = c
-            else:
-                s = F.add(prev, c)
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
-        return MPoly(F, self.vars, terms)
+        _add_into(self.field, terms, other.terms.items())
+        return MPoly(self.field, self.vars, terms)
 
     __radd__ = __add__
 
@@ -114,23 +215,14 @@ class MPoly:
             return NotImplemented
         self._check(other)
         F = self.field
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                c = F.mul(c1, c2)
-                if not c:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prev = out.get(e)
-                if prev is None:
-                    out[e] = c
-                else:
-                    s = F.add(prev, c)
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return MPoly(F, self.vars, out)
+        a, b = self.terms, other.terms
+        if len(a) * len(b) > SMALL_PRODUCT:
+            nv = len(self.vars)
+            pa, top_a = _pack(F, a, nv)
+            pb, top_b = _pack(F, b, nv)
+            if top_a + top_b < PACK_LIMIT:
+                return MPoly(F, self.vars, _unpack(_mul_terms(F, pa, pb, True), nv))
+        return MPoly(F, self.vars, _mul_terms(F, a, b, False))
 
     __rmul__ = __mul__
 
@@ -141,15 +233,17 @@ class MPoly:
         return MPoly(F, self.vars, {e: F.mul(c, code) for e, c in self.terms.items()})
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
-        result = MPoly.const(self.field, self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"exponent must be a non-negative int, got {n!r}")
+        F = self.field
+        if n == 0:
+            return MPoly.const(F, self.vars, 1)
+        nv = len(self.vars)
+        packed, top = _pack(F, self.terms, nv)
+        if n * top < PACK_LIMIT:
+            return MPoly(F, self.vars, _unpack(_pow_terms(F, packed, n, True), nv))
+        out = _pow_terms(F, self.terms, n, False)
+        return MPoly(F, self.vars, dict(out) if out is self.terms else out)
 
     # --- structure ---
 
@@ -184,26 +278,38 @@ class MPoly:
         """
         some = next(iter(images.values()))
         tf, tv = some.field, some.vars
-        out = MPoly.zero(tf, tv)
-        pow_cache = {}
-
-        def power(name, n):
-            key = (name, n)
-            got = pow_cache.get(key)
-            if got is None:
-                got = images[name] ** n
-                pow_cache[key] = got
-            return got
-
-        for e, c in self.terms.items():
-            term = MPoly.const(tf, tv, embed_code(self.field, tf, c))
+        nv = len(tv)
+        used = {}  # name -> (packed image, its exponent bound)
+        bound = 0  # the largest exponent any term's product can reach
+        for e in self.terms:
+            reach = 0
             for name, exp in zip(self.vars, e):
                 if exp:
-                    if name not in images:
-                        raise VariableMismatch(f"no image for variable {name}")
-                    term = term * power(name, exp)
-            out = out + term
-        return out
+                    got = used.get(name)
+                    if got is None:
+                        img = images.get(name)
+                        if img is None:
+                            raise VariableMismatch(f"no image for variable {name}")
+                        if img.field != tf or img.vars != tv:
+                            raise VariableMismatch(f"image of {name} is not over {tf}{tv}")
+                        got = used[name] = _pack(tf, img.terms, nv)
+                    reach += exp * got[1]
+            bound = max(bound, reach)
+        packed = tf._mul is not None and bound < PACK_LIMIT
+        one = 0 if packed else (0,) * nv
+        pow_cache = {}
+        out = {}
+        for e, c in self.terms.items():
+            term = {one: embed_code(self.field, tf, c)}
+            for name, exp in zip(self.vars, e):
+                if exp:
+                    p = pow_cache.get((name, exp))
+                    if p is None:
+                        base = used[name][0] if packed else images[name].terms
+                        p = pow_cache[name, exp] = _pow_terms(tf, base, exp, packed)
+                    term = _mul_terms(tf, term, p, packed)
+            _add_into(tf, out, term.items())
+        return MPoly(tf, tv, _unpack(out, nv) if packed else out)
 
     def evaluate(self, point):
         """Evaluate at a dict var -> code; returns a code."""
@@ -292,3 +398,22 @@ class MPoly:
             else:
                 bits.append(cs)
         return " + ".join(bits)
+
+
+def symbolic_det(field, names, entries, d):
+    """The determinant of a d x d matrix of MPoly entries (row-major), by
+    the Leibniz formula, summed in permutation order."""
+    one = MPoly.const(field, names, 1)
+    minus_one = field.neg(1)
+    acc = {}
+    for perm in permutations(range(d)):
+        term = one
+        for i, j in enumerate(perm):
+            term = term * entries[i * d + j]
+            if term.is_zero():
+                break
+        if not term.is_zero():
+            if _perm_sign(perm) < 0:
+                term = term.scale(minus_one)
+            _add_into(field, acc, term.terms.items())
+    return MPoly(field, names, acc)

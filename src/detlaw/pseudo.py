@@ -8,14 +8,12 @@ an exact polynomial computation: the generic element is a universal point,
 so identities checked here hold after arbitrary base change.
 """
 
-from itertools import permutations
-
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
 from .errors import (NotFoundWithinBound, SearchCapExceeded, ShapeMismatch,
                      VariableMismatch)
 from .fields import make_field
-from .linalg import Mat, nullspace, rref, span_dim, _perm_sign
-from .poly import MPoly
+from .linalg import Mat, nullspace, rref, span_dim
+from .poly import MPoly, symbolic_det
 from .reps import Representation, invariant_subspace, irreducible_reps
 
 T_VAR = "t"
@@ -42,9 +40,6 @@ class CharPoly:
             term = F.mul(L, F.pow(t_code, self.d - i))
             acc = F.add(acc, term if sign > 0 else F.neg(term))
         return acc
-
-    def is_power_of_t(self):
-        return all(c == 0 for c in self.coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, CharPoly) and self.field == other.field
@@ -88,7 +83,7 @@ class PseudoRep:
                     if c:
                         p = p + MPoly.var(F, xs, xs[k], c)
                 entries.append(p)
-        return cls(A, d, _symbolic_det(F, xs, entries, d))
+        return cls(A, d, symbolic_det(F, xs, entries, d))
 
     # --- evaluation ---
 
@@ -184,30 +179,11 @@ def _drop_var(poly, name):
     return MPoly(poly.field, newvars, terms)
 
 
-def _symbolic_det(field, names, entries, d):
-    acc = MPoly.zero(field, names)
-    for perm in permutations(range(d)):
-        term = MPoly.const(field, names, 1)
-        for i, j in enumerate(perm):
-            term = term * entries[i * d + j]
-            if term.is_zero():
-                break
-        if not term.is_zero():
-            if _perm_sign(perm) < 0:
-                term = term.scale(field.neg(1))
-            acc = acc + term
-    return acc
-
-
 def from_group_rep(rep):
     """Reinterpret a group representation as a group-algebra representation."""
     assert rep.is_group_rep
     A = GroupAlgebra(rep.source, rep.field)
     return Representation(A, rep.field, rep.dim, rep.images, check_now=False)
-
-
-def induce(rep):
-    return PseudoRep.induce(rep)
 
 
 def algebra_base_change(A, target):

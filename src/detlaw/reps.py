@@ -14,7 +14,7 @@ from .errors import (EnumerationCapExceeded, SearchCapExceeded, ShapeMismatch)
 from .groups import FiniteGroup
 from .linalg import (Mat, all_subspaces, gl_order, nullspace, rref,
                      reduce_vector)
-from .poly import MPoly
+from .poly import MPoly, symbolic_det
 
 
 class Representation:
@@ -620,7 +620,7 @@ def isomorphic(rep1, rep2, cap=200000):
                 if B[i, j]:
                     poly = poly + MPoly.var(F, names, names[t], F.elem(B[i, j]))
             entries.append(poly)
-    detp = _symbolic_det(F, names, entries, d)
+    detp = symbolic_det(F, names, entries, d)
     if detp.is_zero():
         return False
     if d < F.q:
@@ -651,25 +651,6 @@ def find_intertwiner(rep1, rep2, cap=200000):
                 return T
         return None
     raise SearchCapExceeded("intertwiner space too large to search")
-
-
-def _symbolic_det(field, names, entries, d):
-    from itertools import permutations
-
-    from .linalg import _perm_sign
-
-    acc = MPoly.zero(field, names)
-    for perm in permutations(range(d)):
-        term = MPoly.const(field, names, 1)
-        for i, j in enumerate(perm):
-            term = term * entries[i * d + j]
-            if term.is_zero():
-                break
-        if not term.is_zero():
-            if _perm_sign(perm) < 0:
-                term = term.scale(field.neg(1))
-            acc = acc + term
-    return acc
 
 
 # --- irreducibles and characters ---

@@ -7,6 +7,8 @@ F_5, F_7 (quadratic extensions added where a tower is called for).
 
 import functools
 
+import pytest
+
 from detlaw.cohomology import ext1, fiber_stratify, proj_point_count
 from detlaw.fields import make_field
 from detlaw.gma import (GmaData, adapted_points, adapted_scheme,
@@ -93,6 +95,7 @@ def test_criterion_3_ch_quotient_and_nilpotency():
     _report(3, "CH quotient and kernel nilpotency", not failures)
 
 
+@pytest.mark.slow
 def test_criterion_4_closed_point_bijection():
     failures = []
     for G in GROUPS:
@@ -174,6 +177,7 @@ def test_criterion_6_adapted_points_bijection():
     _report(6, "adapted points modulo torus = fiber orbits", ok)
 
 
+@pytest.mark.slow
 def test_criterion_7_fiber_stratification():
     G = semidirect_cyclic_squared(5, 4, 2)
     F = make_field(5)

@@ -114,3 +114,17 @@ def test_not_prime_rejected():
 
 def test_make_field_cached():
     assert make_field(5, 2) is make_field(5, 2)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (257, 1)])
+def test_sub_mul_row_matches_entrywise(p, k):
+    import random
+
+    F = make_field(p, k)
+    rng = random.Random(p + k)
+    for density in (0.0, 0.2, 1.0):
+        row = [rng.randrange(F.q) for _ in range(30)]
+        b = [rng.randrange(1, F.q) if rng.random() < density else 0 for _ in range(30)]
+        for f in (0, 1, F.q - 1, rng.randrange(F.q)):
+            want = [F.sub(x, F.mul(f, y)) for x, y in zip(row, b)]
+            assert F.sub_mul_row(row, f, b) == want

@@ -136,3 +136,34 @@ def test_all_subspaces_grassmannian_count():
 def test_gl_order():
     assert gl_order(3, 2) == 48
     assert gl_order(2, 3) == 168
+
+
+def test_matrix_pow_matches_repeated_product():
+    A = Mat.from_rows(F5, [[1, 2], [3, 4]])
+    want = Mat.identity(F5, 2)
+    for e in range(9):
+        assert A ** e == want
+        want = want * A
+
+
+def test_matrix_pow_squares_only_while_bits_remain(monkeypatch):
+    A = Mat.from_rows(F5, [[1, 2], [3, 4]])
+    products = []
+    mul = Mat.__mul__
+
+    def counted(self, other):
+        products.append(self is other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    A ** 8
+    assert products == [True, True, True]
+
+
+def test_matrix_pow_rejects_bad_arguments():
+    A = Mat.from_rows(F5, [[1, 2], [3, 4]])
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError):
+            A ** bad
+    with pytest.raises(ShapeMismatch):
+        Mat.from_rows(F5, [[1, 2, 3], [4, 0, 1]]) ** 2

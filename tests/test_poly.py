@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import detlaw.poly as poly_mod
 from detlaw.errors import VariableMismatch
 from detlaw.fields import make_field
 from detlaw.poly import MPoly
@@ -106,3 +109,156 @@ def test_rename():
     q = p.rename(("a", "b"))
     assert q.vars == ("a", "b")
     assert q.terms == p.terms
+
+
+# --- the product kernel ---
+
+F25 = make_field(5, 2)
+F257 = make_field(257)  # q > 256: no add/mul tables
+
+
+def _ref_mul(F, a, b):
+    """The original tuple loop for a product of term dicts."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            c = F.mul(c1, c2)
+            if not c:
+                continue
+            e = tuple(u + v for u, v in zip(e1, e2))
+            prev = out.get(e)
+            if prev is None:
+                out[e] = c
+            else:
+                s = F.add(prev, c)
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
+def _ref_add(F, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        prev = out.get(e)
+        if prev is None:
+            out[e] = c
+        else:
+            s = F.add(prev, c)
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _ref_pow(F, a, n, nv):
+    result = {(0,) * nv: 1}
+    while n:
+        if n & 1:
+            result = _ref_mul(F, result, a)
+        a = _ref_mul(F, a, a)
+        n >>= 1
+    return result
+
+
+def _ref_substitute(p, images):
+    """The original substitution: one product per term, summed by copying."""
+    some = next(iter(images.values()))
+    F, nv = some.field, len(some.vars)
+    out = {}
+    for e, c in p.terms.items():
+        term = {(0,) * nv: c}
+        for name, exp in zip(p.vars, e):
+            if exp:
+                term = _ref_mul(F, term, _ref_pow(F, images[name].terms, exp, nv))
+        out = _ref_add(F, out, term)
+    return out
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = poly_mod._mul_terms
+
+    def counted(F, a, b, packed):
+        calls.append((a is b, packed))
+        return kernel(F, a, b, packed)
+
+    monkeypatch.setattr(poly_mod, "_mul_terms", counted)
+    return calls
+
+
+@pytest.mark.parametrize("F", [F5, F25, F257], ids=str)
+def test_pow_matches_repeated_product(F):
+    p = MPoly.var(F, XY, "x", 2) + MPoly.var(F, XY, "y", 3) + 1
+    want = MPoly.const(F, XY, 1)
+    for n in range(10):
+        assert p ** n == want
+        want = want * p
+
+
+def test_pow_rejects_bad_exponents():
+    for bad in (-1, 2.0, "2"):
+        with pytest.raises(ValueError):
+            x() ** bad
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_pow_of_two_squares_k_times(monkeypatch, k):
+    p = x() + 2 * y() + 3
+    calls = _count_kernel_calls(monkeypatch)
+    got = p ** (2 ** k)
+    assert calls == [(True, True)] * k
+    assert list(got.terms.items()) == list(_ref_pow(F5, p.terms, 2 ** k, 2).items())
+
+
+def test_exponent_sums_past_a_byte_take_the_tuple_path(monkeypatch):
+    p = MPoly.from_terms(F5, XY, [((200, i), i + 1) for i in range(4)] + [((0, 0), 1)])
+    q = MPoly.from_terms(F5, XY, [((100, i), 1) for i in range(4)] + [((0, 0), 1)])
+    calls = _count_kernel_calls(monkeypatch)
+    got = p * q
+    assert calls == [(False, False)]
+    assert list(got.terms.items()) == list(_ref_mul(F5, p.terms, q.terms).items())
+    assert got.terms[(300, 0)] == 1
+
+
+def test_small_exponents_take_the_packed_path(monkeypatch):
+    p = (x() + y() + 1) ** 3
+    calls = _count_kernel_calls(monkeypatch)
+    got = p * p
+    assert calls == [(False, True)]
+    assert list(got.terms.items()) == list(_ref_mul(F5, p.terms, p.terms).items())
+
+
+def _sparse(field, names, max_exp):
+    nv = len(names)
+    exps = st.tuples(*[st.integers(0, max_exp)] * nv)
+    terms = st.dictionaries(exps, st.integers(1, field.q - 1), max_size=12)
+    return terms.map(lambda t: MPoly(field, names, t))
+
+
+_FIELDS = st.sampled_from([F5, F25, F257])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_matches_reference_loop(data):
+    F = data.draw(_FIELDS)
+    names = ("a", "b", "c")[:data.draw(st.integers(1, 3))]
+    p = data.draw(_sparse(F, names, 3))
+    q = data.draw(_sparse(F, names, 3))
+    assert list((p * q).terms.items()) == list(_ref_mul(F, p.terms, q.terms).items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_substitute_matches_reference_loop(data):
+    F = data.draw(_FIELDS)
+    src = ("a", "b")
+    dst = ("u", "v", "w")[:data.draw(st.integers(1, 3))]
+    p = data.draw(_sparse(F, src, 3))
+    images = {name: data.draw(_sparse(F, dst, 2)) for name in src}
+    got = p.substitute(images)
+    assert got.vars == dst
+    assert list(got.terms.items()) == list(_ref_substitute(p, images).items())
