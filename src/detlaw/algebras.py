@@ -57,16 +57,6 @@ class FinAlgebra:
                     out[k] = F.add(out[k], F.mul(c, s))
         return tuple(out)
 
-    def power(self, x, e):
-        r = self.unit
-        b = x
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
-
     def mul_poly(self, x, y, zero):
         """Multiply vectors whose coordinates are MPoly (or anything with +/*)."""
         out = [zero] * self.n

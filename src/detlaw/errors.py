@@ -82,3 +82,13 @@ class DimensionUnsupported(DetlawError):
 
 class SchemaError(DetlawError):
     code = "SchemaError"
+
+
+class InvariantViolation(DetlawError):
+    """A checked mathematical claim failed; ``witness`` holds the data that
+    shows it."""
+    code = "InvariantViolation"
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness

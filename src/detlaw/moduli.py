@@ -2,18 +2,22 @@
 closed-orbit detection, fibers, and trace-of-word invariants.
 
 Orbits of Hom(G, GL_d(F)) under conjugation are computed by centralizer
-descent through conjugacy-class representatives (see reps.hom_orbit_reps);
-the direct conjugate-by-every-group-element method is retained as an oracle
-for small fields.
+descent through conjugacy-class representatives (reps.hom_orbit_reps), the
+only production orbit path.  While GL_d(F) is small enough to scan, each
+orbit is reported by its least point, so the report does not depend on
+which representative the descent happened to pick.
 """
 
-from .errors import EnumerationCapExceeded, UnknownPseudoRep
+from .errors import InvariantViolation, UnknownPseudoRep
 from .fields import embedding_table
 from .linalg import Mat, gl_order
 from .pseudo import PseudoRep, split_search
 from .reps import (Representation, conjugate_rep, direct_sum, enumerate_reps,
                    gl_elements, hom_orbit_reps, invariant_subspace, isomorphic,
-                   semisimplify, sub_quotient_reps)
+                   least_conjugate, semisimplify, sub_quotient_reps)
+
+# Largest |GL_d(F)| for which orbits are reported by their least point.
+LEAST_POINT_GL = 30000
 
 
 class Orbit:
@@ -54,19 +58,33 @@ class OrbitReport:
                 f"{len(self.orbits)} orbits, {len(self.pseudoreps)} laws)")
 
 
-def orbit_partition(group, dim, field, method="auto"):
+def orbit_partition(group, dim, field):
     """Partition all homomorphisms G -> GL_d(F) into conjugation orbits.
 
-    method "direct" conjugates every point by every element of GL_d (oracle,
-    small fields only); "classes" descends through centralizers; "auto"
-    picks direct below a size threshold.
+    Orbits come from class descent (reps.hom_orbit_reps).  When
+    |GL_d(F)| <= LEAST_POINT_GL, each orbit is reported by its least point
+    under Representation.sort_key, and its size is checked exactly:
+    size x |stabilizer| must equal |GL_d(F)|.  Above that the class
+    representative is kept.  Orbits are ordered by their representatives.
     """
-    if method == "auto":
-        method = "direct" if gl_order(field.q, dim) <= 30000 else "classes"
-    if method == "direct":
-        pairs = _orbits_direct(group, dim, field)
-    else:
-        pairs = hom_orbit_reps(group, dim, field)
+    pairs = hom_orbit_reps(group, dim, field)
+    gl = gl_order(field.q, dim)
+    if gl <= LEAST_POINT_GL:
+        least = []
+        for rep, size in pairs:
+            point, stab = least_conjugate(rep)
+            if size * stab != gl:
+                raise InvariantViolation(
+                    f"orbit size {size} times stabilizer order {stab} is not "
+                    f"|GL_{dim}(F_{field.q})| = {gl}",
+                    witness={"rep": rep, "size": size, "stabilizer": stab})
+            least.append((point, size))
+        pairs = sorted(least, key=lambda t: t[0].sort_key())
+    return _report(group, dim, field, pairs)
+
+
+def _report(group, dim, field, pairs):
+    """The OrbitReport of (representative, orbit size) pairs, in order."""
     orbits = []
     pseudoreps = []
     fiber_map = {}
@@ -84,6 +102,9 @@ def orbit_partition(group, dim, field, method="auto"):
 
 
 def _orbits_direct(group, dim, field):
+    """Orbits by conjugating every point by every element of GL_d: the test
+    oracle for orbit_partition.  No production code calls it; it stays
+    importable here because the benchmark tracer wraps it by name."""
     points = enumerate_reps(group, dim, field)
     gl = gl_elements(field, dim)
     index = {r.images: i for i, r in enumerate(points)}
@@ -139,13 +160,17 @@ def psi_fiber(report, D):
         raise UnknownPseudoRep("law does not occur in the orbit report")
     members = report.fiber_map[idx]
     closed = [i for i in members if report.orbits[i].is_closed]
-    assert len(closed) == 1, f"fiber has {len(closed)} closed orbits"
+    if len(closed) != 1:
+        raise InvariantViolation(f"fiber has {len(closed)} closed orbits",
+                                 witness={"law": idx, "closed": closed})
     ext_field, split_rep = split_search(D)
-    key = _multiset_key(semisimplify(_to_field(split_rep, ext_field)))
+    key = semisimplify(_to_field(split_rep, ext_field)).multiset_key()
     for i in members:
-        lifted = _to_field(report.orbits[i].rep, ext_field)
-        assert _multiset_key(semisimplify(lifted)) == key, \
-            "orbit leaves the Jordan-Hoelder class of its fiber"
+        got = semisimplify(_to_field(report.orbits[i].rep, ext_field)).multiset_key()
+        if got != key:
+            raise InvariantViolation(
+                "orbit leaves the Jordan-Hoelder class of its fiber",
+                witness={"orbit": i, "key": got, "fiber_key": key})
     return FiberReport(idx, members, closed[0], key)
 
 
@@ -156,12 +181,6 @@ def _to_field(rep, target):
     images = [Mat(target, rep.dim, rep.dim, [table[c] for c in m.data])
               for m in rep.images]
     return Representation(rep.source, target, rep.dim, images, check_now=False)
-
-
-def _multiset_key(jh):
-    return tuple(sorted(
-        (f.dim, tuple(m.char_poly_coeffs() for m in f.images))
-        for f in jh.factors))
 
 
 # --- invariant functions of words ---

@@ -14,7 +14,8 @@ from .errors import (NotFoundWithinBound, SearchCapExceeded, ShapeMismatch,
 from .fields import make_field
 from .linalg import Mat, nullspace, rref, span_dim
 from .poly import MPoly, symbolic_det
-from .reps import Representation, invariant_subspace, irreducible_reps
+from .reps import (JHDecomposition, Representation, invariant_subspace,
+                   irreducible_reps)
 
 T_VAR = "t"
 
@@ -436,8 +437,7 @@ def split_search(D, max_degree=None):
             if PseudoRep.induce(rep).equals(De):
                 matches.append((multiset, rep))
         if matches:
-            keys = {tuple(sorted((r.dim, tuple(m.char_poly_coeffs() for m in r.images))
-                                 for r in ms)) for ms, _ in matches}
+            keys = {JHDecomposition(ms).multiset_key() for ms, _ in matches}
             assert len(keys) == 1, "matching semisimple factor multiset not unique"
             return target, matches[0][1]
     raise NotFoundWithinBound(

@@ -33,17 +33,6 @@ class Representation:
     def is_group_rep(self):
         return isinstance(self.source, FiniteGroup)
 
-    @classmethod
-    def from_generator_images(cls, group, field, dim, gen_images, check_now=True):
-        words = group.generator_words()
-        images = []
-        for w in words:
-            m = Mat.identity(field, dim)
-            for pos in w:
-                m = m * gen_images[pos]
-            images.append(m)
-        return cls(group, field, dim, images, check_now=check_now)
-
     def generator_images(self):
         assert self.is_group_rep
         return [self.images[g] for g in self.source.generators]
@@ -81,9 +70,6 @@ class Representation:
         formal group-algebra combination)."""
         return _combine(self, vec)
 
-    def restrict_to_group(self, elems):
-        return [self.images[g] for g in elems]
-
     def sort_key(self):
         return (self.dim, tuple(m.data for m in self.images))
 
@@ -109,11 +95,6 @@ def _combine(rep, vec):
         if c:
             out = out + rep.images[i] * c
     return out
-
-
-def check(rep):
-    """True iff the stored images respect the source's relations exactly."""
-    return rep.check()
 
 
 def trivial_rep(group, field, dim=1):
@@ -231,16 +212,12 @@ def order_class_reps(field, d, m):
                 reps.append(comp)  # Jordan block (1 root) or irreducible (0 roots)
         return tuple(reps)
     # small d=3 fallback: orbit representatives by explicit conjugation
-    cands = order_candidates(field, d, m)
-    gl = list(gl_elements(field, d))
     seen = set()
     reps = []
-    for M in cands:
-        if M in seen:
-            continue
-        reps.append(M)
-        for g in gl:
-            seen.add(g * M * g.inverse())
+    for M in order_candidates(field, d, m):
+        if M not in seen:
+            reps.append(M)
+            seen |= conjugation_orbit(M, gl_pairs(field, d))
     return tuple(reps)
 
 
@@ -261,6 +238,48 @@ def gl_elements(field, d):
         if M.det():
             out.append(M)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def gl_pairs(field, d):
+    """(g, g^-1) for every g of GL_d(F), in gl_elements order."""
+    return tuple((g, g.inverse()) for g in gl_elements(field, d))
+
+
+def conjugation_orbit(M, pairs):
+    """The conjugates g M g^-1 over the (g, g^-1) pairs of a matrix group."""
+    return {g * M * ginv for g, ginv in pairs}
+
+
+def least_conjugate(rep):
+    """The least point of rep's GL_d-orbit under sort_key, and the order of
+    rep's stabilizer.
+
+    One pass over gl_pairs.  Each conjugate is compared lazily, image by
+    image in element order, with the least conjugate so far and with rep
+    itself; scalar images are skipped, since conjugation fixes them.
+    """
+    images = rep.images
+    moving = [x for x, m in enumerate(images) if not _is_scalar(m)]
+    best, best_data = None, {}
+    stab = 0
+    for g, ginv in gl_pairs(rep.field, rep.dim):
+        order = -1 if best is None else 0
+        fixed = True
+        data = {}
+        for x in moving:
+            c = data[x] = (g * images[x] * ginv).data
+            fixed = fixed and c == images[x].data
+            if not order:
+                if x not in best_data:
+                    best_data[x] = (best[0] * images[x] * best[1]).data
+                order = (c > best_data[x]) - (c < best_data[x])
+            if order and not fixed:
+                break
+        stab += fixed
+        if order < 0:
+            best, best_data = (g, ginv), data
+    return conjugate_rep(rep, best[0]), stab
 
 
 def commutant_basis(field, mats, d):
@@ -338,26 +357,40 @@ def unit_count_of_commutant(field, basis, d):
 
 # --- enumeration of homomorphisms ---
 
-def _consistent_extension(group, field, dim, assigned):
-    """Try to extend images of the first len(assigned) generators over the
-    subgroup they generate; None if inconsistent."""
-    gens = group.generators[:len(assigned)]
-    images = {group.identity: Mat.identity(field, dim)}
-    frontier = [group.identity]
+def _extend_images(group, images, assigned):
+    """Extend the image table of the subgroup generated by the first
+    len(assigned) - 1 generators by the image assigned[-1] of the next one.
+
+    ``images`` (element -> matrix) must already agree on every edge
+    a -> a*g by those generators, so only new edges are checked: edges by
+    the new generator and edges out of new elements.  Returns the table of
+    the larger subgroup, or None if no homomorphism takes these images.
+    """
+    table = group.table
+    gens = list(zip(group.generators, assigned))
+    out = dict(images)
+    frontier = list(images)
+    steps = gens[-1:]
     while frontier:
         nxt = []
         for a in frontier:
-            for g, M in zip(gens, assigned):
-                b = group.table[a][g]
-                cand = images[a] * M
-                if b in images:
-                    if images[b] != cand:
-                        return None
-                else:
-                    images[b] = cand
+            A = out[a]
+            for g, M in steps:
+                b = table[a][g]
+                cand = A * M
+                if b not in out:
+                    out[b] = cand
                     nxt.append(b)
-        frontier = nxt
-    return images
+                elif out[b] != cand:
+                    return None
+        frontier, steps = nxt, gens
+    return out
+
+
+def _leaf_rep(group, field, dim, images):
+    return Representation(group, field, dim,
+                          [images[x] for x in range(group.order)],
+                          check_now=False)
 
 
 def enumerate_reps(group, dim, field, cap=10 ** 7):
@@ -372,18 +405,17 @@ def enumerate_reps(group, dim, field, cap=10 ** 7):
             f"{total} candidate tuples exceed enumeration cap {cap}")
     out = []
 
-    def dfs(assigned):
+    def dfs(assigned, images):
         i = len(assigned)
-        if _consistent_extension(group, field, dim, assigned) is None:
-            return
         if i == len(gens):
-            out.append(Representation.from_generator_images(
-                group, field, dim, assigned, check_now=False))
+            out.append(_leaf_rep(group, field, dim, images))
             return
         for M in cand_sets[i]:
-            dfs(assigned + [M])
+            ext = _extend_images(group, images, assigned + [M])
+            if ext is not None:
+                dfs(assigned + [M], ext)
 
-    dfs([])
+    dfs([], {group.identity: Mat.identity(field, dim)})
     out.sort(key=lambda r: r.sort_key())
     return out
 
@@ -396,63 +428,52 @@ def hom_orbit_reps(group, dim, field):
 
     Descends generator by generator: under the full GL the first image is
     reduced to a canonical conjugacy class representative and the remaining
-    generators are classified under its centralizer (explicit element lists
-    once the symmetry group is small enough).
+    generators are classified under its centralizer (explicit lists of
+    (g, g^-1) pairs once the symmetry group is small enough).  No symmetry
+    group is built after the last generator.
 
     Returns a list of (Representation, orbit_size), deterministically ordered.
     """
     gens = group.generators
     orders = [group.element_order(g) for g in gens]
+    gl = gl_order(field.q, dim)
     results = []
 
-    def final(assigned):
-        rep = Representation.from_generator_images(group, field, dim, assigned,
-                                                   check_now=False)
-        comm = commutant_basis(field, list(assigned) or [Mat.identity(field, dim)], dim)
-        size = gl_order(field.q, dim) // unit_count_of_commutant(field, comm, dim)
-        results.append((rep, size))
-
-    def recurse(assigned, symmetry):
+    def recurse(assigned, images, symmetry):
         i = len(assigned)
-        if _consistent_extension(group, field, dim, assigned) is None:
-            return
         if i == len(gens):
-            final(assigned)
+            comm = commutant_basis(field, assigned or [Mat.identity(field, dim)], dim)
+            results.append((_leaf_rep(group, field, dim, images),
+                            gl // unit_count_of_commutant(field, comm, dim)))
             return
-        m = orders[i]
+        last = i + 1 == len(gens)
         if symmetry is FULL_GL:
-            for M in order_class_reps(field, dim, m):
-                cent = centralizer_or_full(field, M, dim)
-                recurse(assigned + [M], cent)
-        else:
-            cands = [M for M in order_candidates(field, dim, m)
-                     if _consistent_extension(group, field, dim, assigned + [M]) is not None]
-            seen = set()
-            for M in cands:
-                if M in seen:
-                    continue
-                orbit = set()
-                stack = [M]
-                while stack:
-                    x = stack.pop()
-                    if x in orbit:
-                        continue
-                    orbit.add(x)
-                    for g in symmetry:
-                        y = g * x * g.inverse()
-                        if y not in orbit:
-                            stack.append(y)
-                seen |= orbit
-                stab = [g for g in symmetry if g * M * g.inverse() == M]
-                recurse(assigned + [M], stab)
+            for M in order_class_reps(field, dim, orders[i]):
+                ext = _extend_images(group, images, assigned + [M])
+                if ext is not None:
+                    recurse(assigned + [M], ext,
+                            None if last else centralizer_or_full(field, M, dim))
+            return
+        seen = set()
+        for M in order_candidates(field, dim, orders[i]):
+            if M in seen:
+                continue
+            ext = _extend_images(group, images, assigned + [M])
+            if ext is None:
+                continue
+            seen |= conjugation_orbit(M, symmetry)
+            stab = None if last else [(g, ginv) for g, ginv in symmetry
+                                      if g * M == M * g]
+            recurse(assigned + [M], ext, stab)
 
-    recurse([], FULL_GL)
+    recurse([], {group.identity: Mat.identity(field, dim)}, FULL_GL)
     results.sort(key=lambda t: t[0].sort_key())
     return results
 
 
 def centralizer_or_full(field, M, dim):
-    """Centralizer of M in GL_d as an element list, or FULL_GL for scalars."""
+    """Centralizer of M in GL_d as a list of (g, g^-1) pairs, or FULL_GL for
+    scalars."""
     if _is_scalar(M):
         return FULL_GL
     basis = commutant_basis(field, [M], dim)
@@ -463,7 +484,7 @@ def centralizer_or_full(field, M, dim):
             if c:
                 T = T + B * c
         if T.det():
-            out.append(T)
+            out.append((T, T.inverse()))
     return out
 
 
@@ -516,7 +537,7 @@ def sub_quotient_reps(rep, subspace_rows):
 
     sub_images = []
     quo_images = []
-    for M in _all_images(rep):
+    for M in rep.images:
         sdata = []
         for b in basis:
             img = M.apply(b)
@@ -536,10 +557,6 @@ def sub_quotient_reps(rep, subspace_rows):
     return sub, quo
 
 
-def _all_images(rep):
-    return list(rep.images)
-
-
 def _rebuild(rep, dim, images):
     return Representation(rep.source, rep.field, dim, images, check_now=False)
 
@@ -550,29 +567,12 @@ class JHDecomposition:
     def __init__(self, factors):
         self.factors = sorted(factors, key=lambda r: r.sort_key())
 
-    def key(self):
-        return tuple(r.sort_key() for r in self.factors)
-
     def multiset_key(self):
         """Iso-invariant key: sorted (dim, char-poly data) of each factor."""
         out = []
         for f in self.factors:
             out.append((f.dim, tuple(m.char_poly_coeffs() for m in f.images)))
         return tuple(sorted(out))
-
-    def same_factors(self, other):
-        """Exact matching via isomorphism testing."""
-        if len(self.factors) != len(other.factors):
-            return False
-        remaining = list(other.factors)
-        for f in self.factors:
-            for i, g in enumerate(remaining):
-                if f.dim == g.dim and isomorphic(f, g):
-                    del remaining[i]
-                    break
-            else:
-                return False
-        return True
 
     def direct_sum_rep(self):
         out = self.factors[0]
@@ -607,7 +607,7 @@ def isomorphic(rep1, rep2, cap=200000):
         return True
     F = rep1.field
     d = rep1.dim
-    basis = intertwiner_basis(F, _all_images(rep1), _all_images(rep2), d)
+    basis = intertwiner_basis(F, rep1.images, rep2.images, d)
     if not basis:
         return False
     m = len(basis)
@@ -631,26 +631,6 @@ def isomorphic(rep1, rep2, cap=200000):
         if detp.evaluate(dict(zip(names, coeffs))):
             return True
     return False
-
-
-def find_intertwiner(rep1, rep2, cap=200000):
-    """An explicit invertible intertwiner T with rep1 * T = T * rep2, or None."""
-    if not isomorphic(rep1, rep2, cap=cap):
-        return None
-    F = rep1.field
-    d = rep1.dim
-    basis = intertwiner_basis(F, _all_images(rep1), _all_images(rep2), d)
-    m = len(basis)
-    if F.q ** m <= cap:
-        for coeffs in product(range(F.q), repeat=m):
-            T = Mat.zero(F, d)
-            for c, B in zip(coeffs, basis):
-                if c:
-                    T = T + B * c
-            if T.det():
-                return T
-        return None
-    raise SearchCapExceeded("intertwiner space too large to search")
 
 
 # --- irreducibles and characters ---

@@ -1,8 +1,9 @@
 import pytest
 
-from detlaw.errors import UnknownPseudoRep
+from detlaw import moduli, reps
+from detlaw.errors import InvariantViolation, UnknownPseudoRep
 from detlaw.fields import make_field
-from detlaw.groups import cyclic, symmetric
+from detlaw.groups import cyclic, dihedral, symmetric
 from detlaw.moduli import (degeneration_lands_in_closed_orbit,
                            degeneration_limit, invariants_separate_laws,
                            orbit_partition, psi_fiber, word_invariant_vector,
@@ -10,18 +11,46 @@ from detlaw.moduli import (degeneration_lands_in_closed_orbit,
 from detlaw.pseudo import PseudoRep, det_law
 from detlaw.reps import characters, direct_sum, semisimplify
 
+F2 = make_field(2)
 F3 = make_field(3)
+F5 = make_field(5)
 F7 = make_field(7)
 
 
 def test_orbit_partition_methods_agree():
-    for G in (cyclic(3), symmetric(3)):
-        direct = orbit_partition(G, 2, F3, method="direct")
-        classes = orbit_partition(G, 2, F3, method="classes")
-        key = lambda r: sorted((o.size, o.is_closed) for o in r.orbits)
-        assert key(direct) == key(classes)
-        assert direct.total_points == classes.total_points
-        assert len(direct.pseudoreps) == len(classes.pseudoreps)
+    # class descent with least-point representatives against the oracle
+    # that conjugates every point by every element of GL_d
+    cases = [(cyclic(2), 2, F3), (cyclic(3), 2, F3), (symmetric(3), 2, F3),
+             (dihedral(4), 2, F3), (symmetric(3), 2, F5), (cyclic(3), 2, F7),
+             (symmetric(3), 1, F7), (cyclic(3), 3, F2)]
+    for G, d, F in cases:
+        got = orbit_partition(G, d, F)
+        want = moduli._report(G, d, F, moduli._orbits_direct(G, d, F))
+        assert [(o.rep.sort_key(), o.size, o.is_closed, o.pseudo_index)
+                for o in got.orbits] == \
+            [(o.rep.sort_key(), o.size, o.is_closed, o.pseudo_index)
+             for o in want.orbits], (G, d, F)
+        assert got.fiber_map == want.fiber_map, (G, d, F)
+
+
+def test_orbit_size_check_raises_with_witness(monkeypatch):
+    monkeypatch.setattr(reps, "unit_count_of_commutant", lambda *a: 1)
+    with pytest.raises(InvariantViolation) as info:
+        orbit_partition(cyclic(3), 2, F3)
+    assert info.value.code == "InvariantViolation"
+    assert info.value.witness["stabilizer"] > 1
+
+
+def test_psi_fiber_closed_count_raises_with_witness():
+    C3 = cyclic(3)
+    report = orbit_partition(C3, 2, F3)
+    cs = characters(C3, F3)
+    D = PseudoRep.induce(direct_sum(cs[0], cs[0]))
+    for o in report.orbits:
+        o.is_closed = False
+    with pytest.raises(InvariantViolation) as info:
+        psi_fiber(report, D)
+    assert info.value.witness["closed"] == []
 
 
 def test_c3_f7_six_classes():

@@ -90,6 +90,51 @@ def test_hom_orbit_reps_matches_direct_oracle():
             assert gl_order(3, 2) % size == 0
 
 
+def _full_closure(group, dim, field, assigned):
+    """Images of the subgroup generated by the first len(assigned)
+    generators, recomputed from scratch; None if inconsistent."""
+    gens = group.generators[:len(assigned)]
+    images = {group.identity: Mat.identity(field, dim)}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g, M in zip(gens, assigned):
+                b = group.table[a][g]
+                if b not in images:
+                    images[b] = images[a] * M
+                    nxt.append(b)
+                elif images[b] != images[a] * M:
+                    return None
+        frontier = nxt
+    return images
+
+
+@pytest.mark.parametrize("G", [symmetric(3), dihedral(4)], ids=str)
+def test_incremental_closure_matches_full_recompute(G):
+    from detlaw.reps import _extend_images
+
+    cand_sets = [order_candidates(F3, 2, G.element_order(g))
+                 for g in G.generators]
+    # elements of order 3, the wrong order for either first generator, so
+    # that first steps are rejected too
+    cand_sets[0] += tuple(M for M in order_candidates(F3, 2, 3)
+                          if not M.is_identity())[:3]
+    rejected_at = set()
+
+    def walk(assigned, images):
+        for M in cand_sets[len(assigned)]:
+            ext = _extend_images(G, images, assigned + [M])
+            assert ext == _full_closure(G, 2, F3, assigned + [M])
+            if ext is None:
+                rejected_at.add(len(assigned))
+            elif len(assigned) + 1 < len(cand_sets):
+                walk(assigned + [M], ext)
+
+    walk([], {G.identity: Mat.identity(F3, 2)})
+    assert rejected_at == {0, 1}
+
+
 def test_conjugate_rep_preserves_relations():
     # char 3 kills the irreducible, so work over F_5
     S3 = symmetric(3)
