@@ -8,14 +8,13 @@ structured error object; all integers in reports are decimal strings.
 
 import argparse
 import json
-import os
 import sys
 
 from .cohomology import ext1, fiber_stratify
 from .errors import DetlawError, SchemaError
 from .gma import (adapted_points, adapted_scheme, canonical_det,
                   gma_from_characters, torus_orbits, verify_gma)
-from .moduli import orbit_partition, psi_fiber, word_invariants
+from .moduli import orbit_partition, psi_fiber
 from .ordinary import OrdinaryInstance, certify_points, ordinary_ideal
 from .pseudo import PseudoRep, ch_quotient, kernel
 from .reps import characters, direct_sum, enumerate_reps
@@ -26,10 +25,9 @@ from .serialize import (field_from_json, instance_from_json, poly_to_json,
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _thread_cap()
     try:
         report = args.func(args)
-    except (DetlawError, SchemaError) as exc:
+    except DetlawError as exc:
         err = {"error": {"code": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(err, sort_keys=True))
         return 2
@@ -40,14 +38,6 @@ def main(argv=None):
         report.pop("summary", None)
         print(json.dumps(report, sort_keys=True, indent=2))
     return 0
-
-
-def _thread_cap():
-    """All computations are deterministic and single-threaded; the
-    environment cap is validated so misconfiguration fails loudly."""
-    raw = os.environ.get("PSEUDOREP_THREADS")
-    if raw is not None and (not raw.isdigit() or int(raw) < 1):
-        raise SystemExit(f"PSEUDOREP_THREADS must be a positive integer, got {raw!r}")
 
 
 def _build_parser():
@@ -63,9 +53,7 @@ def _build_parser():
         p.add_argument("--d", type=int, default=None)
         p.add_argument("--field", default=None,
                        help="override field, e.g. 7 or 5^2")
-        p.add_argument("--maxlen", type=int, default=None)
         p.add_argument("--cap", type=int, default=200000)
-        p.add_argument("--tower-bound", type=int, default=4)
         p.add_argument("--chars", default=None,
                        help="comma-separated character names for the law")
         p.add_argument("--v1", default=None)
@@ -109,8 +97,6 @@ def _load(args):
         inst.characters = {}
     if args.d is not None:
         inst.d = args.d
-    if args.maxlen is not None:
-        inst.maxlen = args.maxlen
     return inst
 
 
@@ -140,25 +126,30 @@ def _named_characters(inst):
     return out
 
 
-def _pick_char(inst, name):
-    table = _named_characters(inst)
+def _pick_char(table, name):
     if name not in table:
         raise SchemaError(f"no character named {name!r}; "
                           f"have {sorted(table)}")
     return table[name]
 
 
-def _law_of(inst, args):
+def _chars_of(inst, args):
+    """The characters named by --chars, by default triv and the first
+    other one, with their names."""
+    table = _named_characters(inst)
     if args.chars:
         names = args.chars.split(",")
     else:
-        table = _named_characters(inst)
         names = sorted(table)[:2]
         if "triv" in table and "triv" not in names:
             names = ["triv", sorted(n for n in table if n != "triv")[0]]
-    reps = [_pick_char(inst, n.strip()) for n in names]
-    rho = reps[0]
-    for r in reps[1:]:
+    return [_pick_char(table, n.strip()) for n in names], names
+
+
+def _law_of(inst, args):
+    chars, names = _chars_of(inst, args)
+    rho = chars[0]
+    for r in chars[1:]:
         rho = direct_sum(rho, r)
     return PseudoRep.induce(rho), names
 
@@ -231,14 +222,9 @@ def _cmd_ch_quotient(args):
 
 
 def _build_gma(inst, args):
-    D, names = _law_of(inst, args)
-    if args.chars:
-        char_names = args.chars.split(",")
-    else:
-        char_names = names
-    chars = [_pick_char(inst, n.strip()) for n in char_names]
-    data, law, project = gma_from_characters(inst.group, chars, inst.field)
-    return data, law, char_names
+    chars, names = _chars_of(inst, args)
+    data, law, _project = gma_from_characters(inst.group, chars, inst.field)
+    return data, law, names
 
 
 def _cmd_gma_verify(args):
@@ -317,9 +303,8 @@ def _cmd_fiber(args):
 
 
 def _two_chars(inst, args):
-    v1 = args.v1 or "triv"
-    v2 = args.v2 or "triv"
-    return _pick_char(inst, v1), _pick_char(inst, v2)
+    table = _named_characters(inst)
+    return _pick_char(table, args.v1 or "triv"), _pick_char(table, args.v2 or "triv")
 
 
 def _cmd_ext1(args):
@@ -354,9 +339,13 @@ def _cmd_ordinary(args):
     inst = _load(args)
     table = _named_characters(inst)
     psi_name = args.psi or "triv"
-    chi_name = args.chi or sorted(n for n in table if n != psi_name)[0]
-    oi = OrdinaryInstance(inst.group, _pick_char(inst, psi_name),
-                          _pick_char(inst, chi_name))
+    others = sorted(n for n in table if n != psi_name)
+    if not args.chi and not others:
+        raise SchemaError(f"no character other than {psi_name!r} to serve as "
+                          f"chi; have {sorted(table)}")
+    chi_name = args.chi or others[0]
+    oi = OrdinaryInstance(inst.group, _pick_char(table, psi_name),
+                          _pick_char(table, chi_name))
     J = ordinary_ideal(oi)
     good, bad = certify_points(oi, J, cap=args.cap)
     return {

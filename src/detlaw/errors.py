@@ -8,9 +8,6 @@ structured JSON failures.
 class DetlawError(Exception):
     code = "Error"
 
-    def payload(self):
-        return {"error": self.code, "message": str(self)}
-
 
 class NotPrime(DetlawError):
     code = "NotPrime"

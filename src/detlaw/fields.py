@@ -206,9 +206,6 @@ class FieldDesc:
     def frobenius(self, a):
         return self.pow(a, self.p)
 
-    def from_int(self, n):
-        return n % self.p
-
     def coeffs(self, code):
         return self._coeffs[code]
 
@@ -381,16 +378,6 @@ def embedding_table(p, k, k2):
             po = dst.mul(po, root)
         table.append(acc)
     return tuple(table)
-
-
-def embed(x, target):
-    """Canonical field embedding of x into target (identity when fields match)."""
-    f = x.field
-    if f == target:
-        return x
-    if f.p != target.p or target.k % f.k != 0:
-        raise NoEmbedding(f"cannot embed {f} into {target}")
-    return FFElem(target, embedding_table(f.p, f.k, target.k)[x.code])
 
 
 def embed_code(field, target, code):

@@ -9,12 +9,12 @@ extractions) is computed from these lifts.
 """
 
 from itertools import permutations, product
+from operator import add, le, sub
 
-from .algebras import FinAlgebra, GroupAlgebra
-from .errors import GmaAxiomFailure, PointCapExceeded, ShapeMismatch
-from .fields import embed_code
-from .linalg import Mat, rref, in_span, reduce_vector, _perm_sign
-from .poly import MPoly, symbolic_det
+from .errors import (GmaAxiomFailure, HypothesisViolation, InvariantViolation,
+                     PointCapExceeded, ShapeMismatch)
+from .linalg import Mat, rref, in_span, _perm_sign
+from .poly import MPoly, _add_into, symbolic_det
 from .pseudo import (PseudoRep, algebra_base_change, ch_quotient, from_group_rep,
                      generic_vars)
 from .reps import Representation
@@ -317,52 +317,48 @@ class AdaptedScheme:
 
     One commutative variable per basis element of each off-diagonal block
     module A_{i,j}; the relation ideal identifies products of composable
-    variables with their value under multiplication in R.
+    variables with their value under multiplication in R.  Each relation is
+    monic in its one quadratic term, its leading exponent.
     """
 
     def __init__(self, data):
         self.data = data
-        A = data.parent
         F = data.field
-        self.off_bases = {}
+        self.off_bases = {}  # (i, j) -> (RREF basis of A_{i,j}, pivots)
+        self.var_blocks = []  # (i, j) of each variable
+        self._var_index = {}
         names = []
         for i in range(data.r):
             for j in range(data.r):
                 if i != j:
-                    basis = data.block_module_basis(i, j)
-                    self.off_bases[(i, j)] = basis
-                    names.extend(f"a{i}{j}_{t}" for t in range(len(basis)))
+                    self.off_bases[(i, j)] = rref(F, data.block_module_basis(i, j))
+                    for t in range(len(self.off_bases[(i, j)][0])):
+                        self._var_index[(i, j, t)] = len(names)
+                        names.append(f"a{i}{j}_{t}")
+                        self.var_blocks.append((i, j))
         self.vars = tuple(names)
-        self._var_index = {}
-        pos = 0
-        for i in range(data.r):
-            for j in range(data.r):
-                if i != j:
-                    for t in range(len(self.off_bases[(i, j)])):
-                        self._var_index[(i, j, t)] = pos
-                        pos += 1
         self.relations = self._build_relations()
+        self._by_lead = {_lead(rel): rel for rel in self.relations}
         self.universal = self._build_universal()
 
     def var(self, i, j, t, coeff=1):
         F = self.data.field
         return MPoly.var(F, self.vars, self.vars[self._var_index[(i, j, t)]], coeff)
 
-    def _module_coords(self, i, j, vec):
-        """Coordinates of vec in the canonical basis of A_{i,j}."""
+    def _linear_form(self, i, j, vec):
+        """sum_t c_t a{i}{j}_t for vec = sum_t c_t b_t in A_{i,j} = <b_t>."""
         F = self.data.field
-        basis = self.off_bases[(i, j)] if i != j else None
-        assert basis is not None
-        b, p = rref(F, basis)
-        # canonical bases are already in RREF, so pivots read off coordinates
-        coords = [vec[pi] for pi in p]
-        recon = [0] * len(vec)
-        for c, row in zip(coords, b):
-            for idx, x in enumerate(row):
-                if x:
-                    recon[idx] = F.add(recon[idx], F.mul(c, x))
-        assert tuple(recon) == tuple(vec), "vector outside the module span"
-        return coords
+        basis, pivots = self.off_bases[(i, j)]
+        if not in_span(F, vec, basis, pivots):
+            raise InvariantViolation(f"vector outside A_{i}{j}", witness=(i, j, vec))
+        nv = len(self.vars)
+        terms = {}
+        for t, p in enumerate(pivots):
+            if vec[p]:
+                e = [0] * nv
+                e[self._var_index[(i, j, t)]] = 1
+                terms[tuple(e)] = vec[p]
+        return MPoly(F, self.vars, terms)
 
     def _build_relations(self):
         """b*c - phi(b (x) c) for all composable off-diagonal basis pairs."""
@@ -377,20 +373,16 @@ class AdaptedScheme:
                 for k in range(data.r):
                     if j == k:
                         continue
-                    for tb, b in enumerate(self.off_bases[(i, j)]):
-                        for tc, c in enumerate(self.off_bases[(j, k)]):
+                    for tb, b in enumerate(self.off_bases[(i, j)][0]):
+                        for tc, c in enumerate(self.off_bases[(j, k)][0]):
                             prod = A.mul(b, c)
-                            rel = self.var(i, j, tb) * self.var(j, k, tc)
                             if i == k:
-                                l = sum(data.type[:i])
-                                s = data.scalar_of(l, prod)
-                                rel = rel - MPoly.const(F, self.vars, s)
+                                s = data.scalar_of(sum(data.type[:i]), prod)
+                                value = MPoly.const(F, self.vars, s)
                             else:
-                                coords = self._module_coords(i, k, prod)
-                                for t, s in enumerate(coords):
-                                    if s:
-                                        rel = rel - self.var(i, k, t, s)
-                            if not rel.is_zero() and rel not in rels:
+                                value = self._linear_form(i, k, prod)
+                            rel = self.var(i, j, tb) * self.var(j, k, tc) - value
+                            if rel not in rels:
                                 rels.append(rel)
         return tuple(rels)
 
@@ -411,54 +403,40 @@ class AdaptedScheme:
                     # transport A^{l,m} to A_{i,j} through the matrix units
                     w = A.mul(data.units[i][0][jl], A.mul(v, data.units[j][jm][0]))
                     if i == j:
-                        li = sum(data.type[:i])
-                        s = data.scalar_of(li, w)
+                        s = data.scalar_of(sum(data.type[:i]), w)
                         entries.append(MPoly.const(F, self.vars, s))
                     else:
-                        coords = self._module_coords(i, j, w)
-                        p = MPoly.zero(F, self.vars)
-                        for t, s in enumerate(coords):
-                            if s:
-                                p = p + self.var(i, j, t, s)
-                        entries.append(p)
+                        entries.append(self._linear_form(i, j, w))
             out.append(entries)
         return tuple(out)
 
     def reduce(self, poly):
-        """Rewrite modulo the relations until no composable product remains.
+        """Rewrite modulo the relations until no term is divisible by a
+        leading exponent.
 
-        Each step subtracts a polynomial multiple of a relation, so a zero
-        result certifies ideal membership."""
+        ``poly``'s first variables are the scheme's; any further ones ride
+        along as coefficients.  Terms are rewritten from the highest scheme
+        degree down, each by the first relation whose leading exponent
+        divides it.  A rewrite only adds terms of lower scheme degree, so
+        the order within one degree does not matter.  Each step subtracts a
+        polynomial multiple of a relation, so a zero result certifies ideal
+        membership."""
         F = self.data.field
-        rel_by_pair = {}
-        for rel in self.relations:
-            lead = max(rel.terms, key=lambda e: (sum(e), e))
-            rel_by_pair[lead] = rel
-        cur = poly
-        changed = True
-        while changed:
-            changed = False
-            for e in sorted(cur.terms, key=lambda t: (sum(t), t), reverse=True):
-                if sum(e) < 2:
+        nv = len(self.vars)
+        pad = (0,) * (len(poly.vars) - nv)
+        terms = dict(poly.terms)
+        top = max((sum(e[:nv]) for e in terms), default=0)
+        for deg in range(top, 1, -1):
+            for e in [e for e in terms if sum(e[:nv]) == deg]:
+                lead = next((lead for lead in self._by_lead
+                             if all(map(le, lead, e))), None)
+                if lead is None:
                     continue
-                hit = self._find_reduction(e, rel_by_pair)
-                if hit is None:
-                    continue
-                lead, rel, quot_exp = hit
-                c = cur.terms[e]
-                mult = MPoly(F, self.vars, {quot_exp: c})
-                lead_coeff = rel.terms[lead]
-                cur = cur - mult * rel.scale(F.inv(lead_coeff))
-                changed = True
-                break
-        return cur
-
-    def _find_reduction(self, e, rel_by_pair):
-        for lead, rel in rel_by_pair.items():
-            if all(le <= ee for le, ee in zip(lead, e)):
-                quot = tuple(ee - le for le, ee in zip(lead, e))
-                return lead, rel, quot
-        return None
+                c = F.neg(terms[e])
+                quot = tuple(map(sub, e, lead + pad))
+                _add_into(F, terms, ((tuple(map(add, quot, r + pad)), F.mul(c, rc))
+                                     for r, rc in self._by_lead[lead].terms.items()))
+        return MPoly(F, poly.vars, terms)
 
     def universal_is_homomorphism(self):
         """Check rho(x) rho(y) = rho(xy) entrywise modulo the relations."""
@@ -506,41 +484,12 @@ class AdaptedScheme:
                     for e, c in cell.terms.items():
                         p = p + MPoly(F, both, {e + xslot: c})
                 entries.append(p)
-        det = symbolic_det(F, both, entries, d)
-        # reduce the scheme variables away modulo relations
-        return self._reduce_mixed(det)
+        return self.reduce(symbolic_det(F, both, entries, d))
 
-    def _reduce_mixed(self, poly):
-        """Reduce a polynomial in scheme-vars + extra vars: relations only
-        involve scheme variables (the leading exponents live there)."""
-        F = self.data.field
-        nv = len(self.vars)
-        rel_by_pair = {}
-        for rel in self.relations:
-            lead = max(rel.terms, key=lambda e: (sum(e), e))
-            rel_by_pair[lead] = rel
-        cur = poly
-        changed = True
-        while changed:
-            changed = False
-            for e in sorted(cur.terms, key=lambda t: (sum(t[:nv]), t), reverse=True):
-                scheme_part = e[:nv]
-                if sum(scheme_part) < 2:
-                    continue
-                hit = self._find_reduction(scheme_part, rel_by_pair)
-                if hit is None:
-                    continue
-                lead, rel, quot = hit
-                c = cur.terms[e]
-                rel_ext = MPoly(F, poly.vars,
-                                {re + (0,) * (len(poly.vars) - nv): rc
-                                 for re, rc in rel.terms.items()})
-                mult = MPoly(F, poly.vars, {quot + e[nv:]: c})
-                lead_coeff = rel.terms[lead]
-                cur = cur - mult * rel_ext.scale(F.inv(lead_coeff))
-                changed = True
-                break
-        return cur
+
+def _lead(poly):
+    """The leading exponent of a nonzero polynomial in graded-lex order."""
+    return max(poly.terms, key=lambda e: (sum(e), e))
 
 
 def adapted_scheme(data):
@@ -589,13 +538,8 @@ def torus_orbits(scheme, field, points):
     z = (z_1..z_r) conjugates the universal matrix by the block-scalar
     diagonal, scaling the A_{i,j} variable block by z_i / z_j.
     """
-    data = scheme.data
-    r = data.r
-    var_blocks = []
-    for name in scheme.vars:
-        i, j = int(name[1]), int(name[2])
-        var_blocks.append((i, j))
-    index = {p: t for t, p in enumerate(points)}
+    r = scheme.data.r
+    on_scheme = set(points)
     seen = set()
     orbits = []
     for p in points:
@@ -603,12 +547,11 @@ def torus_orbits(scheme, field, points):
             continue
         orbit = set()
         for z in product(range(1, field.q), repeat=r):
-            q = []
-            for val, (i, j) in zip(p, var_blocks):
-                factor = field.mul(z[i], field.inv(z[j]))
-                q.append(field.mul(val, factor))
-            q = tuple(q)
-            assert q in index, "torus action leaves the point set"
+            q = tuple(field.mul(val, field.mul(z[i], field.inv(z[j])))
+                      for val, (i, j) in zip(p, scheme.var_blocks))
+            if q not in on_scheme:
+                raise InvariantViolation("torus action leaves the point set",
+                                         witness=(p, z))
             orbit.add(q)
         seen |= orbit
         orbits.append(sorted(orbit))
@@ -626,7 +569,8 @@ def gma_from_characters(group, chars, field):
     """
     from .reps import direct_sum
 
-    assert len(chars) >= 1
+    if not chars:
+        raise HypothesisViolation("a GMA needs at least one character")
     rho = chars[0]
     for c in chars[1:]:
         rho = direct_sum(rho, c)

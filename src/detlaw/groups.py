@@ -1,6 +1,6 @@
 """Finite groups given by multiplication tables, plus standard constructors."""
 
-from .errors import BadGroupTable
+from .errors import BadGroupTable, SizeCapExceeded
 
 
 class FiniteGroup:
@@ -143,7 +143,8 @@ def dihedral(n):
 def symmetric(n):
     from itertools import permutations
 
-    assert n <= 4
+    if n > 4:
+        raise SizeCapExceeded(f"symmetric groups are built up to S4, got S{n}")
     elems = sorted(permutations(range(n)))
 
     def op(a, b):

@@ -137,10 +137,6 @@ class Mat:
                 return r
             b = b * b
 
-    def transpose(self):
-        return Mat(self.field, self.ncols, self.nrows,
-                   [self[i, j] for j in range(self.ncols) for i in range(self.nrows)])
-
     def trace(self):
         F = self.field
         acc = 0
@@ -217,9 +213,6 @@ class Mat:
                     f = rows[r][col]
                     rows[r] = F.sub_mul_row(rows[r], f, rows[col])
         return Mat(F, n, n, [x for row in rows for x in row[n:]])
-
-    def is_invertible(self):
-        return self.det() != 0
 
     def is_identity(self):
         return self == Mat.identity(self.field, self.nrows)

@@ -9,9 +9,9 @@ possible quotient character, each demanding that one off-diagonal block
 vanish and that the corresponding diagonal character be trivial on I.
 """
 
-from .errors import DimensionUnsupported, HypothesisViolation
-from .gma import adapted_scheme, gma_from_characters
-from .linalg import Mat, intersect_spans, reduce_vector, rref
+from .errors import DimensionUnsupported, HypothesisViolation, InvariantViolation
+from .gma import _lead, adapted_scheme, gma_from_characters
+from .linalg import Mat, in_span, intersect_spans, rref
 from .poly import MPoly
 from .reps import Representation
 
@@ -67,9 +67,11 @@ class OrdinaryInstance:
                     for t in range(d * d):
                         entries[t] = entries[t] + sch.universal[k][t].scale(c)
             # the diagonal carries the residual characters exactly
-            assert entries[0].constant_code() == self.chi.images[g][0, 0]
-            assert entries[3].constant_code() == self.psi.images[g][0, 0]
-            assert entries[0].degree() <= 0 and entries[3].degree() <= 0
+            if (entries[0] != self.chi.images[g][0, 0]
+                    or entries[3] != self.psi.images[g][0, 0]):
+                raise InvariantViolation(
+                    "universal diagonal differs from the residual characters",
+                    witness=(g, entries[0], entries[3]))
             out.append(entries)
         return out
 
@@ -138,8 +140,7 @@ def ordinary_ideal(instance, max_degree=4):
             p = sch.reduce(instance._group_universal[g][off_entry])
             if p.is_zero():
                 continue
-            lead = max(p.terms, key=lambda e: (sum(e), e))
-            p = p.scale(F.inv(p.terms[lead]))
+            p = p.scale(F.inv(p.terms[_lead(p)]))
             if p not in gens:
                 gens.append(p)
         for s in inertia:
@@ -150,8 +151,11 @@ def ordinary_ideal(instance, max_degree=4):
 
     branch_psi = branch(2, instance.psi)  # kill entries (1,0)
     branch_chi = branch(1, instance.chi)  # kill entries (0,1)
-    assert not any(g.degree() == 0 for g in branch_psi), \
-        "psi branch contains a unit despite the unramified hypothesis"
+    units = [g for g in branch_psi if g.degree() == 0]
+    if units:
+        raise InvariantViolation(
+            "psi branch contains a unit despite the unramified hypothesis",
+            witness=units[0])
     if any(g.degree() == 0 for g in branch_chi):
         return OrdinaryIdeal(instance, branch_psi, branch_psi, None, True,
                              max_degree)
@@ -171,24 +175,12 @@ def _monomials_up_to(nv, deg):
     return sorted(rec(0, deg), key=lambda e: (sum(e), e))
 
 
-def _ideal_span(scheme, gens, monomials, index, max_degree):
-    """Row vectors spanning the truncated ideal, over the monomial basis."""
-    F = scheme.data.field
-    rows = []
-    for g in gens:
-        gdeg = g.degree()
-        for m in monomials:
-            if sum(m) + gdeg > max_degree:
-                continue
-            p = scheme.reduce(g * MPoly(F, scheme.vars, {m: 1}))
-            if p.is_zero():
-                continue
-            row = [0] * len(monomials)
-            for e, c in p.terms.items():
-                row[index[e]] = c
-            rows.append(tuple(row))
-    basis, _ = rref(F, rows)
-    return basis
+def _row(scheme, poly, index):
+    """The reduced polynomial as a row over the truncated monomial basis."""
+    row = [0] * len(index)
+    for e, c in scheme.reduce(poly).terms.items():
+        row[index[e]] = c
+    return row
 
 
 def _intersect_truncated(scheme, gens1, gens2, max_degree):
@@ -200,31 +192,28 @@ def _intersect_truncated(scheme, gens1, gens2, max_degree):
     F = scheme.data.field
     monomials = _monomials_up_to(len(scheme.vars), max_degree)
     index = {m: i for i, m in enumerate(monomials)}
-    s1 = _ideal_span(scheme, gens1, monomials, index, max_degree)
-    s2 = _ideal_span(scheme, gens2, monomials, index, max_degree)
-    meet = intersect_spans(F, s1, s2, len(monomials))
+
+    def multiples(g):
+        """Rows of g * m for every monomial m with deg(g m) <= max_degree."""
+        return [_row(scheme, g * MPoly(F, scheme.vars, {m: 1}), index)
+                for m in monomials if sum(m) + g.degree() <= max_degree]
+
+    meet = intersect_spans(F, [row for g in gens1 for row in multiples(g)],
+                           [row for g in gens2 for row in multiples(g)],
+                           len(monomials))
     polys = [MPoly(F, scheme.vars,
                    {m: c for m, c in zip(monomials, row) if c})
              for row in meet]
     polys.sort(key=lambda p: (p.degree(), p.sorted_terms()))
-    # drop span elements that earlier ones already generate
-    kept = []
+    # drop span elements that earlier ones already generate; basis and
+    # pivots are the echelon form of the kept generators' truncated ideal
+    kept, basis, pivots = [], [], []
     for p in polys:
-        if kept and _in_truncated_ideal(scheme, kept, p, monomials, index,
-                                        max_degree):
+        if kept and in_span(F, _row(scheme, p, index), basis, pivots):
             continue
         kept.append(p)
+        basis, pivots = rref(F, basis + multiples(p))
     return kept
-
-
-def _in_truncated_ideal(scheme, gens, poly, monomials, index, max_degree):
-    F = scheme.data.field
-    basis = _ideal_span(scheme, gens, monomials, index, max_degree)
-    basis, pivots = rref(F, basis)
-    row = [0] * len(monomials)
-    for e, c in scheme.reduce(poly).terms.items():
-        row[index[e]] = c
-    return not any(reduce_vector(F, row, basis, pivots))
 
 
 def is_ordinary(rep, inertia):
@@ -279,6 +268,9 @@ def certify_points(instance, ideal, cap=200000):
         rep = instance.rep_at_point(pt)
         ordn = is_ordinary(rep, instance.group.inertia)
         cut = ideal.vanishes_at(pt)
-        assert ordn == cut, f"ideal misclassifies the point {pt}"
+        if ordn != cut:
+            raise InvariantViolation(
+                f"ideal misclassifies the point {pt} "
+                f"({'ordinary' if ordn else 'not ordinary'})", witness=pt)
         (good if ordn else bad).append(pt)
     return good, bad

@@ -9,13 +9,12 @@ so identities checked here hold after arbitrary base change.
 """
 
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
-from .errors import (NotFoundWithinBound, SearchCapExceeded, ShapeMismatch,
-                     VariableMismatch)
+from .errors import NotFoundWithinBound, SearchCapExceeded, VariableMismatch
 from .fields import make_field
-from .linalg import Mat, nullspace, rref, span_dim
+from .linalg import Mat, nullspace, rref
 from .poly import MPoly, symbolic_det
 from .reps import (JHDecomposition, Representation, invariant_subspace,
-                   irreducible_reps)
+                   irreducible_reps, isomorphic)
 
 T_VAR = "t"
 
@@ -403,9 +402,7 @@ def nilpotency_index(ideal, cap=64):
             return k
         prods = [A.mul(v, w) for v in cur for w in base]
         nxt, _ = rref(F, prods)
-        if span_dim(F, nxt) == span_dim(F, cur) and k > 1 and nxt == tuple(cur):
-            return None
-        if nxt == tuple(cur):
+        if nxt == cur:
             return None
         cur = list(nxt)
     raise SearchCapExceeded("nilpotency index search cap exceeded")
@@ -486,7 +483,7 @@ def _irreducible_modules(A, D, field):
     for f in factors:
         if f.dim > D.d or not _absolutely_irreducible(f):
             continue
-        if not any(g.dim == f.dim and _module_iso(f, g) for g in out):
+        if not any(g.dim == f.dim and isomorphic(f, g) for g in out):
             out.append(f)
     out.sort(key=lambda r: r.sort_key())
     return out
@@ -497,12 +494,6 @@ def _absolutely_irreducible(rep):
 
     mats = list(rep.images)
     return len(commutant_basis(rep.field, mats, rep.dim)) == 1
-
-
-def _module_iso(f, g):
-    from .reps import isomorphic
-
-    return isomorphic(f, g)
 
 
 def _module_factors(rep):

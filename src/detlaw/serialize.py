@@ -11,7 +11,7 @@ from .groups import (FiniteGroup, cyclic, dihedral, direct_product,
                      semidirect_cyclic_squared, symmetric, with_inertia)
 from .linalg import Mat
 from .poly import MPoly
-from .pseudo import PseudoRep, from_group_rep
+from .pseudo import PseudoRep
 from .reps import Representation
 
 
@@ -143,11 +143,10 @@ def group_from_json(obj):
 class Instance:
     """A parsed instance file: a group, a field, and optional extras."""
 
-    def __init__(self, group, field, d=None, maxlen=None, characters=None):
+    def __init__(self, group, field, d=None, characters=None):
         self.group = group
         self.field = field
         self.d = d
-        self.maxlen = maxlen
         self.characters = characters or {}
 
 
@@ -158,16 +157,24 @@ def instance_from_json(obj):
         raise SchemaError("instance needs 'group' and 'field'")
     group = group_from_json(obj["group"])
     field = field_from_json(obj["field"])
-    d = int(obj["d"]) if "d" in obj else None
-    maxlen = int(obj["maxlen"]) if "maxlen" in obj else None
+    try:
+        d = int(obj["d"]) if "d" in obj else None
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad degree {obj['d']!r}") from exc
+    if not isinstance(obj.get("characters", {}), dict):
+        raise SchemaError("'characters' must map names to value lists")
     chars = {}
     for name, values in obj.get("characters", {}).items():
-        if len(values) != group.order:
-            raise SchemaError(f"character {name!r} has {len(values)} values "
+        try:
+            codes = [int(v) for v in values]
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"character {name!r} has a non-integer value") from exc
+        if len(codes) != group.order:
+            raise SchemaError(f"character {name!r} has {len(codes)} values "
                               f"for a group of order {group.order}")
-        images = [Mat.from_rows(field, [[int(v)]]) for v in values]
+        images = [Mat.from_rows(field, [[v]]) for v in codes]
         chars[name] = Representation(group, field, 1, images)
-    return Instance(group, field, d=d, maxlen=maxlen, characters=chars)
+    return Instance(group, field, d=d, characters=chars)
 
 
 def law_with_group_source(group, field, obj):

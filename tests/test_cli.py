@@ -110,3 +110,30 @@ def test_summary_output_mode(capsys):
                     "--output", "summary")
     assert code == 0
     assert "dimension" in out
+
+
+@pytest.mark.parametrize("instance, argv, code", [
+    ({"group": {"type": "cyclic", "args": ["3"]}, "field": {"p": "7", "k": "1"},
+      "d": "x"}, ["orbits"], "SchemaError"),
+    ({"group": {"type": "cyclic", "args": ["2"]}, "field": {"p": "3", "k": "1"},
+      "characters": {"sgn": ["1", "two"]}}, ["ext1", "--v1", "sgn"],
+     "SchemaError"),
+    ({"group": {"type": "cyclic", "args": ["2"]}, "field": {"p": "3", "k": "1"},
+      "characters": []}, ["ext1"], "SchemaError"),
+    ({"group": {"type": "symmetric", "args": ["5"]}, "field": {"p": "7", "k": "1"}},
+     ["orbits", "--d", "1"], "SizeCapExceeded"),
+], ids=["degree_not_an_int", "character_not_an_int", "characters_not_a_map",
+        "symmetric_5"])
+def test_bad_instance_is_a_structured_error(tmp_path, capsys, instance, argv, code):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    status, out = run(capsys, argv[0], str(path), *argv[1:])
+    assert status == 2
+    assert json.loads(out)["error"]["code"] == code
+
+
+def test_ordinary_without_a_second_character(capsys):
+    # C3 over F_3 has only the trivial character, so there is no chi
+    code, out = run(capsys, "ordinary", _inst("c3_f3.json"))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "SchemaError"

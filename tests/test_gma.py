@@ -1,11 +1,14 @@
+from itertools import permutations
+
 import pytest
 
-from detlaw.errors import GmaAxiomFailure
+from detlaw.errors import GmaAxiomFailure, HypothesisViolation
 from detlaw.fields import make_field
 from detlaw.gma import (GmaData, adapted_points, adapted_scheme, canonical_det,
                         gma_from_characters, gma_full, torus_orbits,
                         trace_form, verify_gma)
-from detlaw.groups import symmetric, with_inertia
+from detlaw.groups import FiniteGroup, symmetric, with_inertia
+from detlaw.poly import MPoly
 from detlaw.pseudo import PseudoRep, det_law, matrix_algebra
 from detlaw.reps import characters, direct_sum
 
@@ -85,6 +88,11 @@ def test_gma_from_characters_s3():
     assert canonical_det(data).equals(law)
 
 
+def test_gma_from_no_characters_is_rejected():
+    with pytest.raises(HypothesisViolation):
+        gma_from_characters(symmetric(3), [], F3)
+
+
 def test_adapted_scheme_m2_split():
     # M_2 as a (1,1) GMA: one variable per off-diagonal entry, relation bc = 1
     data = _m2_split_gma(F5)
@@ -93,6 +101,12 @@ def test_adapted_scheme_m2_split():
     assert len(scheme.relations) == 1
     rel = scheme.relations[0]
     assert rel.degree() == 2 and rel.constant_code() == F5.neg(1)
+    # reduction runs from the top degree down, so b^2 c^2 -> bc -> 1, and
+    # variables after the scheme's ride along as coefficients
+    assert scheme.reduce(MPoly.from_terms(
+        F5, scheme.vars, [((2, 2), 1), ((0, 0), 4)])).is_zero()
+    assert scheme.reduce(MPoly.from_terms(
+        F5, scheme.vars + ("x",), [((2, 2, 1), 1), ((0, 0, 1), 4)])).is_zero()
     points, reps = adapted_points(scheme, F5)
     assert len(points) == 4  # b free in F*, c = 1/b
     orbits = torus_orbits(scheme, F5, points)
@@ -121,3 +135,35 @@ def test_universal_det_reduces_to_law():
     # the adapted family
     nv = len(scheme.vars)
     assert all(sum(e[:nv]) == 0 for e in det.terms)
+
+
+def _alternating_group_4():
+    """A4 by its multiplication table, composing even permutations of 4 points."""
+    def even(p):
+        return sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
+
+    elems = sorted(p for p in permutations(range(4)) if even(p))
+    pos = {p: i for i, p in enumerate(elems)}
+    table = [[pos[tuple(a[b[k]] for k in range(4))] for b in elems] for a in elems]
+    return FiniteGroup(table, name="A4")
+
+
+def test_three_block_adapted_scheme_a4():
+    # A4 has three characters over F_4 (its abelianization is C3), giving a
+    # type-(1,1,1) GMA: one variable per ordered pair of distinct blocks
+    F4 = make_field(2, 2)
+    G = _alternating_group_4()
+    cs = characters(G, F4)
+    assert len(cs) == 3
+    data, law, _project = gma_from_characters(G, cs, F4)
+    scheme = adapted_scheme(data)
+    assert len(scheme.vars) == 6
+    assert len(scheme.relations) == 9
+    assert scheme.universal_is_homomorphism() == (True, None)
+    nv = len(scheme.vars)
+    assert all(sum(e[:nv]) == 0 for e in scheme.universal_det().terms)
+    points, reps = adapted_points(scheme, F4)
+    assert len(points) == 73
+    assert len(torus_orbits(scheme, F4, points)) == 13
+    for rep in reps:
+        assert PseudoRep.induce(rep).equals(law)

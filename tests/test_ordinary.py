@@ -1,11 +1,13 @@
 import pytest
 
-from detlaw.errors import DimensionUnsupported, HypothesisViolation
+from detlaw.errors import (DimensionUnsupported, HypothesisViolation,
+                           InvariantViolation)
 from detlaw.fields import make_field
 from detlaw.gma import adapted_points
 from detlaw.groups import dihedral, symmetric, with_inertia
-from detlaw.ordinary import (OrdinaryInstance, certify_points, is_ordinary,
-                             ordinary_ideal)
+from detlaw.ordinary import (OrdinaryIdeal, OrdinaryInstance, _intersect_truncated,
+                             certify_points, is_ordinary, ordinary_ideal)
+from detlaw.poly import MPoly
 from detlaw.reps import characters, direct_sum, trivial_rep
 
 F3 = make_field(3)
@@ -87,6 +89,40 @@ def test_point_certification_s3():
     good, bad = certify_points(inst, J)
     # sgn restricted to A3 is trivial, so every reducible point is ordinary
     assert (len(good), len(bad)) == (5, 0)
+
+
+def test_certify_points_rejects_a_wrong_ideal():
+    # with no generators the ideal vanishes everywhere, so the first
+    # non-ordinary point is misclassified and comes back as the witness
+    inst = _d5_instance(whole_group=True)
+    J = ordinary_ideal(inst)
+    empty = OrdinaryIdeal(inst, (), J.branch_psi, None, True, J.truncation)
+    with pytest.raises(InvariantViolation) as exc:
+        certify_points(inst, empty)
+    points, _reps = adapted_points(inst.scheme, inst.field)
+    pt = exc.value.witness
+    assert pt in points
+    assert not is_ordinary(inst.rep_at_point(pt), inst.group.inertia)
+    assert pt == next(p for p in points
+                      if not is_ordinary(inst.rep_at_point(p), inst.group.inertia))
+
+
+def test_intersect_truncated_drops_generated_elements():
+    # coordinate ring F_3[b, c]/(bc); every ordinary_ideal call on the
+    # shipped instances intersects to zero, so the redundancy filter is
+    # pinned here on ideals whose meet is not zero
+    sch = _s3_unramified_instance().scheme
+    assert [str(r) for r in sch.relations] == ["a01_0*a10_0"]
+    b, c = (MPoly.var(F3, sch.vars, v) for v in sch.vars)
+    cases = [
+        ([b], [b], [b]),
+        ([b], [b * b], [b * b]),
+        ([b, c], [b + c], [b + c]),
+        ([b + c], [b - c], [c * c, b * b]),
+        ([b * b + c], [b], [b ** 3]),
+    ]
+    for gens1, gens2, want in cases:
+        assert _intersect_truncated(sch, gens1, gens2, 4) == want
 
 
 def test_rep_at_point_matches_adapted_rep():

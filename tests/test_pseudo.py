@@ -1,6 +1,6 @@
 import pytest
 
-from detlaw.algebras import Presentation, ideal_generated, saturate
+from detlaw.algebras import Presentation, group_algebra, ideal_generated, saturate
 from detlaw.fields import make_field
 from detlaw.groups import cyclic, symmetric
 from detlaw.linalg import Mat
@@ -90,6 +90,14 @@ def test_dual_numbers_law():
     ker = kernel(D)
     assert ker.dim == 1
     assert nilpotency_index(ker) == 2
+
+
+def test_nilpotency_index_none_for_idempotent_ideal():
+    # F_5[C2] is semisimple: the whole algebra is an ideal with I^2 = I
+    A = group_algebra(cyclic(2), F5)
+    ideal = ideal_generated(A, [A.unit])
+    assert ideal.dim == 2
+    assert nilpotency_index(ideal) is None
 
 
 def test_unipotent_kernel_is_augmentation_ideal():
