@@ -96,6 +96,8 @@ def _load(args):
         inst.field = _parse_field(args.field)
         inst.characters = {}
     if args.d is not None:
+        if args.d < 1:
+            raise SchemaError(f"--d must be at least 1, got {args.d}")
         inst.d = args.d
     return inst
 

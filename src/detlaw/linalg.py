@@ -1,6 +1,8 @@
 """Exact matrix and subspace linear algebra over finite fields.
 
 Matrices are immutable and hashable; entries are stored as field codes.
+Over fields with tables, 2 x 2 products, determinants and inverses are
+unrolled into table lookups; every other shape runs the general loops.
 Row-space utilities (RREF, nullspace, span membership) operate on plain
 tuples of codes so algebra modules can share them for ideal computations.
 """
@@ -19,7 +21,8 @@ class Mat:
         self.nrows = nrows
         self.ncols = ncols
         self.data = tuple(data)
-        assert len(self.data) == nrows * ncols
+        if len(self.data) != nrows * ncols:
+            raise ShapeMismatch(f"{len(self.data)} entries for a {nrows}x{ncols} matrix")
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -69,17 +72,31 @@ class Mat:
         F = self.field
         return Mat(F, self.nrows, self.ncols, [F.neg(a) for a in self.data])
 
+    def _require_square(self, what):
+        if self.nrows != self.ncols:
+            raise ShapeMismatch(f"{what} of a non-square {self.nrows}x{self.ncols} matrix")
+
     def _same_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols or self.field != other.field:
             raise ShapeMismatch("matrix shapes/fields disagree")
 
     def __mul__(self, other):
         if isinstance(other, Mat):
-            if self.ncols != other.nrows or self.field != other.field:
-                raise ShapeMismatch("incompatible matrix product")
             F = self.field
+            if self.ncols != other.nrows or not (other.field is F or other.field == F):
+                raise ShapeMismatch("incompatible matrix product")
             n, k, m = self.nrows, self.ncols, other.ncols
             a, b = self.data, other.data
+            mul = F._mul
+            if mul is not None and n == k == m == 2:
+                # 2x2 over a tabled field: eight products, four sums
+                q, add = F.q, F._add
+                a0, a1, a2, a3 = a[0] * q, a[1] * q, a[2] * q, a[3] * q
+                b0, b1, b2, b3 = b
+                return Mat(F, 2, 2, (add[mul[a0 + b0] * q + mul[a1 + b2]],
+                                     add[mul[a0 + b1] * q + mul[a1 + b3]],
+                                     add[mul[a2 + b0] * q + mul[a3 + b2]],
+                                     add[mul[a2 + b1] * q + mul[a3 + b3]]))
             out = [0] * (n * m)
             for i in range(n):
                 base = i * k
@@ -120,8 +137,7 @@ class Mat:
         return tuple(out)
 
     def __pow__(self, e):
-        if self.nrows != self.ncols:
-            raise ShapeMismatch(f"power of a non-square {self.nrows}x{self.ncols} matrix")
+        self._require_square("power")
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent must be a non-negative int, got {e!r}")
         if e == 0:
@@ -145,9 +161,13 @@ class Mat:
         return acc
 
     def det(self):
-        assert self.nrows == self.ncols
+        self._require_square("determinant")
         F = self.field
         n = self.nrows
+        if n == 2 and F._mul is not None:
+            q, mul = F.q, F._mul
+            a, b, c, d = self.data
+            return F._add[mul[a * q + d] * q + F._neg[mul[b * q + c]]]
         if n <= 3:
             acc = 0
             for perm in permutations(range(n)):
@@ -196,9 +216,18 @@ class Mat:
         return tuple(out)
 
     def inverse(self):
-        assert self.nrows == self.ncols
+        self._require_square("inverse")
         F = self.field
         n = self.nrows
+        if n == 2 and F._mul is not None:
+            # the adjugate over the determinant
+            det = self.det()
+            if not det:
+                raise ZeroDivisionError("matrix not invertible")
+            q, mul, neg = F.q, F._mul, F._neg
+            a, b, c, d = self.data
+            i = F._inv[det] * q
+            return Mat(F, 2, 2, (mul[i + d], neg[mul[i + b]], neg[mul[i + c]], mul[i + a]))
         rows = [list(r) + [1 if i == j else 0 for j in range(n)]
                 for i, r in enumerate(self.rows())]
         for col in range(n):
@@ -220,10 +249,10 @@ class Mat:
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
-            and self.field == other.field
+            and self.data == other.data
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.data == other.data
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):

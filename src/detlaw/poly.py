@@ -394,7 +394,7 @@ class MPoly:
             )
             cs = str(self.field.elem(c))
             if mono:
-                bits.append(mono if cs == "1" else f"{cs}*{mono}")
+                bits.append(mono if c == 1 else f"{cs}*{mono}")
             else:
                 bits.append(cs)
         return " + ".join(bits)

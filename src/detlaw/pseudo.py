@@ -9,7 +9,8 @@ so identities checked here hold after arbitrary base change.
 """
 
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
-from .errors import NotFoundWithinBound, SearchCapExceeded, VariableMismatch
+from .errors import (NotFoundWithinBound, SchemaError, SearchCapExceeded,
+                     VariableMismatch)
 from .fields import make_field
 from .linalg import Mat, nullspace, rref
 from .poly import MPoly, symbolic_det
@@ -60,8 +61,8 @@ class PseudoRep:
         if poly.vars != generic_vars(source.n) or poly.field != source.field:
             raise VariableMismatch("generic value must live in x0..x{n-1} over the source field")
         self._lambdas = None
-        if check:
-            assert self.check_axioms(), "determinant law axioms fail"
+        if check and not self.check_axioms():
+            raise SchemaError("determinant law axioms fail")
 
     # --- construction ---
 

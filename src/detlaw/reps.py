@@ -343,16 +343,23 @@ def unit_count_of_commutant(field, basis, d):
                 return q * q - q
             return (q - 1) ** 2 if _has_sqrt(F, disc) else q * q - 1
     if q ** m <= 200000:
-        count = 0
-        for coeffs in product(range(q), repeat=m):
-            M = Mat.zero(F, d)
-            for c, B in zip(coeffs, basis):
-                if c:
-                    M = M + B * c
-            if M.det():
-                count += 1
-        return count
+        return sum(1 for _ in _span_units(F, basis, d))
     raise SearchCapExceeded("commutant too large to count units")
+
+
+def _span_units(field, basis, d):
+    """The invertible elements of the span of basis (d x d matrices), in
+    coefficient order: sum c_i B_i for (c_1, ..., c_m) in product order."""
+    F = field
+    rows = [B.data for B in basis]
+    for coeffs in product(range(F.q), repeat=len(rows)):
+        data = [0] * (d * d)
+        for c, row in zip(coeffs, rows):
+            if c:
+                data = F.sub_mul_row(data, F.neg(c), row)
+        T = Mat(F, d, d, data)
+        if T.det():
+            yield T
 
 
 # --- enumeration of homomorphisms ---
@@ -423,6 +430,7 @@ def enumerate_reps(group, dim, field, cap=10 ** 7):
 FULL_GL = "full"
 
 
+@lru_cache(maxsize=None)
 def hom_orbit_reps(group, dim, field):
     """GL_d-conjugation orbit representatives of Hom(G, GL_d(F)) with orbit sizes.
 
@@ -432,7 +440,9 @@ def hom_orbit_reps(group, dim, field):
     (g, g^-1) pairs once the symmetry group is small enough).  No symmetry
     group is built after the last generator.
 
-    Returns a list of (Representation, orbit_size), deterministically ordered.
+    Returns a tuple of (Representation, orbit_size), deterministically
+    ordered.  The result is cached per (group, dim, field), so that `fiber`
+    descends once per dimension across orbit_partition and split_search.
     """
     gens = group.generators
     orders = [group.element_order(g) for g in gens]
@@ -468,7 +478,7 @@ def hom_orbit_reps(group, dim, field):
 
     recurse([], {group.identity: Mat.identity(field, dim)}, FULL_GL)
     results.sort(key=lambda t: t[0].sort_key())
-    return results
+    return tuple(results)
 
 
 def centralizer_or_full(field, M, dim):
@@ -477,15 +487,7 @@ def centralizer_or_full(field, M, dim):
     if _is_scalar(M):
         return FULL_GL
     basis = commutant_basis(field, [M], dim)
-    out = []
-    for coeffs in product(range(field.q), repeat=len(basis)):
-        T = Mat.zero(field, dim)
-        for c, B in zip(coeffs, basis):
-            if c:
-                T = T + B * c
-        if T.det():
-            out.append((T, T.inverse()))
-    return out
+    return [(T, T.inverse()) for T in _span_units(field, basis, dim)]
 
 
 # --- submodules, semisimplification, isomorphism ---

@@ -161,6 +161,8 @@ def instance_from_json(obj):
         d = int(obj["d"]) if "d" in obj else None
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad degree {obj['d']!r}") from exc
+    if d is not None and d < 1:
+        raise SchemaError(f"degree must be at least 1, got {d}")
     if not isinstance(obj.get("characters", {}), dict):
         raise SchemaError("'characters' must map names to value lists")
     chars = {}

@@ -112,6 +112,14 @@ def test_summary_output_mode(capsys):
     assert "dimension" in out
 
 
+def test_summary_prints_unit_coefficients_bare_over_extension_fields(capsys):
+    code, out = run(capsys, "pseudorep", _inst("s3_f3.json"), "--field", "5^2",
+                    "--output", "summary")
+    assert code == 0
+    assert out.startswith("law of c1+triv: x0^2 + [2,0]*x0*x3 + ")
+    assert "[1,0]" not in out
+
+
 @pytest.mark.parametrize("instance, argv, code", [
     ({"group": {"type": "cyclic", "args": ["3"]}, "field": {"p": "7", "k": "1"},
       "d": "x"}, ["orbits"], "SchemaError"),
@@ -122,8 +130,15 @@ def test_summary_output_mode(capsys):
       "characters": []}, ["ext1"], "SchemaError"),
     ({"group": {"type": "symmetric", "args": ["5"]}, "field": {"p": "7", "k": "1"}},
      ["orbits", "--d", "1"], "SizeCapExceeded"),
+    ({"group": {"type": "cyclic", "args": ["3"]}, "field": {"p": "7", "k": "1"}},
+     ["orbits", "--d", "0"], "SchemaError"),
+    ({"group": {"type": "cyclic", "args": ["4"]}, "field": {"p": "7", "k": "2"}},
+     ["orbits", "--d", "-1"], "SchemaError"),
+    ({"group": {"type": "cyclic", "args": ["3"]}, "field": {"p": "7", "k": "1"},
+      "d": "0"}, ["orbits"], "SchemaError"),
 ], ids=["degree_not_an_int", "character_not_an_int", "characters_not_a_map",
-        "symmetric_5"])
+        "symmetric_5", "flag_degree_zero", "flag_degree_negative",
+        "degree_zero"])
 def test_bad_instance_is_a_structured_error(tmp_path, capsys, instance, argv, code):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(instance))

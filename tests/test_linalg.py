@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detlaw.errors import ShapeMismatch
 from detlaw.fields import make_field
@@ -79,6 +81,72 @@ def test_shape_mismatch():
     B = Mat.from_rows(F5, [[1, 2, 3]])
     with pytest.raises(ShapeMismatch):
         A + B
+    with pytest.raises(ShapeMismatch):
+        B.det()
+    with pytest.raises(ShapeMismatch):
+        B.inverse()
+    with pytest.raises(ShapeMismatch):
+        Mat(F5, 2, 2, (1, 2, 3))
+
+
+# --- the 2x2 table kernel against loops over the field methods ---
+
+def _product_loop(A, B):
+    F = A.field
+    out = []
+    for i in range(A.nrows):
+        for j in range(B.ncols):
+            acc = 0
+            for k in range(A.ncols):
+                acc = F.add(acc, F.mul(A[i, k], B[k, j]))
+            out.append(acc)
+    return Mat(F, A.nrows, B.ncols, out)
+
+
+def _det2_loop(A):
+    F = A.field
+    return F.sub(F.mul(A[0, 0], A[1, 1]), F.mul(A[0, 1], A[1, 0]))
+
+
+def _inverse2_loop(A):
+    F = A.field
+    i = F.inv(_det2_loop(A))
+    return Mat(F, 2, 2, (F.mul(i, A[1, 1]), F.neg(F.mul(i, A[0, 1])),
+                         F.neg(F.mul(i, A[1, 0])), F.mul(i, A[0, 0])))
+
+
+# tabled fields of every size class up to the table cap, and F_257 without
+_KERNEL_FIELDS = [make_field(2), make_field(2, 2), make_field(3, 2),
+                  make_field(5, 2), make_field(7, 2), make_field(2, 8),
+                  make_field(257)]
+
+
+def _mat(data, field, n, m):
+    return Mat(field, n, m, data.draw(st.tuples(*[st.integers(0, field.q - 1)] * (n * m))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_2x2_kernel_matches_field_method_loops(data):
+    F = data.draw(st.sampled_from(_KERNEL_FIELDS))
+    A, B = _mat(data, F, 2, 2), _mat(data, F, 2, 2)
+    assert A * B == _product_loop(A, B)
+    assert A.det() == _det2_loop(A)
+    if A.det():
+        assert A.inverse() == _inverse2_loop(A)
+        assert _product_loop(A, A.inverse()) == Mat.identity(F, 2)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            A.inverse()
+
+
+@pytest.mark.parametrize("F", [make_field(2, 2), make_field(7, 2), make_field(257)],
+                         ids=str)
+def test_non_square_product_matches_loop(F):
+    A = Mat(F, 2, 3, [(5 * i + 1) % F.q for i in range(6)])
+    B = Mat(F, 3, 2, [(3 * i + 2) % F.q for i in range(6)])
+    assert A * B == _product_loop(A, B)
+    assert B * A == _product_loop(B, A)
 
 
 def test_rref_idempotent_and_canonical():

@@ -41,6 +41,18 @@ def test_orbit_size_check_raises_with_witness(monkeypatch):
     assert info.value.witness["stabilizer"] > 1
 
 
+def test_fiber_descends_once_per_dimension():
+    # orbit_partition descends at d = 2; psi_fiber's split_search asks for
+    # the irreducibles of dimension 1 and 2 and reuses the d = 2 descent
+    reps.hom_orbit_reps.cache_clear()
+    S3 = symmetric(3)
+    report = orbit_partition(S3, 2, F5)
+    cs = characters(S3, F5)
+    psi_fiber(report, PseudoRep.induce(direct_sum(cs[0], cs[1])))
+    info = reps.hom_orbit_reps.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+
 def test_psi_fiber_closed_count_raises_with_witness():
     C3 = cyclic(3)
     report = orbit_partition(C3, 2, F3)

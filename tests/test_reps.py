@@ -3,12 +3,13 @@ import pytest
 from detlaw.fields import make_field
 from detlaw.groups import cyclic, dihedral, symmetric
 from detlaw.linalg import Mat, gl_order
-from detlaw.reps import (Representation, characters, commutant_basis,
-                         conjugate_rep, direct_sum, enumerate_reps,
+from detlaw.reps import (Representation, centralizer_or_full, characters,
+                         commutant_basis, conjugate_rep, direct_sum,
+                         enumerate_reps, gl_elements,
                          hom_orbit_reps, intertwiner_basis, invariant_subspace,
                          irreducible_reps, isomorphic, order_candidates,
                          order_class_reps, semisimplify, sub_quotient_reps,
-                         trivial_rep)
+                         trivial_rep, unit_count_of_commutant)
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -88,6 +89,25 @@ def test_hom_orbit_reps_matches_direct_oracle():
         # sizes divide |GL_2(F_3)|
         for _rep, size in pairs:
             assert gl_order(3, 2) % size == 0
+
+
+@pytest.mark.parametrize("F, d, data", [
+    (F3, 2, (1, 1, 0, 1)), (F3, 2, (0, 2, 1, 0)), (F3, 2, (1, 0, 0, 2)),
+    (F4, 2, (1, 0, 0, 2)), (F4, 2, (0, 1, 1, 1)), (F4, 2, (1, 1, 0, 1)),
+    (F5, 2, (2, 0, 0, 3)), (F5, 2, (0, 3, 1, 0)), (F5, 2, (1, 1, 0, 1)),
+    # commutants of dimension 5 and 3, where the units are counted by a walk
+    (F3, 3, (1, 0, 0, 0, 1, 0, 0, 0, 2)), (F3, 3, (1, 1, 0, 0, 1, 0, 0, 0, 2)),
+], ids=str)
+def test_centralizer_is_the_brute_force_commutant(F, d, data):
+    M = Mat(F, d, d, data)
+    pairs = centralizer_or_full(F, M, d)
+    want = [g for g in gl_elements(F, d) if g * M == M * g]
+    assert sorted(g.data for g, _ in pairs) == sorted(g.data for g in want)
+    assert len({g.data for g, _ in pairs}) == len(pairs)
+    eye = Mat.identity(F, d)
+    assert all(g * ginv == eye and ginv * g == eye for g, ginv in pairs)
+    basis = commutant_basis(F, [M], d)
+    assert unit_count_of_commutant(F, basis, d) == len(pairs)
 
 
 def _full_closure(group, dim, field, assigned):

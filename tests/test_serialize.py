@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import detlaw
 from detlaw.errors import SchemaError
 from detlaw.fields import make_field
 from detlaw.groups import symmetric
@@ -63,8 +67,37 @@ def test_pseudorep_from_json_checks_axioms():
     obj["terms_broken"] = True
     # drop one term: no longer multiplicative
     obj["poly"]["terms"] = obj["poly"]["terms"][1:]
-    with pytest.raises(Exception):
+    with pytest.raises(SchemaError):
         law_with_group_source(S3, F5, obj)
+
+
+def test_pseudorep_from_json_checks_axioms_under_optimize():
+    # assert statements vanish under python -O; the axiom check must not
+    script = """
+import sys
+from detlaw.errors import SchemaError
+from detlaw.fields import make_field
+from detlaw.groups import symmetric
+from detlaw.pseudo import PseudoRep
+from detlaw.reps import characters, direct_sum
+from detlaw.serialize import law_with_group_source, pseudorep_to_json
+assert False, "assert statements are live"
+F5 = make_field(5)
+S3 = symmetric(3)
+cs = characters(S3, F5)
+obj = pseudorep_to_json(PseudoRep.induce(direct_sum(cs[0], cs[1])))
+obj["poly"]["terms"] = obj["poly"]["terms"][1:]
+try:
+    law_with_group_source(S3, F5, obj)
+except SchemaError:
+    sys.exit(0)
+sys.exit(1)
+"""
+    src = os.path.dirname(os.path.dirname(detlaw.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_group_round_trip_table():
