@@ -3,12 +3,12 @@ algebra, and the stratification of a multiplicity-free psi-fiber into
 projective spaces of extensions around the semisimple point.
 """
 
-from itertools import product
-
-from .errors import NotMultiplicityFree
-from .linalg import Mat, nullspace, rref, in_span, span_dim
+from .errors import InvariantViolation, NotMultiplicityFree, ShapeMismatch
+from .linalg import (Mat, combine, in_span, nullspace, proj_point_count,
+                     projective_points, reduce_vector, rref)
 from .pseudo import PseudoRep
-from .reps import Representation, direct_sum, invariant_subspace, isomorphic
+from .reps import (Representation, direct_sum, invariant_subspace,
+                   sub_quotient_reps)
 
 
 class Ext1Space:
@@ -23,7 +23,10 @@ class Ext1Space:
         self.z_basis = z_basis
         self.b_basis = b_basis
         self.dim = len(z_basis) - len(b_basis)
-        assert self.dim >= 0
+        if self.dim < 0:
+            raise InvariantViolation(
+                "more coboundaries than cocycles",
+                witness={"cocycles": len(z_basis), "coboundaries": len(b_basis)})
 
     def cocycle_matrices(self, vec):
         """Unflatten a cocycle vector into one d1 x d2 block per element."""
@@ -50,7 +53,8 @@ def ext1(group, rep1, rep2):
     condition is imposed on all pairs, which subsumes any generator and
     relation presentation.
     """
-    assert rep1.field == rep2.field and rep1.source is rep2.source
+    if rep1.field != rep2.field or rep1.source is not rep2.source:
+        raise ShapeMismatch("ext1 needs representations of one group over one field")
     F = rep1.field
     n = group.order
     d1, d2 = rep1.dim, rep2.dim
@@ -122,10 +126,6 @@ def assemble_extension(space, vec):
     return Representation(space.group, F, d, images, check_now=False)
 
 
-def proj_point_count(q, m):
-    return (q ** m - 1) // (q - 1)
-
-
 class FiberStratification:
     """A multiplicity-free fiber as P(ext up) + semisimple + P(ext down)."""
 
@@ -184,51 +184,35 @@ def fiber_stratify(group, chi, psi, field, orbit_report=None):
                 ss.append(idx)
                 continue
             rows = invariant_subspace(o.rep)
-            assert rows is not None and len(rows) == 1
-            from .reps import sub_quotient_reps
-
+            if rows is None or len(rows) != 1:
+                raise InvariantViolation("non-closed orbit has no stable line",
+                                         witness={"orbit": idx, "rows": rows})
             sub, quo = sub_quotient_reps(o.rep, rows)
             if sub.images == chi.images:
                 ups.append(idx)
-            else:
-                assert sub.images == psi.images
+            elif sub.images == psi.images:
                 downs.append(idx)
+            else:
+                raise InvariantViolation("stable line is neither character",
+                                         witness={"orbit": idx, "sub": sub})
         strata = (tuple(ups), tuple(ss), tuple(downs))
         q = field.q
         want = (proj_point_count(q, up.dim), 1, proj_point_count(q, down.dim))
         got = (len(ups), len(ss), len(downs))
-        assert got == want, f"stratum counts {got} disagree with {want}"
+        if got != want:
+            raise InvariantViolation(f"stratum counts {got} disagree with {want}",
+                                     witness=(got, want))
     return FiberStratification(group, field, chi, psi, up, down, strata)
 
 
 def ext_representatives(space):
-    """One representative cocycle per projective class of Ext^1."""
+    """One representative cocycle per projective class of Ext^1.
+
+    The cocycles reduced modulo the coboundaries span a complement C of B
+    in Z, so the classes are the lines of C: one vector per projective
+    point of C.
+    """
     F = space.field
-    q = F.q
-    m = len(space.z_basis)
-    out = []
-    seen_classes = []
-    for coeffs in product(range(q), repeat=m):
-        if all(c == 0 for c in coeffs):
-            continue
-        vec = [0] * len(space.z_basis[0])
-        for c, b in zip(coeffs, space.z_basis):
-            if c:
-                for i, x in enumerate(b):
-                    vec[i] = F.add(vec[i], F.mul(c, x))
-        vec = tuple(vec)
-        if space.is_coboundary(vec):
-            continue
-        cls = _ext_class_key(space, vec)
-        if cls in seen_classes:
-            continue
-        seen_classes.append(cls)
-        out.append(vec)
-    return out
-
-
-def _ext_class_key(space, vec):
-    """Projective Ext class: the span of vec together with the coboundaries."""
-    rows = list(space.b_basis) + [vec]
-    basis, _ = rref(space.field, rows)
-    return tuple(basis)
+    b_basis, b_pivots = rref(F, space.b_basis)
+    comp, _ = rref(F, [reduce_vector(F, z, b_basis, b_pivots) for z in space.z_basis])
+    return [combine(F, coeffs, comp) for coeffs in projective_points(F.q, len(comp))]

@@ -29,10 +29,6 @@ class BadGroupTable(DetlawError):
     code = "BadGroupTable"
 
 
-class DimensionCapExceeded(DetlawError):
-    code = "DimensionCapExceeded"
-
-
 class NotAnIdeal(DetlawError):
     code = "NotAnIdeal"
 

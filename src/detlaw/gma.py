@@ -536,7 +536,9 @@ def torus_orbits(scheme, field, points):
     """Orbits of the Z(E)(F) = (F^*)^r block-scalar torus on adapted points.
 
     z = (z_1..z_r) conjugates the universal matrix by the block-scalar
-    diagonal, scaling the A_{i,j} variable block by z_i / z_j.
+    diagonal, scaling the A_{i,j} variable block by z_i / z_j.  This stays
+    apart from ``reps.conjugation_orbit``: it scales coordinate tuples of
+    points by z_i / z_j and never conjugates matrices.
     """
     r = scheme.data.r
     on_scheme = set(points)

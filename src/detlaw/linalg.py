@@ -7,7 +7,7 @@ Row-space utilities (RREF, nullspace, span membership) operate on plain
 tuples of codes so algebra modules can share them for ideal computations.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 from .errors import ShapeMismatch
 from .fields import FFElem
@@ -366,6 +366,29 @@ def span_dim(field, rows):
     return len(basis)
 
 
+def combine(field, coeffs, rows):
+    """The code tuple sum_i coeffs[i] * rows[i]; rows must be nonempty."""
+    F = field
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = F.sub_mul_row(out, F.neg(c), row)
+    return tuple(out)
+
+
+def projective_points(q, m):
+    """One vector per line of F_q^m, scaled so its first nonzero coordinate
+    is 1; lines whose leading coordinate comes earlier come first."""
+    for lead in range(m):
+        for rest in product(range(q), repeat=m - lead - 1):
+            yield (0,) * lead + (1,) + rest
+
+
+def proj_point_count(q, m):
+    """The number of lines in F_q^m, that is |P^{m-1}(F_q)|."""
+    return (q ** m - 1) // (q - 1)
+
+
 def all_vectors(field, n):
     """All code tuples in F^n, in lexicographic code order."""
     if n == 0:
@@ -381,8 +404,6 @@ def all_subspaces(field, n, k):
 
     Enumerated by pivot-column choice then free entries; deterministic order.
     """
-    from itertools import combinations, product
-
     q = field.q
     for pivots in combinations(range(n), k):
         free_positions = []

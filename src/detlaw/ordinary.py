@@ -11,7 +11,7 @@ vanish and that the corresponding diagonal character be trivial on I.
 
 from .errors import DimensionUnsupported, HypothesisViolation, InvariantViolation
 from .gma import _lead, adapted_scheme, gma_from_characters
-from .linalg import Mat, in_span, intersect_spans, rref
+from .linalg import Mat, in_span, intersect_spans, projective_points, rref
 from .poly import MPoly
 from .reps import Representation
 
@@ -222,8 +222,7 @@ def is_ordinary(rep, inertia):
     if rep.dim != 2:
         raise DimensionUnsupported("ordinarity test requires dimension 2")
     F = rep.field
-    lines = [(1, c) for c in range(F.q)] + [(0, 1)]
-    for v in lines:
+    for v in projective_points(F.q, 2):
         eigen = _line_eigenvalues(rep, v)
         if eigen is None:
             continue

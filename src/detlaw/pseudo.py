@@ -12,7 +12,7 @@ from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
 from .errors import (NotFoundWithinBound, SchemaError, SearchCapExceeded,
                      VariableMismatch)
 from .fields import make_field
-from .linalg import Mat, nullspace, rref
+from .linalg import Mat, combine, proj_point_count, projective_points, rref
 from .poly import MPoly, symbolic_det
 from .reps import (JHDecomposition, Representation, invariant_subspace,
                    irreducible_reps, isomorphic)
@@ -335,49 +335,23 @@ def kernel(D, cap=200000):
     """
     A = D.source
     F = A.field
-    n = A.n
     lambdas = D.lambda_polys()
-    tr = D.trace_form()
-    rows = []
-    for j in range(n):
-        row = []
-        for i in range(n):
-            prod = A.mul(A.basis_vec(i), A.basis_vec(j))
-            acc = 0
-            for k, c in enumerate(prod):
-                if c:
-                    acc = F.add(acc, F.mul(c, tr[k]))
-            row.append(acc)
-        rows.append(tuple(row))
-    null = nullspace(F, rows, n)
+    null = A.trace_form_radical(D.trace_form())
     m = len(null)
     if m == 0:
         return Ideal(A, [], check=False)
-    npts = (F.q ** m - 1) // (F.q - 1)
+    npts = proj_point_count(F.q, m)
     if npts > cap:
         raise SearchCapExceeded(f"{npts} candidate lines exceed kernel search cap")
     xi = _generic_element(A)
     zero = MPoly.zero(F, D.poly.vars)
     members = []
-    for coeffs in _projective_points(F.q, m):
-        r = [0] * n
-        for c, v in zip(coeffs, null):
-            if c:
-                for i in range(n):
-                    r[i] = F.add(r[i], F.mul(c, v[i]))
-        if _kernel_member(D, lambdas, tuple(r), xi, zero):
-            members.append(tuple(r))
+    for coeffs in projective_points(F.q, m):
+        r = combine(F, coeffs, null)
+        if _kernel_member(D, lambdas, r, xi, zero):
+            members.append(r)
     basis, _ = rref(F, members)
     return Ideal(A, list(basis), check=True)
-
-
-def _projective_points(q, m):
-    """Representatives of lines in F^m: first nonzero coordinate is 1."""
-    from itertools import product
-
-    for lead in range(m):
-        for rest in product(range(q), repeat=m - lead - 1):
-            yield (0,) * lead + (1,) + rest
 
 
 def _kernel_member(D, lambdas, r, xi, zero):

@@ -171,6 +171,10 @@ def instance_from_json(obj):
             codes = [int(v) for v in values]
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"character {name!r} has a non-integer value") from exc
+        bad = [v for v in codes if not 0 <= v < field.q]
+        if bad:
+            raise SchemaError(f"character {name!r} has code {bad[0]} "
+                              f"outside 0..{field.q - 1}")
         if len(codes) != group.order:
             raise SchemaError(f"character {name!r} has {len(codes)} values "
                               f"for a group of order {group.order}")

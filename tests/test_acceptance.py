@@ -9,7 +9,7 @@ import functools
 
 import pytest
 
-from detlaw.cohomology import ext1, fiber_stratify, proj_point_count
+from detlaw.cohomology import ext1, fiber_stratify
 from detlaw.errors import InvariantViolation
 from detlaw.fields import make_field
 from detlaw.gma import (GmaData, adapted_points, adapted_scheme,
@@ -24,7 +24,7 @@ from detlaw.pseudo import (PseudoRep, ch_quotient, det_law,
                            nilpotency_index, split_search)
 from detlaw.reps import (Representation, characters, direct_sum,
                          enumerate_reps, isomorphic, semisimplify)
-from detlaw.linalg import Mat
+from detlaw.linalg import Mat, proj_point_count
 
 GROUPS = (cyclic(2), cyclic(3), cyclic(4), symmetric(3), dihedral(4))
 PRIMES = (3, 5, 7)

@@ -1,9 +1,7 @@
 import pytest
 
-from detlaw.algebras import (FinAlgebra, GroupAlgebra, Ideal, Presentation,
-                             group_algebra, ideal_generated, quotient,
-                             saturate)
-from detlaw.errors import DimensionCapExceeded, NotAnIdeal
+from detlaw.algebras import Ideal, group_algebra, ideal_generated, quotient
+from detlaw.errors import NotAnIdeal
 from detlaw.fields import make_field
 from detlaw.groups import cyclic, symmetric
 
@@ -71,37 +69,14 @@ def test_quotient_ring_structure():
         assert project(lift(Q.basis_vec(j))) == Q.basis_vec(j)
 
 
-def test_presentation_recovers_group_algebra():
-    # x^3 = 1 presents F5[C3]
-    P = Presentation(["x"], ["x^3-1"], F5)
-    A = saturate(P)
-    assert A.n == 3
-    B = group_algebra(cyclic(3), F5)
-    # both are commutative with the same multiplication table shape
-    for i in range(3):
-        for j in range(3):
-            assert A.mul(A.basis_vec(i), A.basis_vec(j)) == \
-                A.mul(A.basis_vec(j), A.basis_vec(i))
-    assert B.center_dim() == 3
-
-
-def test_presentation_dual_numbers():
-    P = Presentation(["e"], ["e^2"], F5)
-    A = saturate(P)
-    assert A.n == 2
-
-
-def test_infinite_presentation_capped():
-    # the free algebra on one generator with no relations is infinite
-    P = Presentation(["x"], [], F5)
-    with pytest.raises(DimensionCapExceeded):
-        saturate(P, cap=8, max_words=500)
-
-
 def test_trace_form_radical_detects_nonsemisimple():
     # F3[C3] is local non-semisimple (p divides |G|)
     A = group_algebra(cyclic(3), F3)
-    assert len(A.trace_form_radical()) > 0
+    assert len(A.trace_form_radical(_regular_trace(A))) > 0
     # F5[C3] is semisimple
     B = group_algebra(cyclic(3), F5)
-    assert len(B.trace_form_radical()) == 0
+    assert len(B.trace_form_radical(_regular_trace(B))) == 0
+
+
+def _regular_trace(A):
+    return [A.left_mult_matrix(A.basis_vec(i)).trace() for i in range(A.n)]

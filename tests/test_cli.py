@@ -136,9 +136,13 @@ def test_summary_prints_unit_coefficients_bare_over_extension_fields(capsys):
      ["orbits", "--d", "-1"], "SchemaError"),
     ({"group": {"type": "cyclic", "args": ["3"]}, "field": {"p": "7", "k": "1"},
       "d": "0"}, ["orbits"], "SchemaError"),
+    ({"group": {"type": "cyclic", "args": ["3"]}, "field": {"p": "7", "k": "1"},
+      "characters": {"x": ["8", "2", "4"]}}, ["pseudorep"], "SchemaError"),
+    ({"group": {"type": "cyclic", "args": ["3"]}, "field": {"p": "7", "k": "1"},
+      "characters": {"x": ["1", "-1", "1"]}}, ["pseudorep"], "SchemaError"),
 ], ids=["degree_not_an_int", "character_not_an_int", "characters_not_a_map",
         "symmetric_5", "flag_degree_zero", "flag_degree_negative",
-        "degree_zero"])
+        "degree_zero", "character_code_past_q", "character_code_negative"])
 def test_bad_instance_is_a_structured_error(tmp_path, capsys, instance, argv, code):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(instance))

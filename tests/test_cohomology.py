@@ -1,10 +1,12 @@
 import pytest
 
+from detlaw import cohomology
 from detlaw.cohomology import (assemble_extension, ext1, ext_representatives,
-                               fiber_stratify, proj_point_count)
-from detlaw.errors import NotMultiplicityFree
+                               fiber_stratify)
+from detlaw.errors import InvariantViolation, NotMultiplicityFree, ShapeMismatch
 from detlaw.fields import make_field
-from detlaw.groups import cyclic, semidirect_cyclic_squared, symmetric
+from detlaw.groups import cyclic, dihedral, semidirect_cyclic_squared, symmetric
+from detlaw.linalg import proj_point_count, rref
 from detlaw.moduli import orbit_partition
 from detlaw.reps import characters, invariant_subspace, isomorphic, trivial_rep
 
@@ -75,6 +77,42 @@ def test_ext_representatives_projective_count():
     assert len(reps) == proj_point_count(3, space.dim)
 
 
+def _s3_f3_triv_sgn():
+    S3 = symmetric(3)
+    cs = characters(S3, F3)
+    triv = next(c for c in cs if all(m[0, 0] == 1 for m in c.images))
+    sgn = next(c for c in cs if c is not triv)
+    return ext1(S3, triv, sgn)
+
+
+def _d4_f2_trivial():
+    # H^1(D4, F_2) = Hom(D4, F_2) is two-dimensional: three projective classes
+    D4 = dihedral(4)
+    t = trivial_rep(D4, make_field(2))
+    return ext1(D4, t, t)
+
+
+@pytest.mark.parametrize("build, dim", [(_d4_f2_trivial, 2), (_s3_f3_triv_sgn, 1)],
+                         ids=["d4_f2_trivial", "s3_f3_coboundaries"])
+def test_ext_representatives_one_per_class(build, dim):
+    space = build()
+    assert space.dim == dim
+    reps = ext_representatives(space)
+    assert len(reps) == proj_point_count(space.field.q, dim)
+    nb = len(space.b_basis)
+    for i, u in enumerate(reps):
+        assert not space.is_coboundary(u)
+        for v in reps[:i]:
+            # distinct lines modulo B: u, v and B span a space of dim |B| + 2
+            assert len(rref(space.field, list(space.b_basis) + [u, v])[0]) == nb + 2
+
+
+def test_ext1_rejects_characters_over_different_fields():
+    S3 = symmetric(3)
+    with pytest.raises(ShapeMismatch):
+        ext1(S3, characters(S3, F3)[0], characters(S3, F5)[0])
+
+
 def test_fiber_stratify_s3_f3():
     S3 = symmetric(3)
     cs = characters(S3, F3)
@@ -86,6 +124,16 @@ def test_fiber_stratify_s3_f3():
     assert strat.strata is not None
     ups, ss, downs = strat.strata
     assert len(ups) == 1 and len(ss) == 1 and len(downs) == 1
+
+
+def test_fiber_stratify_count_check_carries_its_witness(monkeypatch):
+    S3 = symmetric(3)
+    cs = characters(S3, F3)
+    report = orbit_partition(S3, 2, F3)
+    monkeypatch.setattr(cohomology, "proj_point_count", lambda q, m: 2)
+    with pytest.raises(InvariantViolation) as info:
+        fiber_stratify(S3, cs[0], cs[1], F3, orbit_report=report)
+    assert info.value.witness == ((1, 1, 1), (2, 1, 2))
 
 
 def test_fiber_stratify_rejects_equal_characters():

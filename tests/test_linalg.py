@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from detlaw.errors import ShapeMismatch
 from detlaw.fields import make_field
 from detlaw.linalg import (Mat, all_subspaces, all_vectors, gl_order,
-                           intersect_spans, nullspace, rref, solve, span_dim)
+                           intersect_spans, nullspace, proj_point_count,
+                           projective_points, rref, solve, span_dim)
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -199,6 +200,22 @@ def test_all_subspaces_grassmannian_count():
     assert len(list(all_subspaces(F3, 3, 2))) == 13
     for rows in all_subspaces(F3, 3, 2):
         assert span_dim(F3, rows) == 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_projective_points_one_per_line(q):
+    F = make_field(2, 2) if q == 4 else make_field(q)
+    for m in range(4):
+        points = list(projective_points(q, m))
+        assert len(points) == proj_point_count(q, m)
+        lines = {}
+        for v in all_vectors(F, m):
+            if any(v):
+                lead = next(c for c in v if c)
+                lines.setdefault(tuple(F.mul(F.inv(lead), c) for c in v), []).append(v)
+        assert sorted(points) == sorted(lines)
+        assert all(len(vs) == q - 1 for vs in lines.values())
+    assert list(projective_points(q, 2)) == [(1, c) for c in range(q)] + [(0, 1)]
 
 
 def test_gl_order():

@@ -1,8 +1,8 @@
 import pytest
 
-from detlaw.algebras import Presentation, group_algebra, ideal_generated, saturate
+from detlaw.algebras import FinAlgebra, group_algebra, ideal_generated
 from detlaw.fields import make_field
-from detlaw.groups import cyclic, symmetric
+from detlaw.groups import cyclic, dihedral, symmetric
 from detlaw.linalg import Mat
 from detlaw.poly import MPoly
 from detlaw.pseudo import (PseudoRep, ch_ideal, ch_quotient, det_law,
@@ -82,14 +82,33 @@ def test_det_law_kernel_zero():
 
 def test_dual_numbers_law():
     # F5[e]/(e^2), D(a + b e) = a^2: kernel is (e), nilpotency index 2
-    A = saturate(Presentation(["e"], ["e^2"], F5))
+    A = FinAlgebra(F5, ("1", "e"), [[((0, 1),), ((1, 1),)], [((1, 1),), ()]], (1, 0))
     xs = ("x0", "x1")
     poly = MPoly.var(F5, xs, "x0") ** 2
     D = PseudoRep(A, 2, poly, check=True)
     assert is_cayley_hamilton(D)
     ker = kernel(D)
-    assert ker.dim == 1
+    assert ker.basis == ((0, 1),)
     assert nilpotency_index(ker) == 2
+
+
+@pytest.mark.parametrize("group, field", [
+    (symmetric(3), F3), (symmetric(3), F5), (dihedral(4), F3), (cyclic(3), F7)])
+def test_trace_form_is_symmetric(group, field):
+    # kernel takes the radical of (x, y) -> L_1(xy) on one side only, which
+    # is the whole radical because L_1(xy) = L_1(yx) for a determinant law
+    cs = characters(group, field)
+    D = PseudoRep.induce(direct_sum(cs[0], cs[-1]))
+    A = D.source
+    tr = D.trace_form()
+
+    def form(i, j):
+        prod = A.mul(A.basis_vec(i), A.basis_vec(j))
+        return sum(c * t for c, t in zip(prod, tr)) % field.p
+
+    for i in range(A.n):
+        for j in range(i):
+            assert form(i, j) == form(j, i)
 
 
 def test_nilpotency_index_none_for_idempotent_ideal():
