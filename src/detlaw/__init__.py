@@ -10,7 +10,7 @@ a distinguished inertia subgroup.
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, group_algebra, quotient
 from .cohomology import (Ext1Space, assemble_extension, ext1,
                          ext_representatives, fiber_stratify)
-from .fields import FFElem, FieldDesc, embed_code, embedding_table, make_field
+from .fields import FieldDesc, embed_code, embedding_table, make_field
 from .gma import (AdaptedScheme, GmaData, adapted_points, adapted_scheme,
                   canonical_det, gma_from_characters, gma_full, torus_orbits,
                   verify_gma)

@@ -5,8 +5,11 @@ pairs with e_i * e_j = sum_k code * e_k.  Coordinate vectors are tuples of
 field codes.  Everything is immutable after construction.
 """
 
+from functools import cached_property, partial
+
 from .errors import BadGroupTable, NotAnIdeal
-from .linalg import Mat, in_span, nullspace, reduce_vector, rref
+from .linalg import (Mat, in_span, is_stable, nullspace, reduce_vector, rref,
+                     span_closure)
 
 
 class FinAlgebra:
@@ -25,8 +28,18 @@ class FinAlgebra:
     def zero_vec(self):
         return (0,) * self.n
 
-    def basis_vec(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.n))
+    @cached_property
+    def basis(self):
+        """The basis elements e_0..e_{n-1} as coordinate vectors."""
+        n = self.n
+        return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+
+    def multiplication_maps(self):
+        """x -> e_i x and x -> x e_i for each basis element e_i, in that order:
+        the maps whose stable subspaces are the two-sided ideals."""
+        mul = self.mul
+        return [f for e in self.basis
+                for f in (partial(mul, e), lambda x, e=e: mul(x, e))]
 
     def add(self, x, y):
         F = self.field
@@ -74,24 +87,24 @@ class FinAlgebra:
 
     def _verify(self):
         for i in range(self.n):
-            u = self.mul(self.unit, self.basis_vec(i))
-            v = self.mul(self.basis_vec(i), self.unit)
-            if u != self.basis_vec(i) or v != self.basis_vec(i):
+            u = self.mul(self.unit, self.basis[i])
+            v = self.mul(self.basis[i], self.unit)
+            if u != self.basis[i] or v != self.basis[i]:
                 raise BadGroupTable(f"unit fails on basis element {i}")
         for i in range(self.n):
             for j in range(self.n):
-                eij = self.mul(self.basis_vec(i), self.basis_vec(j))
+                eij = self.mul(self.basis[i], self.basis[j])
                 for k in range(self.n):
-                    left = self.mul(eij, self.basis_vec(k))
-                    right = self.mul(self.basis_vec(i),
-                                     self.mul(self.basis_vec(j), self.basis_vec(k)))
+                    left = self.mul(eij, self.basis[k])
+                    right = self.mul(self.basis[i],
+                                     self.mul(self.basis[j], self.basis[k]))
                     if left != right:
                         raise BadGroupTable(f"associativity fails at ({i},{j},{k})")
 
     # --- derived structure ---
 
     def left_mult_matrix(self, x):
-        cols = [self.mul(x, self.basis_vec(j)) for j in range(self.n)]
+        cols = [self.mul(x, e) for e in self.basis]
         data = [cols[j][i] for i in range(self.n) for j in range(self.n)]
         return Mat(self.field, self.n, self.n, data)
 
@@ -100,8 +113,8 @@ class FinAlgebra:
         for i in range(self.n):
             row = []
             for j in range(self.n):
-                diff = self.sub(self.mul(self.basis_vec(j), self.basis_vec(i)),
-                                self.mul(self.basis_vec(i), self.basis_vec(j)))
+                diff = self.sub(self.mul(self.basis[j], self.basis[i]),
+                                self.mul(self.basis[i], self.basis[j]))
                 row.append(diff)
             rows.append(row)
         # x = sum a_j e_j central  <=>  for all i: sum_j a_j (e_j e_i - e_i e_j) = 0
@@ -162,13 +175,7 @@ class Ideal:
 
     def _closed(self):
         A = self.parent
-        for v in self.basis:
-            for i in range(A.n):
-                e = A.basis_vec(i)
-                for w in (A.mul(e, v), A.mul(v, e)):
-                    if not in_span(A.field, w, self.basis, self.pivots):
-                        return False
-        return True
+        return is_stable(A.field, self.basis, self.pivots, A.multiplication_maps())
 
     def contains(self, vec):
         return in_span(self.parent.field, vec, self.basis, self.pivots)
@@ -189,21 +196,8 @@ class Ideal:
 
 def ideal_generated(algebra, elems):
     """Smallest two-sided ideal containing elems, by span closure."""
-    A = algebra
-    basis, pivots = rref(A.field, [tuple(v) for v in elems])
-    frontier = list(basis)
-    while frontier:
-        new = []
-        for v in frontier:
-            for i in range(A.n):
-                e = A.basis_vec(i)
-                for w in (A.mul(e, v), A.mul(v, e)):
-                    r = reduce_vector(A.field, w, basis, pivots)
-                    if any(r):
-                        basis, pivots = rref(A.field, list(basis) + [r])
-                        new.append(r)
-        frontier = new
-    return Ideal(A, list(basis), check=False)
+    basis, _ = span_closure(algebra.field, elems, algebra.multiplication_maps())
+    return Ideal(algebra, basis, check=False)
 
 
 def quotient(algebra, ideal):
@@ -232,7 +226,7 @@ def quotient(algebra, ideal):
     for a in range(m):
         row = []
         for b in range(m):
-            prod = project(A.mul(A.basis_vec(free[a]), A.basis_vec(free[b])))
+            prod = project(A.mul(A.basis[free[a]], A.basis[free[b]]))
             row.append(tuple((k, c) for k, c in enumerate(prod) if c))
         sc.append(row)
     unit = project(A.unit)

@@ -203,34 +203,21 @@ class FieldDesc:
             e >>= 1
         return r
 
-    def frobenius(self, a):
-        return self.pow(a, self.p)
-
     def coeffs(self, code):
         return self._coeffs[code]
 
-    # --- element-level API ---
-
-    def elem(self, code):
-        return FFElem(self, code % self.q if code >= 0 else (code % self.p))
+    def format_code(self, code):
+        """A code as printed: the integer over a prime field, else the
+        coefficient list, e.g. ``[1,0]``."""
+        if self.k == 1:
+            return str(code)
+        return f"[{','.join(map(str, self._coeffs[code]))}]"
 
     def coerce(self, value):
-        """Turn an int or FFElem into a code.  In-range ints are codes;
-        out-of-range ints are taken mod p (the image of Z -> F)."""
-        if isinstance(value, FFElem):
-            assert value.field == self
-            return value.code
+        """Turn an int into a code.  In-range ints are codes; out-of-range
+        ints are taken mod p (the image of Z -> F)."""
         v = int(value)
         return v if 0 <= v < self.q else v % self.p
-
-    def zero(self):
-        return FFElem(self, 0)
-
-    def one(self):
-        return FFElem(self, 1)
-
-    def elements(self):
-        return [FFElem(self, c) for c in range(self.q)]
 
     def __eq__(self, other):
         return isinstance(other, FieldDesc) and self.p == other.p and self.k == other.k
@@ -242,102 +229,15 @@ class FieldDesc:
         return f"F_{self.p}^{self.k}" if self.k > 1 else f"F_{self.p}"
 
 
-class FFElem:
-    """An element of a FieldDesc, identified by its integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field, code):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self):
-        return self.field.coeffs(self.code)
-
-    def _coerce(self, other):
-        if isinstance(other, FFElem):
-            if other.field != self.field:
-                raise TypeError("elements of different fields")
-            return other.code
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FFElem(self.field, self.field.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FFElem(self.field, self.field.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FFElem(self.field, self.field.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FFElem(self.field, self.field.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FFElem(self.field, self.field.neg(self.code))
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FFElem(self.field, self.field.mul(self.code, self.field.inv(c)))
-
-    def __pow__(self, e):
-        return FFElem(self.field, self.field.pow(self.code, e))
-
-    def inverse(self):
-        return FFElem(self.field, self.field.inv(self.code))
-
-    def frobenius(self):
-        return FFElem(self.field, self.field.frobenius(self.code))
-
-    def __eq__(self, other):
-        if isinstance(other, FFElem):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.k, self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        if self.field.k == 1:
-            return str(self.code)
-        return f"[{','.join(map(str, self.coeffs))}]"
-
-
 @lru_cache(maxsize=None)
-def make_field(p, k=1, size_cap=SIZE_CAP):
+def make_field(p, k=1):
     """Return the canonical FieldDesc for F_{p^k}."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise SizeCapExceeded(f"extension degree must be >= 1, got {k}")
-    if p ** k > size_cap:
-        raise SizeCapExceeded(f"p^k = {p ** k} exceeds cap {size_cap}")
+    if p ** k > SIZE_CAP:
+        raise SizeCapExceeded(f"p^k = {p ** k} exceeds cap {SIZE_CAP}")
     return FieldDesc(p, k)
 
 

@@ -55,10 +55,7 @@ class GmaData:
     def module_basis(self, l, m):
         """Canonical basis of A^{l,m} = E^l R E^m."""
         A = self.parent
-        rows = []
-        for b in range(A.n):
-            v = A.mul(self.E[l], A.mul(A.basis_vec(b), self.E[m]))
-            rows.append(v)
+        rows = [A.mul(self.E[l], A.mul(b, self.E[m])) for b in A.basis]
         basis, _ = rref(A.field, rows)
         return list(basis)
 
@@ -95,7 +92,7 @@ def gma_full(field, d):
     from .pseudo import matrix_algebra
 
     A = matrix_algebra(field, d)
-    units = [[[A.basis_vec(j * d + k) for k in range(d)] for j in range(d)]]
+    units = [[[A.basis[j * d + k] for k in range(d)] for j in range(d)]]
     return GmaData(A, (d,), units)
 
 
@@ -119,119 +116,87 @@ class GmaReport:
 
 def verify_gma(data):
     """Check every GMA axiom; the report carries the first counterexample of
-    each failing check."""
+    each failing check, in loop order."""
     A = data.parent
     F = data.field
-    rep = GmaReport()
+    mul = A.mul
+    d = data.d
+    pairs = list(product(range(d), repeat=2))
+    mods = {(l, m): data.module_basis(l, m) for l, m in pairs}
 
-    # matrix-unit relations: w[i][j][k] w[i'][l][m] = delta delta w[i][j][m]
-    ok, wit = True, None
-    for i in range(data.r):
-        for i2 in range(data.r):
-            for j in range(data.type[i]):
-                for k in range(data.type[i]):
-                    for l in range(data.type[i2]):
-                        for m in range(data.type[i2]):
-                            prod = A.mul(data.units[i][j][k], data.units[i2][l][m])
-                            want = (data.units[i][j][m]
-                                    if (i == i2 and k == l) else A.zero_vec())
-                            if prod != want:
-                                ok, wit = False, (i, j, k, i2, l, m)
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.record("matrix_units", ok, wit)
+    def matrix_units():
+        # w[i][j][k] w[i'][l][m] = delta delta w[i][j][m]
+        for i, i2 in product(range(data.r), repeat=2):
+            for j, k in product(range(data.type[i]), repeat=2):
+                for l, m in product(range(data.type[i2]), repeat=2):
+                    want = (data.units[i][j][m]
+                            if (i == i2 and k == l) else A.zero_vec())
+                    if mul(data.units[i][j][k], data.units[i2][l][m]) != want:
+                        yield (i, j, k, i2, l, m)
 
-    total = A.zero_vec()
-    for e in data.e:
-        total = A.add(total, e)
-    rep.record("idempotent_sum", total == A.unit, None if total == A.unit else total)
+    def idempotent_sum():
+        total = A.zero_vec()
+        for e in data.e:
+            total = A.add(total, e)
+        if total != A.unit:
+            yield total
 
-    # phi_i isomorphism: e_i R e_i has dimension d_i^2 and the units span it
-    ok, wit = True, None
-    for i in range(data.r):
-        rows = [A.mul(data.e[i], A.mul(A.basis_vec(b), data.e[i])) for b in range(A.n)]
-        basis, pivots = rref(F, rows)
-        di = data.type[i]
-        if len(basis) != di * di:
-            ok, wit = False, (i, "corner dimension", len(basis))
-            break
-        for j in range(di):
-            for k in range(di):
+    def block_isomorphism():
+        # phi_i isomorphism: e_i R e_i has dimension d_i^2 and the units span it
+        for i, di in enumerate(data.type):
+            e = data.e[i]
+            basis, pivots = rref(F, [mul(e, mul(b, e)) for b in A.basis])
+            if len(basis) != di * di:
+                yield (i, "corner dimension", len(basis))
+            for j, k in product(range(di), repeat=2):
                 if not in_span(F, data.units[i][j][k], basis, pivots):
-                    ok, wit = False, (i, j, k)
-                    break
-    rep.record("block_isomorphism", ok, wit)
+                    yield (i, j, k)
 
-    # trace centrality on basis pairs (bilinear, so pairs suffice)
-    ok, wit = True, None
-    for a in range(A.n):
-        for b in range(A.n):
-            xy = A.mul(A.basis_vec(a), A.basis_vec(b))
-            yx = A.mul(A.basis_vec(b), A.basis_vec(a))
-            if _trace(data, xy) != _trace(data, yx):
-                ok, wit = False, (a, b)
-                break
-        if not ok:
-            break
-    rep.record("trace_central", ok, wit)
+    def trace_central():
+        # on basis pairs (bilinear, so pairs suffice)
+        for a, b in product(range(A.n), repeat=2):
+            x, y = A.basis[a], A.basis[b]
+            if _trace(data, mul(x, y)) != _trace(data, mul(y, x)):
+                yield (a, b)
 
-    # diagonal coordinate modules are lines through E^l
-    ok, wit = True, None
-    for l in range(data.d):
-        basis = data.module_basis(l, l)
-        if len(basis) != 1:
-            ok, wit = False, (l, len(basis))
-            break
-    rep.record("diagonal_lines", ok, wit)
+    def diagonal_lines():
+        # diagonal coordinate modules are lines through E^l
+        for l in range(d):
+            if len(mods[l, l]) != 1:
+                yield (l, len(mods[l, l]))
 
-    # (UNIT): E^l is a left unit on A^{l,m} and a right unit via E^m
-    ok, wit = True, None
-    for l in range(data.d):
-        for m in range(data.d):
-            for v in data.module_basis(l, m):
-                if A.mul(data.E[l], v) != v or A.mul(v, data.E[m]) != v:
-                    ok, wit = False, (l, m)
-                    break
-    rep.record("unit_property", ok, wit)
+    def unit_property():
+        # E^l is a left unit on A^{l,m} and E^m a right unit
+        for l, m in pairs:
+            for v in mods[l, m]:
+                if mul(data.E[l], v) != v or mul(v, data.E[m]) != v:
+                    yield (l, m)
 
-    # (COM): phi^l(xy) = phi^m(yx) for x in A^{l,m}, y in A^{m,l}
-    ok, wit = True, None
-    for l in range(data.d):
-        for m in range(data.d):
-            for x in data.module_basis(l, m):
-                for y in data.module_basis(m, l):
-                    try:
-                        cl = data.scalar_of(l, A.mul(x, y))
-                        cm = data.scalar_of(m, A.mul(y, x))
-                    except GmaAxiomFailure:
-                        ok, wit = False, (l, m)
-                        break
+    def com_property():
+        # phi^l(xy) = phi^m(yx) for x in A^{l,m}, y in A^{m,l}
+        for l, m in pairs:
+            for x, y in product(mods[l, m], mods[m, l]):
+                try:
+                    cl = data.scalar_of(l, mul(x, y))
+                    cm = data.scalar_of(m, mul(y, x))
+                except GmaAxiomFailure:
+                    yield (l, m)
+                else:
                     if cl != cm:
-                        ok, wit = False, (l, m, x, y)
-                        break
-    rep.record("com_property", ok, wit)
+                        yield (l, m, x, y)
 
-    # (ASSO): triple products associate module-wise
-    ok, wit = True, None
-    for l in range(data.d):
-        for m in range(data.d):
-            for n2 in range(data.d):
-                for x in data.module_basis(l, m):
-                    for y in data.module_basis(m, n2):
-                        for z in data.module_basis(n2, l):
-                            if A.mul(A.mul(x, y), z) != A.mul(x, A.mul(y, z)):
-                                ok, wit = False, (l, m, n2)
-                                break
-    rep.record("asso_property", ok, wit)
+    def asso_property():
+        # triple products associate module-wise
+        for l, m, n2 in product(range(d), repeat=3):
+            for x, y, z in product(mods[l, m], mods[m, n2], mods[n2, l]):
+                if mul(mul(x, y), z) != mul(x, mul(y, z)):
+                    yield (l, m, n2)
+
+    rep = GmaReport()
+    for check in (matrix_units, idempotent_sum, block_isomorphism, trace_central,
+                  diagonal_lines, unit_property, com_property, asso_property):
+        wit = next(check(), None)
+        rep.record(check.__name__, wit is None, wit)
     return rep
 
 
@@ -249,20 +214,20 @@ def _trace(data, vec):
 def trace_form(data):
     """Tr_E on the basis of the parent algebra."""
     A = data.parent
-    return tuple(_trace(data, A.basis_vec(i)) for i in range(A.n))
+    return tuple(_trace(data, e) for e in A.basis)
 
 
-def canonical_det(data, start="min", check=True):
-    """The canonical determinant law D_E by the signed cycle-sum formula.
+def canonical_det(data, start="min"):
+    """The canonical determinant law D_E by the signed cycle-sum formula, on
+    a verified GMA.
 
     ``start`` picks the initial element of each cycle ("min" or "max");
     the result is independent of the choice, which callers may verify by
     comparing both.
     """
-    if check:
-        report = verify_gma(data)
-        if not report.ok:
-            raise GmaAxiomFailure(f"GMA axioms fail: {report.failures()}")
+    report = verify_gma(data)
+    if not report.ok:
+        raise GmaAxiomFailure(f"GMA axioms fail: {report.failures()}")
     A = data.parent
     F = data.field
     d = data.d
@@ -341,9 +306,9 @@ class AdaptedScheme:
         self._by_lead = {_lead(rel): rel for rel in self.relations}
         self.universal = self._build_universal()
 
-    def var(self, i, j, t, coeff=1):
+    def var(self, i, j, t):
         F = self.data.field
-        return MPoly.var(F, self.vars, self.vars[self._var_index[(i, j, t)]], coeff)
+        return MPoly.var(F, self.vars, self.vars[self._var_index[(i, j, t)]])
 
     def _linear_form(self, i, j, vec):
         """sum_t c_t a{i}{j}_t for vec = sum_t c_t b_t in A_{i,j} = <b_t>."""
@@ -351,14 +316,10 @@ class AdaptedScheme:
         basis, pivots = self.off_bases[(i, j)]
         if not in_span(F, vec, basis, pivots):
             raise InvariantViolation(f"vector outside A_{i}{j}", witness=(i, j, vec))
-        nv = len(self.vars)
-        terms = {}
+        coeffs = [0] * len(self.vars)
         for t, p in enumerate(pivots):
-            if vec[p]:
-                e = [0] * nv
-                e[self._var_index[(i, j, t)]] = 1
-                terms[tuple(e)] = vec[p]
-        return MPoly(F, self.vars, terms)
+            coeffs[self._var_index[(i, j, t)]] = vec[p]
+        return MPoly.linear(F, self.vars, coeffs)
 
     def _build_relations(self):
         """b*c - phi(b (x) c) for all composable off-diagonal basis pairs."""
@@ -393,11 +354,11 @@ class AdaptedScheme:
         F = data.field
         d = data.d
         out = []
-        for bidx in range(A.n):
+        for b in A.basis:
             entries = []
             for l in range(d):
                 for m in range(d):
-                    v = A.mul(data.E[l], A.mul(A.basis_vec(bidx), data.E[m]))
+                    v = A.mul(data.E[l], A.mul(b, data.E[m]))
                     i, j = data.block_of[l], data.block_of[m]
                     jl, jm = data.inner_of[l], data.inner_of[m]
                     # transport A^{l,m} to A_{i,j} through the matrix units
@@ -446,7 +407,7 @@ class AdaptedScheme:
         d = data.d
         for a in range(A.n):
             for b in range(A.n):
-                prod_vec = A.mul(A.basis_vec(a), A.basis_vec(b))
+                prod_vec = A.mul(A.basis[a], A.basis[b])
                 want = [MPoly.zero(F, self.vars) for _ in range(d * d)]
                 for k, c in enumerate(prod_vec):
                     if c:
@@ -472,18 +433,10 @@ class AdaptedScheme:
         d = data.d
         xs = generic_vars(A.n)
         both = self.vars + xs
-        entries = []
-        for i in range(d):
-            for j in range(d):
-                p = MPoly.zero(F, both)
-                for k in range(A.n):
-                    cell = self.universal[k][i * d + j]
-                    xslot = [0] * len(xs)
-                    xslot[k] = 1
-                    xslot = tuple(xslot)
-                    for e, c in cell.terms.items():
-                        p = p + MPoly(F, both, {e + xslot: c})
-                entries.append(p)
+        # entry t is sum_k universal[k][t] * x_k; no two terms share a key
+        entries = [MPoly(F, both, {e + x: c for x, row in zip(A.basis, self.universal)
+                                   for e, c in row[t].terms.items()})
+                   for t in range(d * d)]
         return self.reduce(symbolic_det(F, both, entries, d))
 
 
@@ -603,7 +556,7 @@ def _factor_rep_through(rho, Q, lift, field, d):
     arep = from_group_rep(rho)
     images = []
     for j in range(Q.n):
-        vec = lift(Q.basis_vec(j))
+        vec = lift(Q.basis[j])
         images.append(arep.image_of(vec))
     return Representation(Q, field, d, images, check_now=False)
 
@@ -626,12 +579,13 @@ def _idempotent_preimage(Q, qrep, target):
     return a
 
 
-def _idempotent_lift(Q, a, max_iter=64):
-    """Iterate a <- 3a^2 - 2a^3; converges when a^2 - a is nilpotent."""
+def _idempotent_lift(Q, a):
+    """Iterate a <- 3a^2 - 2a^3, at most 64 times; converges when a^2 - a is
+    nilpotent."""
     F = Q.field
     three = 3 % F.p
     two = 2 % F.p
-    for _ in range(max_iter):
+    for _ in range(64):
         sq = Q.mul(a, a)
         if sq == a:
             return a

@@ -7,10 +7,10 @@ Row-space utilities (RREF, nullspace, span membership) operate on plain
 tuples of codes so algebra modules can share them for ideal computations.
 """
 
+from bisect import bisect
 from itertools import combinations, permutations, product
 
 from .errors import ShapeMismatch
-from .fields import FFElem
 
 
 class Mat:
@@ -48,9 +48,6 @@ class Mat:
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i * self.ncols + j]
-
-    def entry(self, i, j):
-        return FFElem(self.field, self[i, j])
 
     def rows(self):
         c = self.ncols
@@ -110,14 +107,14 @@ class Mat:
                             if y:
                                 out[orow + j] = F.add(out[orow + j], F.mul(x, y))
             return Mat(F, n, m, out)
-        if isinstance(other, (int, FFElem)):
+        if isinstance(other, int):
             F = self.field
             code = F.coerce(other)
             return Mat(F, self.nrows, self.ncols, [F.mul(a, code) for a in self.data])
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, FFElem)):
+        if isinstance(other, int):
             return self * other
         return NotImplemented
 
@@ -202,8 +199,6 @@ class Mat:
 
         c_i is the sum of the i x i principal minors (exact, no division).
         """
-        from itertools import combinations
-
         F = self.field
         n = self.nrows
         out = []
@@ -259,7 +254,7 @@ class Mat:
         return hash((self.field.p, self.field.k, self.nrows, self.ncols, self.data))
 
     def __repr__(self):
-        rows = [" ".join(str(self.field.elem(x)) for x in row) for row in self.rows()]
+        rows = [" ".join(map(self.field.format_code, row)) for row in self.rows()]
         return "[" + "; ".join(rows) + "]"
 
 
@@ -284,26 +279,30 @@ def _perm_sign(perm):
 
 def rref(field, rows):
     """Reduced row echelon form; returns (basis rows, pivot columns)."""
+    basis, pivots = [], []
+    for row in rows:
+        if any(row):
+            _adjoin(field, basis, pivots, reduce_vector(field, row, basis, pivots))
+    return [tuple(b) for b in basis], pivots
+
+
+def _adjoin(field, basis, pivots, row):
+    """Add a row already reduced against an RREF basis (lists of codes,
+    pivots ascending), keeping the basis in RREF.  Returns False, adding
+    nothing, when the row is zero."""
     F = field
-    work = [list(r) for r in rows if any(r)]
-    basis = []
-    pivots = []
-    for row in work:
-        for b, p in zip(basis, pivots):
-            if row[p]:
-                row[:] = F.sub_mul_row(row, row[p], b)
-        piv = next((i for i, x in enumerate(row) if x), None)
-        if piv is None:
-            continue
-        inv = F.inv(row[piv])
-        row[:] = [F.mul(inv, x) for x in row]
-        for b, p in zip(basis, pivots):
-            if b[piv]:
-                b[:] = F.sub_mul_row(b, b[piv], row)
-        basis.append(row)
-        pivots.append(piv)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [tuple(basis[i]) for i in order], [pivots[i] for i in order]
+    piv = next((i for i, x in enumerate(row) if x), None)
+    if piv is None:
+        return False
+    inv = F.inv(row[piv])
+    row = [F.mul(inv, x) for x in row]
+    for b in basis:
+        if b[piv]:
+            b[:] = F.sub_mul_row(b, b[piv], row)
+    at = bisect(pivots, piv)
+    basis.insert(at, row)
+    pivots.insert(at, piv)
+    return True
 
 
 def reduce_vector(field, vec, basis, pivots):
@@ -318,6 +317,31 @@ def reduce_vector(field, vec, basis, pivots):
 
 def in_span(field, vec, basis, pivots):
     return not any(reduce_vector(field, vec, basis, pivots))
+
+
+def span_closure(field, rows, maps):
+    """The smallest subspace that contains rows and that every linear map in
+    maps (callables on code tuples) sends into itself, as (RREF basis,
+    pivots).  Each vector that enlarges the span is mapped once."""
+    basis, pivots, added = [], [], []
+
+    def grow(vec):
+        r = reduce_vector(field, vec, basis, pivots)
+        if _adjoin(field, basis, pivots, r):
+            added.append(r)
+
+    for v in rows:
+        grow(v)
+    for v in added:  # grows while it is walked
+        for f in maps:
+            grow(f(v))
+    return [tuple(b) for b in basis], pivots
+
+
+def is_stable(field, basis, pivots, maps):
+    """True iff every map in maps sends the span of an RREF basis into itself."""
+    return all(in_span(field, f(v), basis, pivots) for v in basis for f in maps)
+
 
 def nullspace(field, mat_rows, ncols):
     """Basis of the right nullspace of the matrix given by rows (code tuples)."""

@@ -123,12 +123,11 @@ def _orbits_direct(group, dim, field):
     return out
 
 
-def _is_closed(rep, jh=None):
-    """An orbit is closed iff its representative is semisimple."""
+def _is_closed(rep, jh):
+    """An orbit is closed iff its representative is semisimple; jh is its
+    Jordan-Hoelder decomposition."""
     if rep.dim == 1:
         return True
-    if jh is None:
-        jh = semisimplify(rep)
     if len(jh.factors) == 1:
         return True
     return isomorphic(rep, jh.direct_sum_rep())
@@ -207,14 +206,15 @@ def word_invariant_vector(rep, maxlen):
     return tuple(out)
 
 
-def word_invariants(report, maxlen=3, constancy_samples=8):
-    """Invariant vectors per orbit, with constancy spot-checked on conjugates.
+def word_invariants(report, maxlen=3):
+    """Invariant vectors per orbit, with constancy spot-checked on eight
+    conjugates.
 
     Returns a list (per orbit) of vectors, parallel to report.orbits.
     """
     F = report.field
     vectors = []
-    samples = _sample_gl(F, report.dim, constancy_samples)
+    samples = _sample_gl(F, report.dim, 8)
     for o in report.orbits:
         v = word_invariant_vector(o.rep, maxlen)
         for g in samples:

@@ -21,7 +21,7 @@ from itertools import permutations, repeat
 from operator import add as _add_ints, or_
 
 from .errors import VariableMismatch
-from .fields import FFElem, embed_code
+from .fields import embed_code
 from .linalg import _perm_sign
 
 PACK_LIMIT = 256  # exponents must stay below this to fit one byte each
@@ -162,6 +162,19 @@ class MPoly:
         return cls(field, variables, {tuple(e): code})
 
     @classmethod
+    def linear(cls, field, variables, coeffs):
+        """The linear form sum_k coeffs[k] * variables[k] (codes), its terms
+        in k order."""
+        nv = len(variables)
+        terms = {}
+        for k, c in enumerate(coeffs):
+            if c:
+                e = [0] * nv
+                e[k] = 1
+                terms[tuple(e)] = c
+        return cls(field, variables, terms)
+
+    @classmethod
     def from_terms(cls, field, variables, pairs):
         terms = {}
         _add_into(field, terms, ((e, c) for e, c in pairs if c))
@@ -179,7 +192,7 @@ class MPoly:
         if isinstance(other, MPoly):
             self._check(other)
             return other
-        if isinstance(other, (int, FFElem)):
+        if isinstance(other, int):
             return MPoly.const(self.field, self.vars, other)
         return NotImplemented
 
@@ -209,7 +222,7 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, FFElem)):
+        if isinstance(other, int):
             return self.scale(self.field.coerce(other))
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -371,7 +384,7 @@ class MPoly:
     # --- comparisons / display ---
 
     def __eq__(self, other):
-        if isinstance(other, (int, FFElem)):
+        if isinstance(other, int):
             other = MPoly.const(self.field, self.vars, other)
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -392,7 +405,7 @@ class MPoly:
             mono = "*".join(
                 f"{n}^{x}" if x > 1 else n for n, x in zip(self.vars, e) if x
             )
-            cs = str(self.field.elem(c))
+            cs = self.field.format_code(c)
             if mono:
                 bits.append(mono if c == 1 else f"{cs}*{mono}")
             else:

@@ -9,13 +9,15 @@ so identities checked here hold after arbitrary base change.
 """
 
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
-from .errors import (NotFoundWithinBound, SchemaError, SearchCapExceeded,
-                     VariableMismatch)
+from .errors import (InvariantViolation, NotFoundWithinBound, SchemaError,
+                     SearchCapExceeded, VariableMismatch)
 from .fields import make_field
-from .linalg import Mat, combine, proj_point_count, projective_points, rref
+from .linalg import (Mat, combine, proj_point_count, projective_points, rref,
+                     span_closure)
 from .poly import MPoly, symbolic_det
-from .reps import (JHDecomposition, Representation, invariant_subspace,
-                   irreducible_reps, isomorphic)
+from .reps import (JHDecomposition, Representation, direct_sum,
+                   intertwiner_basis, invariant_subspace, irreducible_reps,
+                   isomorphic, sub_quotient_reps)
 
 T_VAR = "t"
 
@@ -75,15 +77,8 @@ class PseudoRep:
         F = rep.field
         xs = generic_vars(A.n)
         d = rep.dim
-        entries = []
-        for i in range(d):
-            for j in range(d):
-                p = MPoly.zero(F, xs)
-                for k, M in enumerate(rep.images):
-                    c = M[i, j]
-                    if c:
-                        p = p + MPoly.var(F, xs, xs[k], c)
-                entries.append(p)
+        entries = [MPoly.linear(F, xs, [M.data[c] for M in rep.images])
+                   for c in range(d * d)]
         return cls(A, d, symbolic_det(F, xs, entries, d))
 
     # --- evaluation ---
@@ -292,36 +287,27 @@ def ch_quotient(D):
     _assert_factors_through(D, I)
     Q, project, lift = quotient(A, I)
     ys = generic_vars(Q.n)
-    xs = D.poly.vars
-    images = {}
-    for i in range(A.n):
-        img = MPoly.zero(F, ys)
-        for j in range(Q.n):
-            c = lift(Q.basis_vec(j))[i]
-            if c:
-                img = img + MPoly.var(F, ys, ys[j], c)
-        images[xs[i]] = img
+    lifts = [lift(e) for e in Q.basis]
+    images = {x: MPoly.linear(F, ys, [v[i] for v in lifts])
+              for i, x in enumerate(D.poly.vars)}
     DQ = PseudoRep(Q, D.d, D.poly.substitute(images))
     return Q, DQ, project, lift
 
 
 def _assert_factors_through(D, ideal):
-    A = D.source
-    F = A.field
-    n = A.n
+    """Check D(x + s) = D(x) for the generic x and a generic s of the ideal;
+    raise InvariantViolation, with the leading term of the difference, if
+    not."""
+    F = D.field
     xs = D.poly.vars
-    m = len(ideal.basis)
-    ext = xs + tuple(f"s{j}" for j in range(m))
-    images = {}
-    for i in range(n):
-        img = MPoly.var(F, ext, xs[i])
-        for j, v in enumerate(ideal.basis):
-            if v[i]:
-                img = img + MPoly.var(F, ext, f"s{j}", v[i])
-        images[xs[i]] = img
-    shifted = D.poly.substitute(images)
-    base = D.poly.substitute({xs[i]: MPoly.var(F, ext, xs[i]) for i in range(n)})
-    assert shifted == base, "law does not factor through the quotient"
+    ext = xs + tuple(f"s{j}" for j in range(len(ideal.basis)))
+    shifted = D.poly.substitute({
+        x: MPoly.linear(F, ext, e + tuple(v[i] for v in ideal.basis))
+        for i, (x, e) in enumerate(zip(xs, D.source.basis))})
+    base = D.poly.substitute({x: MPoly.var(F, ext, x) for x in xs})
+    if shifted != base:
+        raise InvariantViolation("law does not factor through the quotient",
+                                 witness=(shifted - base).sorted_terms()[0])
 
 
 # --- kernel and nilpotency ---
@@ -385,19 +371,17 @@ def nilpotency_index(ideal, cap=64):
 
 # --- splitting over extensions ---
 
-def split_search(D, max_degree=None):
+def split_search(D):
     """Find the smallest-degree extension carrying a semisimple representation
     that induces D, together with that representation.
 
     Scans degrees 1..d (the separable-case bound), enumerating direct sums of
     irreducible representations over each extension; the Jordan-Hoelder
-    multiset of the answer is asserted unique among all matches at the
-    successful degree.
+    multiset of the answer must be the same for all matches at the
+    successful degree (InvariantViolation otherwise).
     """
-    A = D.source
     F = D.field
-    bound = max_degree if max_degree is not None else D.d
-    for e in range(1, bound + 1):
+    for e in range(1, D.d + 1):
         target = make_field(F.p, F.k * e)
         De = D.base_change(target)
         irs = _irreducible_modules(De.source, D, target)
@@ -405,22 +389,18 @@ def split_search(D, max_degree=None):
         for multiset in _dim_multisets(irs, D.d):
             rep = multiset[0]
             for extra in multiset[1:]:
-                rep = _module_direct_sum(De.source, rep, extra)
+                rep = direct_sum(rep, extra)
             if PseudoRep.induce(rep).equals(De):
                 matches.append((multiset, rep))
         if matches:
             keys = {JHDecomposition(ms).multiset_key() for ms, _ in matches}
-            assert len(keys) == 1, "matching semisimple factor multiset not unique"
+            if len(keys) != 1:
+                raise InvariantViolation(
+                    "matching semisimple factor multiset not unique",
+                    witness=sorted(keys))
             return target, matches[0][1]
     raise NotFoundWithinBound(
-        f"no semisimple representation inducing the law within degree {bound}")
-
-
-def _module_direct_sum(A, rep1, rep2):
-    from .reps import direct_sum
-
-    out = direct_sum(rep1, rep2)
-    return Representation(A, out.field, out.dim, out.images, check_now=False)
+        f"no semisimple representation inducing the law within degree {D.d}")
 
 
 def _dim_multisets(irs, d):
@@ -451,7 +431,7 @@ def _irreducible_modules(A, D, field):
                 for r in group_irs]
     regular = Representation(
         A, field, A.n,
-        [A.left_mult_matrix(A.basis_vec(i)) for i in range(A.n)],
+        [A.left_mult_matrix(e) for e in A.basis],
         check_now=False)
     factors = _module_factors(regular)
     out = []
@@ -465,17 +445,12 @@ def _irreducible_modules(A, D, field):
 
 
 def _absolutely_irreducible(rep):
-    from .reps import commutant_basis
-
-    mats = list(rep.images)
-    return len(commutant_basis(rep.field, mats, rep.dim)) == 1
+    return len(intertwiner_basis(rep.field, rep.images, rep.images, rep.dim)) == 1
 
 
 def _module_factors(rep):
     """Composition factors of a module: exhaustive subspace search at small
     dimension, cyclic-submodule spinning above it."""
-    from .reps import sub_quotient_reps
-
     if rep.dim <= 3:
         rows = invariant_subspace(rep)
         if rows is None:
@@ -487,29 +462,12 @@ def _module_factors(rep):
     pool = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     pool += [tuple(1 if i in (a, b) else 0 for i in range(n))
              for a in range(n) for b in range(a + 1, n)]
+    maps = [M.apply for M in rep.images]
     for v in pool:
-        rows = _spin(rep, v)
+        rows, _ = span_closure(F, [v], maps)
         if 0 < len(rows) < n:
             sub, quo = sub_quotient_reps(rep, rows)
             return _module_factors(sub) + _module_factors(quo)
     raise SearchCapExceeded(
         f"cannot split a {n}-dimensional module by cyclic-vector spinning")
 
-
-def _spin(rep, v):
-    F = rep.field
-    basis, pivots = rref(F, [v])
-    frontier = list(basis)
-    while frontier:
-        new = []
-        for w in frontier:
-            for M in rep.images:
-                img = M.apply(w)
-                from .linalg import reduce_vector
-
-                r = reduce_vector(F, img, basis, pivots)
-                if any(r):
-                    basis, pivots = rref(F, list(basis) + [r])
-                    new.append(r)
-        frontier = new
-    return list(basis)

@@ -12,8 +12,8 @@ from itertools import product
 
 from .errors import (EnumerationCapExceeded, SearchCapExceeded, ShapeMismatch)
 from .groups import FiniteGroup
-from .linalg import (Mat, all_subspaces, gl_order, nullspace, rref,
-                     reduce_vector)
+from .linalg import (Mat, all_subspaces, gl_order, is_stable, nullspace,
+                     reduce_vector, rref)
 from .poly import MPoly, symbolic_det
 
 
@@ -60,7 +60,7 @@ class Representation:
         for i in range(A.n):
             for j in range(A.n):
                 lhs = self.images[i] * self.images[j]
-                rhs = _combine(self, A.mul(A.basis_vec(i), A.basis_vec(j)))
+                rhs = _combine(self, A.mul(A.basis[i], A.basis[j]))
                 if lhs != rhs:
                     return False
         return True
@@ -282,24 +282,9 @@ def least_conjugate(rep):
     return conjugate_rep(rep, best[0]), stab
 
 
-def commutant_basis(field, mats, d):
-    """Basis of {T : T M = M T for all M in mats}, as d x d matrices."""
-    rows = []
-    for M in mats:
-        # (TM - MT)[i][j] = sum_k T[i][k] M[k][j] - M[i][k] T[k][j]
-        for i in range(d):
-            for j in range(d):
-                row = [0] * (d * d)
-                for k in range(d):
-                    row[i * d + k] = field.add(row[i * d + k], M[k, j])
-                    row[k * d + j] = field.sub(row[k * d + j], M[i, k])
-                rows.append(tuple(row))
-    basis = nullspace(field, rows, d * d)
-    return [Mat(field, d, d, v) for v in basis]
-
-
 def intertwiner_basis(field, mats1, mats2, d):
-    """Basis of {T : mats1[i] T = T mats2[i] for all i}."""
+    """Basis of {T : mats1[i] T = T mats2[i] for all i}; with mats1 = mats2
+    it is the commutant of mats1."""
     rows = []
     for M1, M2 in zip(mats1, mats2):
         for i in range(d):
@@ -452,7 +437,8 @@ def hom_orbit_reps(group, dim, field):
     def recurse(assigned, images, symmetry):
         i = len(assigned)
         if i == len(gens):
-            comm = commutant_basis(field, assigned or [Mat.identity(field, dim)], dim)
+            mats = assigned or [Mat.identity(field, dim)]
+            comm = intertwiner_basis(field, mats, mats, dim)
             results.append((_leaf_rep(group, field, dim, images),
                             gl // unit_count_of_commutant(field, comm, dim)))
             return
@@ -486,7 +472,7 @@ def centralizer_or_full(field, M, dim):
     scalars."""
     if _is_scalar(M):
         return FULL_GL
-    basis = commutant_basis(field, [M], dim)
+    basis = intertwiner_basis(field, [M], [M], dim)
     return [(T, T.inverse()) for T in _span_units(field, basis, dim)]
 
 
@@ -499,15 +485,6 @@ def _acting_matrices(rep):
     return list(rep.images)
 
 
-def _stable(field, mats, rows, pivots):
-    for M in mats:
-        for r in rows:
-            img = M.apply(r)
-            if any(reduce_vector(field, img, rows, pivots)):
-                return False
-    return True
-
-
 def invariant_subspace(rep):
     """A proper nonzero stable subspace basis (RREF rows), or None iff irreducible.
 
@@ -516,11 +493,11 @@ def invariant_subspace(rep):
     """
     F = rep.field
     d = rep.dim
-    mats = _acting_matrices(rep)
+    maps = [M.apply for M in _acting_matrices(rep)]
     for k in range(1, d):
         for rows in all_subspaces(F, d, k):
             basis, pivots = rref(F, rows)
-            if _stable(F, mats, basis, pivots):
+            if is_stable(F, basis, pivots, maps):
                 return list(basis)
     return None
 
@@ -614,14 +591,8 @@ def isomorphic(rep1, rep2, cap=200000):
         return False
     m = len(basis)
     names = tuple(f"x{i}" for i in range(m))
-    entries = []
-    for i in range(d):
-        for j in range(d):
-            poly = MPoly.zero(F, names)
-            for t, B in enumerate(basis):
-                if B[i, j]:
-                    poly = poly + MPoly.var(F, names, names[t], F.elem(B[i, j]))
-            entries.append(poly)
+    entries = [MPoly.linear(F, names, [B.data[c] for B in basis])
+               for c in range(d * d)]
     detp = symbolic_det(F, names, entries, d)
     if detp.is_zero():
         return False

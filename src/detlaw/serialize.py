@@ -35,11 +35,19 @@ def poly_to_json(poly):
     }
 
 
+def _code(field, text):
+    """A field code read from JSON; anything outside 0..q-1 is a SchemaError."""
+    c = int(text)
+    if not 0 <= c < field.q:
+        raise SchemaError(f"code {c} outside 0..{field.q - 1}")
+    return c
+
+
 def poly_from_json(obj):
     try:
         F = field_from_json(obj["field"])
         names = tuple(obj["vars"])
-        pairs = [(tuple(int(e) for e in exps), F.coerce(int(c)))
+        pairs = [(tuple(int(e) for e in exps), _code(F, c))
                  for exps, c in obj["terms"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad polynomial: {exc}") from exc
@@ -52,7 +60,7 @@ def mat_to_json(m):
 
 def mat_from_json(field, rows):
     try:
-        data = [[int(x) for x in row] for row in rows]
+        data = [[_code(field, x) for x in row] for row in rows]
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad matrix: {exc}") from exc
     return Mat.from_rows(field, data)

@@ -122,7 +122,7 @@ def test_criterion_4_closed_point_bijection():
 
 def _split_m2_gma(field):
     A = matrix_algebra(field, 2)
-    units = [[[A.basis_vec(0)]], [[A.basis_vec(3)]]]
+    units = [[[A.basis[0]]], [[A.basis[3]]]]
     return GmaData(A, (1, 1), units)
 
 

@@ -12,10 +12,10 @@ F5 = make_field(5)
 def test_group_algebra_unit_and_associativity():
     A = group_algebra(symmetric(3), F5)
     assert A.n == 6
-    assert A.mul(A.unit, A.basis_vec(3)) == A.basis_vec(3)
-    x = A.add(A.basis_vec(1), A.smul(2, A.basis_vec(4)))
-    y = A.add(A.basis_vec(2), A.basis_vec(5))
-    z = A.basis_vec(3)
+    assert A.mul(A.unit, A.basis[3]) == A.basis[3]
+    x = A.add(A.basis[1], A.smul(2, A.basis[4]))
+    y = A.add(A.basis[2], A.basis[5])
+    z = A.basis[3]
     assert A.mul(A.mul(x, y), z) == A.mul(x, A.mul(y, z))
 
 
@@ -24,8 +24,8 @@ def test_group_algebra_mirrors_group_table():
     A = group_algebra(G, F3)
     for a in range(4):
         for b in range(4):
-            assert A.mul(A.basis_vec(a), A.basis_vec(b)) == \
-                A.basis_vec(G.table[a][b])
+            assert A.mul(A.basis[a], A.basis[b]) == \
+                A.basis[G.table[a][b]]
 
 
 def test_center_of_group_algebra_counts_conjugacy_classes():
@@ -37,7 +37,7 @@ def test_center_of_group_algebra_counts_conjugacy_classes():
 def test_ideal_generated_augmentation():
     G = cyclic(3)
     A = group_algebra(G, F3)
-    g_minus_1 = A.sub(A.basis_vec(1), A.basis_vec(0))
+    g_minus_1 = A.sub(A.basis[1], A.basis[0])
     I = ideal_generated(A, [g_minus_1])
     assert I.dim == 2
     # the whole augmentation ideal: sums of coefficients vanish
@@ -48,25 +48,25 @@ def test_ideal_generated_augmentation():
 def test_non_ideal_rejected():
     A = group_algebra(symmetric(3), F5)
     with pytest.raises(NotAnIdeal):
-        Ideal(A, [A.basis_vec(1)])
+        Ideal(A, [A.basis[1]])
 
 
 def test_quotient_ring_structure():
     G = cyclic(3)
     A = group_algebra(G, F3)
-    g_minus_1 = A.sub(A.basis_vec(1), A.basis_vec(0))
+    g_minus_1 = A.sub(A.basis[1], A.basis[0])
     I = ideal_generated(A, [g_minus_1])
     Q, project, lift = quotient(A, I)
     assert Q.n == 1
     # projection is a ring map
     for a in range(A.n):
         for b in range(A.n):
-            lhs = project(A.mul(A.basis_vec(a), A.basis_vec(b)))
-            rhs = Q.mul(project(A.basis_vec(a)), project(A.basis_vec(b)))
+            lhs = project(A.mul(A.basis[a], A.basis[b]))
+            rhs = Q.mul(project(A.basis[a]), project(A.basis[b]))
             assert lhs == rhs
     # lift splits the projection
     for j in range(Q.n):
-        assert project(lift(Q.basis_vec(j))) == Q.basis_vec(j)
+        assert project(lift(Q.basis[j])) == Q.basis[j]
 
 
 def test_trace_form_radical_detects_nonsemisimple():
@@ -79,4 +79,4 @@ def test_trace_form_radical_detects_nonsemisimple():
 
 
 def _regular_trace(A):
-    return [A.left_mult_matrix(A.basis_vec(i)).trace() for i in range(A.n)]
+    return [A.left_mult_matrix(A.basis[i]).trace() for i in range(A.n)]

@@ -1,7 +1,7 @@
 import pytest
 
 from detlaw.errors import NoEmbedding, NotPrime
-from detlaw.fields import FFElem, embed_code, embedding_table, make_field
+from detlaw.fields import embed_code, embedding_table, make_field
 
 
 def test_prime_field_arithmetic():
@@ -61,19 +61,15 @@ def test_coerce():
     assert F.coerce(7) == 7          # in-range values are codes
     assert F.coerce(-1) == 4         # out of range reduces mod p
     assert F.coerce(25) == 0
-    assert F.coerce(FFElem(F, 13)) == 13
 
 
-def test_ffelem_operators():
-    F = make_field(7)
-    a, b = F.elem(3), F.elem(5)
-    assert (a + b).code == 1
-    assert (a * b).code == 1
-    assert (a - b).code == 5
-    assert (a / b).code == F.mul(3, F.inv(5))
-    assert (a ** 3).code == 27 % 7
-    assert a + 4 == F.elem(0)
-    assert 2 * a == F.elem(6)
+def test_format_code():
+    # prime fields print the integer, extensions the coefficient list
+    assert make_field(7).format_code(5) == "5"
+    F = make_field(5, 2)
+    assert F.format_code(0) == "[0,0]"
+    assert F.format_code(7) == "[2,1]"
+    assert F.format_code(F.coerce(-1)) == "[4,0]"
 
 
 def test_embedding_is_ring_homomorphism():

@@ -19,7 +19,7 @@ F5 = make_field(5)
 def _m2_split_gma(field):
     """M_2(F) regarded as a type-(1,1) GMA on the diagonal idempotents."""
     A = matrix_algebra(field, 2)
-    units = [[[A.basis_vec(0)]], [[A.basis_vec(3)]]]
+    units = [[[A.basis[0]]], [[A.basis[3]]]]
     return GmaData(A, (1, 1), units)
 
 
@@ -67,11 +67,21 @@ def test_type_1_1_gma_on_m2():
 def test_broken_units_detected():
     A = matrix_algebra(F5, 2)
     # swap one idempotent for a non-idempotent element
-    units = [[[A.basis_vec(1)]], [[A.basis_vec(3)]]]
+    units = [[[A.basis[1]]], [[A.basis[3]]]]
     data = GmaData(A, (1, 1), units)
     assert not verify_gma(data).ok
     with pytest.raises(GmaAxiomFailure):
         canonical_det(data)
+
+
+def test_verify_gma_reports_the_first_counterexample():
+    # E_01 as the block-0 unit of a type-(1,1,1) structure on M_3(F_5):
+    # E_01 * E_01 = 0, so (UNIT) already fails on A^{0,0} = <E_01>
+    A = matrix_algebra(F5, 3)
+    units = [[[A.basis[1]]], [[A.basis[4]]], [[A.basis[8]]]]
+    report = verify_gma(GmaData(A, (1, 1, 1), units))
+    assert report.checks["unit_property"] == (False, (0, 0))
+    assert report.checks["matrix_units"] == (False, (0, 0, 0, 0, 0, 0))
 
 
 def test_gma_from_characters_s3():

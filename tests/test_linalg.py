@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from detlaw.errors import ShapeMismatch
 from detlaw.fields import make_field
 from detlaw.linalg import (Mat, all_subspaces, all_vectors, gl_order,
-                           intersect_spans, nullspace, proj_point_count,
-                           projective_points, rref, solve, span_dim)
+                           intersect_spans, is_stable, nullspace,
+                           proj_point_count, projective_points, rref, solve,
+                           span_closure, span_dim)
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -158,6 +159,17 @@ def test_rref_idempotent_and_canonical():
     # scaled generators give the same canonical basis
     scaled = [tuple(F5.mul(3, x) for x in r) for r in rows]
     assert rref(F5, scaled)[0] == basis
+
+
+def test_span_closure_is_the_smallest_stable_subspace():
+    shift = Mat.from_rows(F3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])  # e2 -> e1 -> e0
+    maps = [shift.apply]
+    basis, pivots = span_closure(F3, [(0, 2, 0)], maps)
+    assert (basis, pivots) == ([(1, 0, 0), (0, 1, 0)], [0, 1])
+    assert is_stable(F3, basis, pivots, maps)
+    assert not is_stable(F3, *rref(F3, [(0, 1, 0)]), maps)
+    # with no maps the closure is the span
+    assert span_closure(F3, [(1, 1, 2), (2, 2, 1)], []) == rref(F3, [(1, 1, 2)])
 
 
 def test_nullspace_annihilates():

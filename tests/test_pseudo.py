@@ -1,6 +1,8 @@
 import pytest
 
-from detlaw.algebras import FinAlgebra, group_algebra, ideal_generated
+import detlaw.pseudo as pseudo_mod
+from detlaw.algebras import FinAlgebra, Ideal, group_algebra, ideal_generated
+from detlaw.errors import InvariantViolation
 from detlaw.fields import make_field
 from detlaw.groups import cyclic, dihedral, symmetric
 from detlaw.linalg import Mat
@@ -103,7 +105,7 @@ def test_trace_form_is_symmetric(group, field):
     tr = D.trace_form()
 
     def form(i, j):
-        prod = A.mul(A.basis_vec(i), A.basis_vec(j))
+        prod = A.mul(A.basis[i], A.basis[j])
         return sum(c * t for c, t in zip(prod, tr)) % field.p
 
     for i in range(A.n):
@@ -143,7 +145,7 @@ def test_ch_quotient_verifies_and_shrinks():
     # the law factors: D = DQ o project on every basis vector combination
     A = D.source
     for i in range(A.n):
-        v = A.basis_vec(i)
+        v = A.basis[i]
         assert D.evaluate(v) == DQ.evaluate(project(v))
 
 
@@ -174,6 +176,50 @@ def test_split_search_cube_roots_needs_degree_2():
     field, split = split_search(D)
     assert field.k == 2
     assert PseudoRep.induce(split).equals(D.base_change(field))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_split_search_on_a_matrix_algebra(p):
+    # M_2(F) is no group algebra: its factors come from cyclic-vector spans
+    # of the regular module
+    F = make_field(p)
+    D = det_law(F, 2)
+    field, rep = split_search(D)
+    assert field == F
+    assert PseudoRep.induce(rep).equals(D)
+
+
+def test_split_search_rejects_two_factor_multisets(monkeypatch):
+    # every match is found twice and every multiset key differs
+    keys = iter(range(1000))
+
+    class DistinctKeys:
+        def __init__(self, factors):
+            pass
+
+        def multiset_key(self):
+            return next(keys)
+
+    dim_multisets = pseudo_mod._dim_multisets
+    monkeypatch.setattr(pseudo_mod, "JHDecomposition", DistinctKeys)
+    monkeypatch.setattr(pseudo_mod, "_dim_multisets",
+                        lambda irs, d: dim_multisets(irs, d) * 2)
+    cs = characters(symmetric(3), F5)
+    with pytest.raises(InvariantViolation) as info:
+        split_search(PseudoRep.induce(direct_sum(cs[0], cs[1])))
+    assert len(info.value.witness) == 2
+
+
+def test_ch_quotient_rejects_a_law_that_does_not_factor(monkeypatch):
+    # the whole algebra in place of the Cayley-Hamilton ideal
+    monkeypatch.setattr(pseudo_mod, "ch_ideal",
+                        lambda D: Ideal(D.source, D.source.basis))
+    cs = characters(cyclic(3), F7)
+    D = PseudoRep.induce(direct_sum(cs[0], cs[1]))
+    with pytest.raises(InvariantViolation) as info:
+        ch_quotient(D)
+    exps, code = info.value.witness
+    assert len(exps) == 3 + 3 and code
 
 
 def test_tautological_rep_induces_det():

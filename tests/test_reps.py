@@ -4,7 +4,7 @@ from detlaw.fields import make_field
 from detlaw.groups import cyclic, dihedral, symmetric
 from detlaw.linalg import Mat, gl_order
 from detlaw.reps import (Representation, centralizer_or_full, characters,
-                         commutant_basis, conjugate_rep, direct_sum,
+                         conjugate_rep, direct_sum,
                          enumerate_reps, gl_elements,
                          hom_orbit_reps, intertwiner_basis, invariant_subspace,
                          irreducible_reps, isomorphic, order_candidates,
@@ -106,7 +106,7 @@ def test_centralizer_is_the_brute_force_commutant(F, d, data):
     assert len({g.data for g, _ in pairs}) == len(pairs)
     eye = Mat.identity(F, d)
     assert all(g * ginv == eye and ginv * g == eye for g, ginv in pairs)
-    basis = commutant_basis(F, [M], d)
+    basis = intertwiner_basis(F, [M], [M], d)
     assert unit_count_of_commutant(F, basis, d) == len(pairs)
 
 
@@ -182,7 +182,7 @@ def test_irreducible_has_no_invariant_subspace():
            if invariant_subspace(r) is None]
     assert irr, "S3 has a 2-dimensional irreducible over F_5"
     for r in irr:
-        assert commutant_basis(r.field, r.images, r.dim)
+        assert intertwiner_basis(r.field, r.images, r.images, r.dim)
 
 
 def test_semisimplify_idempotent():
@@ -208,7 +208,7 @@ def test_intertwiner_basis_schur():
     irr = next(r for r, _ in hom_orbit_reps(S3, 2, F5)
                if invariant_subspace(r) is None)
     # Schur: commutant of an absolutely irreducible rep is the scalars
-    assert len(commutant_basis(irr.field, irr.images, irr.dim)) == 1
+    assert len(intertwiner_basis(irr.field, irr.images, irr.images, irr.dim)) == 1
     triv2 = trivial_rep(S3, F5, 2)
     assert len(intertwiner_basis(F5, irr.images, triv2.images, 2)) == 0
 

@@ -128,6 +128,22 @@ def test_instance_with_characters_and_inertia():
     assert inst.characters["triv"].check()
 
 
+def test_out_of_range_codes_are_rejected():
+    F7 = make_field(7)
+    poly = {"field": field_to_json(F7), "vars": ["x0"], "terms": [[["1"], "9"]]}
+    with pytest.raises(SchemaError):
+        poly_from_json(poly)
+    poly["terms"] = [[["1"], "-1"]]
+    with pytest.raises(SchemaError):
+        poly_from_json(poly)
+    poly["terms"] = [[["1"], "6"]]
+    assert poly_from_json(poly).terms == {(1,): 6}
+    rep = {"field": field_to_json(F7), "dim": "1",
+           "images": [[["1"]], [["8"]]]}
+    with pytest.raises(SchemaError):
+        rep_from_json(symmetric(2), rep)
+
+
 def test_schema_errors():
     with pytest.raises(SchemaError):
         field_from_json({"p": "four"})
