@@ -10,6 +10,7 @@ from functools import cached_property, partial
 from .errors import BadGroupTable, NotAnIdeal
 from .linalg import (Mat, in_span, is_stable, nullspace, reduce_vector, rref,
                      span_closure)
+from .poly import MPoly, _add_into
 
 
 class FinAlgebra:
@@ -54,34 +55,45 @@ class FinAlgebra:
         return tuple(F.mul(c, a) for a in x)
 
     def mul(self, x, y):
+        """The product of coordinate vectors: two table lookups per structure
+        constant when the field has tables; on F[G], the convolution."""
         F = self.field
         out = [0] * self.n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
+        xs = [(i, xi) for i, xi in enumerate(x) if xi]
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        if F._mul is None:
+            for i, xi in xs:
+                row = self.sc[i]
+                for j, yj in ys:
+                    c = F.mul(xi, yj)
+                    for k, s in row[j]:
+                        out[k] = F.add(out[k], F.mul(c, s))
+            return tuple(out)
+        tmul, tadd, q = F._mul, F._add, F.q
+        for i, xi in xs:
             row = self.sc[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = F.mul(xi, yj)
+            xq = xi * q
+            for j, yj in ys:
+                cq = tmul[xq + yj] * q
                 for k, s in row[j]:
-                    out[k] = F.add(out[k], F.mul(c, s))
+                    out[k] = tadd[out[k] * q + tmul[cq + s]]
         return tuple(out)
 
     def mul_poly(self, x, y, zero):
-        """Multiply vectors whose coordinates are MPoly (or anything with +/*)."""
-        out = [zero] * self.n
+        """Multiply vectors whose coordinates are MPoly in the field and
+        variables of ``zero``, adding each product into the result in place."""
+        F = zero.field
+        out = [{} for _ in range(self.n)]
+        ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero()]
         for i, xi in enumerate(x):
             if xi.is_zero():
                 continue
             row = self.sc[i]
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
+            for j, yj in ys:
                 c = xi * yj
                 for k, s in row[j]:
-                    out[k] = out[k] + c.scale(s)
-        return tuple(out)
+                    _add_into(F, out[k], (c if s == 1 else c.scale(s)).terms.items())
+        return tuple(MPoly(F, zero.vars, t) for t in out)
 
     # --- verification ---
 
@@ -107,22 +119,6 @@ class FinAlgebra:
         cols = [self.mul(x, e) for e in self.basis]
         data = [cols[j][i] for i in range(self.n) for j in range(self.n)]
         return Mat(self.field, self.n, self.n, data)
-
-    def center_dim(self):
-        rows = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                diff = self.sub(self.mul(self.basis[j], self.basis[i]),
-                                self.mul(self.basis[i], self.basis[j]))
-                row.append(diff)
-            rows.append(row)
-        # x = sum a_j e_j central  <=>  for all i: sum_j a_j (e_j e_i - e_i e_j) = 0
-        eqs = []
-        for i in range(self.n):
-            for k in range(self.n):
-                eqs.append(tuple(rows[i][j][k] for j in range(self.n)))
-        return len(nullspace(self.field, eqs, self.n))
 
     def trace_form_radical(self, tr):
         """Basis of the radical of the bilinear form (x, y) -> tr(x*y), where
@@ -151,6 +147,15 @@ class GroupAlgebra(FinAlgebra):
         labels = [f"g{i}" for i in range(n)]
         super().__init__(field, labels, sc, unit, check=False, name=f"F[{group.name}]")
         self.group = group
+
+    def multiplication_maps(self):
+        """x -> g x and x -> x g for each generator g of G, as coordinate
+        permutations.  A subspace stable under these is stable under every
+        group element (g^-1 is a power of g), so it is a two-sided ideal."""
+        G = self.group
+        perms = [p for h in map(G.inverse, G.generators)
+                 for p in (G.table[h], tuple(row[h] for row in G.table))]
+        return [lambda x, p=p: tuple(map(x.__getitem__, p)) for p in perms]
 
 
 def group_algebra(group, field):

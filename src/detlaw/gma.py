@@ -8,6 +8,7 @@ data (primitive idempotents E^l, the coordinate modules A^{l,m}, scalar
 extractions) is computed from these lifts.
 """
 
+from functools import cached_property
 from itertools import permutations, product
 from operator import add, le, sub
 
@@ -51,6 +52,11 @@ class GmaData:
         for j in range(self.type[i]):
             acc = A.add(acc, self.units[i][j][j])
         return acc
+
+    @cached_property
+    def report(self):
+        """The GmaReport of verify_gma, computed once: the data is fixed."""
+        return verify_gma(self)
 
     def module_basis(self, l, m):
         """Canonical basis of A^{l,m} = E^l R E^m."""
@@ -225,9 +231,8 @@ def canonical_det(data, start="min"):
     the result is independent of the choice, which callers may verify by
     comparing both.
     """
-    report = verify_gma(data)
-    if not report.ok:
-        raise GmaAxiomFailure(f"GMA axioms fail: {report.failures()}")
+    if not data.report.ok:
+        raise GmaAxiomFailure(f"GMA axioms fail: {data.report.failures()}")
     A = data.parent
     F = data.field
     d = data.d

@@ -21,6 +21,7 @@ class FiniteGroup:
         self.generators = tuple(generators)
         if not self._generates(self.generators):
             raise BadGroupTable("given generators do not generate the group")
+        self._check_associative()
         self.inertia = frozenset(inertia) if inertia is not None else None
         if self.inertia is not None and not self._is_subgroup(self.inertia):
             raise BadGroupTable("inertia set is not a subgroup")
@@ -33,13 +34,19 @@ class FiniteGroup:
         for col in range(n):
             if sorted(self.table[r][col] for r in range(n)) != list(range(n)):
                 raise BadGroupTable("table columns must be permutations of 0..n-1")
-        # associativity: spot-verified on all triples at desk scale
-        for a in range(n):
-            for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                        raise BadGroupTable(f"associativity fails at ({a},{b},{c})")
+
+    def _check_associative(self):
+        """Light's test: (a g) c = a (g c) for every generator g and all a, c.
+        The elements g that pass hold the identity and are closed under
+        products, so once the generators pass, every element does."""
+        t = self.table
+        for g in self.generators:
+            tg = t[g]
+            for a, row in enumerate(t):
+                ag = t[row[g]]
+                if ag != tuple(map(row.__getitem__, tg)):
+                    c = next(c for c in range(self.order) if ag[c] != row[tg[c]])
+                    raise BadGroupTable(f"associativity fails at ({a},{g},{c})")
 
     def _find_identity(self):
         for e in range(self.order):

@@ -415,18 +415,26 @@ class MPoly:
 
 def symbolic_det(field, names, entries, d):
     """The determinant of a d x d matrix of MPoly entries (row-major), by
-    the Leibniz formula, summed in permutation order."""
-    one = MPoly.const(field, names, 1)
+    the Leibniz formula, summed in permutation order.  Entries are packed once
+    unless the field is untabled or the rows' exponent bounds sum past a byte."""
+    nv = len(names)
+    packed = field._mul is not None
+    if packed:
+        pairs = [_pack(field, e.terms, nv) for e in entries]
+        reach = sum(max(top for _, top in pairs[i * d:(i + 1) * d]) for i in range(d))
+        packed = reach < PACK_LIMIT
+    terms = [p for p, _ in pairs] if packed else [e.terms for e in entries]
+    one = 0 if packed else (0,) * nv
     minus_one = field.neg(1)
     acc = {}
     for perm in permutations(range(d)):
-        term = one
+        term = {one: 1}
         for i, j in enumerate(perm):
-            term = term * entries[i * d + j]
-            if term.is_zero():
+            term = _mul_terms(field, term, terms[i * d + j], packed)
+            if not term:
                 break
-        if not term.is_zero():
+        if term:
             if _perm_sign(perm) < 0:
-                term = term.scale(minus_one)
-            _add_into(field, acc, term.terms.items())
-    return MPoly(field, names, acc)
+                term = {k: field.mul(c, minus_one) for k, c in term.items()}
+            _add_into(field, acc, term.items())
+    return MPoly(field, names, _unpack(acc, nv) if packed else acc)

@@ -10,7 +10,7 @@ so identities checked here hold after arbitrary base change.
 
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
 from .errors import (InvariantViolation, NotFoundWithinBound, SchemaError,
-                     SearchCapExceeded, VariableMismatch)
+                     SearchCapExceeded, ShapeMismatch, VariableMismatch)
 from .fields import make_field
 from .linalg import (Mat, combine, proj_point_count, projective_points, rref,
                      span_closure)
@@ -177,7 +177,8 @@ def _drop_var(poly, name):
 
 def from_group_rep(rep):
     """Reinterpret a group representation as a group-algebra representation."""
-    assert rep.is_group_rep
+    if not rep.is_group_rep:
+        raise ShapeMismatch(f"not a group representation: source {rep.source!r}")
     A = GroupAlgebra(rep.source, rep.field)
     return Representation(A, rep.field, rep.dim, rep.images, check_now=False)
 
@@ -267,14 +268,14 @@ def ch_ideal(D):
     """The obstruction ideal: generated by all coefficient extractions of
     chi(x, x) at the generic element."""
     A = D.source
-    vec = ch_element(D)
-    exps = set()
-    for c in vec:
-        exps.update(c.terms)
-    gens = []
-    for e in sorted(exps):
-        gens.append(tuple(c.terms.get(e, 0) for c in vec))
-    return ideal_generated(A, gens)
+    rows = {}  # exponent -> coefficient of x^e in each coordinate
+    for k, c in enumerate(ch_element(D)):
+        for e, v in c.terms.items():
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = [0] * A.n
+            row[k] = v
+    return ideal_generated(A, [tuple(rows[e]) for e in sorted(rows)])
 
 
 def ch_quotient(D):

@@ -34,7 +34,8 @@ class Representation:
         return isinstance(self.source, FiniteGroup)
 
     def generator_images(self):
-        assert self.is_group_rep
+        if not self.is_group_rep:
+            raise ShapeMismatch(f"generator images need a group source, not {self.source!r}")
         return [self.images[g] for g in self.source.generators]
 
     def check(self):
@@ -109,7 +110,8 @@ def conjugate_rep(rep, g):
 
 
 def direct_sum(rep1, rep2):
-    assert rep1.source is rep2.source and rep1.field == rep2.field
+    if rep1.source is not rep2.source or rep1.field != rep2.field:
+        raise ShapeMismatch(f"direct sum across sources or fields: {rep1!r}, {rep2!r}")
     F = rep1.field
     d1, d2 = rep1.dim, rep2.dim
     images = []

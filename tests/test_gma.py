@@ -1,7 +1,10 @@
+import os
 from itertools import permutations
 
 import pytest
 
+import detlaw.gma as gma_mod
+from detlaw.cli import main
 from detlaw.errors import GmaAxiomFailure, HypothesisViolation
 from detlaw.fields import make_field
 from detlaw.gma import (GmaData, adapted_points, adapted_scheme, canonical_det,
@@ -177,3 +180,13 @@ def test_three_block_adapted_scheme_a4():
     assert len(torus_orbits(scheme, F4, points)) == 13
     for rep in reps:
         assert PseudoRep.induce(rep).equals(law)
+
+
+def test_gma_det_job_verifies_the_gma_once(monkeypatch, capsys):
+    runs = []
+    verify = gma_mod.verify_gma
+    monkeypatch.setattr(gma_mod, "verify_gma", lambda data: runs.append(data) or verify(data))
+    inst = os.path.join(os.path.dirname(__file__), "instances", "s3_f3.json")
+    assert main(["gma-det", inst]) == 0
+    assert '"start_invariant": true' in capsys.readouterr().out
+    assert len(runs) == 1

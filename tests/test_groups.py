@@ -83,3 +83,36 @@ def test_inverse():
     S3 = symmetric(3)
     for g in range(6):
         assert S3.table[g][S3.inverse(g)] == S3.identity
+
+
+# A Latin square with identity 0 that is not associative: a loop of order 5,
+# the smallest order at which a loop need not be a group.
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def _associative_n3(table):
+    """Oracle: associativity on all n^3 triples."""
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+@pytest.mark.parametrize("generators", [None, [1, 2], [3, 4, 1]])
+def test_light_test_rejects_a_loop(generators):
+    assert not _associative_n3(LOOP5)
+    with pytest.raises(BadGroupTable, match="associativity fails"):
+        FiniteGroup(LOOP5, generators=generators)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclic(7), lambda: dihedral(5), lambda: symmetric(3),
+    lambda: symmetric(4), lambda: direct_product(cyclic(3), symmetric(3)),
+    lambda: semidirect_cyclic_squared(3, 2, 2)])
+def test_light_test_agrees_with_the_n3_oracle(build):
+    G = build()
+    assert _associative_n3(G.table)
+    FiniteGroup(G.table)  # Light's test also passes on the default generators

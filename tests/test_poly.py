@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 import detlaw.poly as poly_mod
 from detlaw.errors import VariableMismatch
 from detlaw.fields import make_field
-from detlaw.poly import MPoly
+from detlaw.linalg import _perm_sign
+from detlaw.poly import MPoly, symbolic_det
 
 F5 = make_field(5)
 XY = ("x", "y")
@@ -262,3 +265,54 @@ def test_substitute_matches_reference_loop(data):
     got = p.substitute(images)
     assert got.vars == dst
     assert list(got.terms.items()) == list(_ref_substitute(p, images).items())
+
+
+def _ref_symbolic_det(F, names, entries, d):
+    """The Leibniz sum as one MPoly product per entry, summed by copying."""
+    acc = MPoly.zero(F, names)
+    for perm in permutations(range(d)):
+        term = MPoly.const(F, names, 1)
+        for i, j in enumerate(perm):
+            term = term * entries[i * d + j]
+        if _perm_sign(perm) < 0:
+            term = term.scale(F.neg(1))
+        acc = acc + term
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_symbolic_det_matches_reference_loop(data):
+    F = data.draw(_FIELDS)
+    names = ("a", "b", "c")[:data.draw(st.integers(1, 3))]
+    d = data.draw(st.integers(1, 3))
+    entries = [data.draw(_sparse(F, names, 2)) for _ in range(d * d)]
+    got = symbolic_det(F, names, entries, d)
+    assert list(got.terms.items()) == \
+        list(_ref_symbolic_det(F, names, entries, d).terms.items())
+
+
+def _det_entries(F, top):
+    """A 2x2 matrix whose rows' exponent bounds are both ``top``, so the
+    bounds sum to 2 * top."""
+    return [MPoly.from_terms(F, XY, [((top, 0), 1), ((0, 1), 2)]), x() + 1,
+            MPoly.from_terms(F, XY, [((top, 1), 3), ((0, 2), 1)]), y() * y()]
+
+
+@pytest.mark.parametrize("top, packed", [(127, True), (128, False), (300, False)])
+def test_symbolic_det_packs_below_the_byte_limit(monkeypatch, top, packed):
+    entries = _det_entries(F5, top)
+    calls = _count_kernel_calls(monkeypatch)
+    got = symbolic_det(F5, XY, entries, 2)
+    assert {p for _same, p in calls} == {packed}
+    assert list(got.terms.items()) == \
+        list(_ref_symbolic_det(F5, XY, entries, 2).terms.items())
+
+
+def test_symbolic_det_untabled_field_takes_the_tuple_path(monkeypatch):
+    entries = [MPoly.var(F257, XY, "x", c) + c for c in (3, 256, 1, 200)]
+    calls = _count_kernel_calls(monkeypatch)
+    got = symbolic_det(F257, XY, entries, 2)
+    assert {p for _same, p in calls} == {False}
+    assert list(got.terms.items()) == \
+        list(_ref_symbolic_det(F257, XY, entries, 2).terms.items())

@@ -2,7 +2,7 @@ import pytest
 
 import detlaw.pseudo as pseudo_mod
 from detlaw.algebras import FinAlgebra, Ideal, group_algebra, ideal_generated
-from detlaw.errors import InvariantViolation
+from detlaw.errors import InvariantViolation, ShapeMismatch
 from detlaw.fields import make_field
 from detlaw.groups import cyclic, dihedral, symmetric
 from detlaw.linalg import Mat
@@ -238,3 +238,25 @@ def test_multiplicativity_catches_fakes():
     fake = MPoly.var(F3, xs, "x0") ** 2 + MPoly.var(F3, xs, "x1") ** 2
     D = PseudoRep(A, 2, fake, check=False)
     assert not D.is_multiplicative()
+
+
+def test_group_rep_views_reject_an_algebra_source():
+    rep = tautological_rep(F5, 2)
+    with pytest.raises(ShapeMismatch):
+        rep.generator_images()
+    with pytest.raises(ShapeMismatch):
+        from_group_rep(rep)
+
+
+def test_ch_ideal_rows_are_the_coefficients_of_chi(monkeypatch):
+    # one generator per exponent of chi(x, x), in sorted exponent order
+    cs = characters(symmetric(3), F5)
+    D = PseudoRep.induce(direct_sum(cs[0], cs[1]))
+    vec = pseudo_mod.ch_element(D)
+    exps = sorted({e for c in vec for e in c.terms})
+    seen = []
+    monkeypatch.setattr(pseudo_mod, "ideal_generated",
+                        lambda A, gens: seen.append(gens) or ideal_generated(A, gens))
+    I = ch_ideal(D)
+    assert seen == [[tuple(c.terms.get(e, 0) for c in vec) for e in exps]]
+    assert I == ideal_generated(D.source, seen[0])

@@ -1,5 +1,6 @@
 import pytest
 
+from detlaw.errors import ShapeMismatch
 from detlaw.fields import make_field
 from detlaw.groups import cyclic, dihedral, symmetric
 from detlaw.linalg import Mat, gl_order
@@ -174,6 +175,14 @@ def test_direct_sum_and_invariant_subspace():
     sub, quo = sub_quotient_reps(rep, rows)
     assert sub.dim == 1 and quo.dim == 1
     assert sub.check() and quo.check()
+
+
+def test_direct_sum_rejects_mixed_sources_and_fields():
+    cs = characters(symmetric(3), F7)
+    with pytest.raises(ShapeMismatch):
+        direct_sum(cs[0], characters(symmetric(3), F7)[0])  # another S3 object
+    with pytest.raises(ShapeMismatch):
+        direct_sum(trivial_rep(cs[0].source, F5), trivial_rep(cs[0].source, F7))
 
 
 def test_irreducible_has_no_invariant_subspace():
