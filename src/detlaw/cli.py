@@ -2,16 +2,19 @@
 
 Reads an instance file (group, field, optional characters and inertia),
 dispatches one computation, and prints a JSON report, or a short human
-summary with --output summary.  Domain errors exit with status 2 and a
-structured error object; all integers in reports are decimal strings.
+summary with --output summary.  Domain errors print a structured error object
+and exit with status 2, or 3 when a checked mathematical claim fails
+(InvariantViolation); all integers in reports are decimal strings.  If stdout
+closes before the output is written, the exit status is 1.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .cohomology import ext1, fiber_stratify
-from .errors import DetlawError, SchemaError
+from .errors import DetlawError, InvariantViolation, SchemaError
 from .gma import (adapted_points, adapted_scheme, canonical_det,
                   gma_from_characters, torus_orbits, verify_gma)
 from .moduli import orbit_partition, psi_fiber
@@ -29,15 +32,25 @@ def main(argv=None):
         report = args.func(args)
     except DetlawError as exc:
         err = {"error": {"code": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(err, sort_keys=True))
-        return 2
-    if args.output == "summary":
-        for line in report.get("summary", [json.dumps(report, sort_keys=True)]):
-            print(line)
+        lines = [json.dumps(err, sort_keys=True)]
+        code = 3 if isinstance(exc, InvariantViolation) else 2
     else:
-        report.pop("summary", None)
-        print(json.dumps(report, sort_keys=True, indent=2))
-    return 0
+        code = 0
+        if args.output == "summary":
+            lines = report.get("summary", [json.dumps(report, sort_keys=True)])
+        else:
+            report.pop("summary", None)
+            lines = [json.dumps(report, sort_keys=True, indent=2)]
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit
+        # does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 def _build_parser():

@@ -116,7 +116,9 @@ def _orbits_direct(group, dim, field):
         orbit = set()
         for g in gl:
             c = conjugate_rep(r, g)
-            assert c.images in index, "conjugation left the point set"
+            if c.images not in index:
+                raise InvariantViolation("conjugation left the point set",
+                                         witness=(r.images, g))
             orbit.add(c.images)
         seen |= orbit
         out.append((r, len(orbit)))
@@ -218,8 +220,9 @@ def word_invariants(report, maxlen=3):
     for o in report.orbits:
         v = word_invariant_vector(o.rep, maxlen)
         for g in samples:
-            assert word_invariant_vector(conjugate_rep(o.rep, g), maxlen) == v, \
-                "invariant vector varies on an orbit"
+            if word_invariant_vector(conjugate_rep(o.rep, g), maxlen) != v:
+                raise InvariantViolation("invariant vector varies on an orbit",
+                                         witness=(o.rep.images, g))
         vectors.append(v)
     return vectors
 

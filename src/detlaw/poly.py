@@ -374,7 +374,9 @@ class MPoly:
         return MPoly(target, self.vars, terms)
 
     def rename(self, variables):
-        assert len(variables) == len(self.vars)
+        if len(variables) != len(self.vars):
+            raise VariableMismatch(f"cannot rename {len(self.vars)} variables "
+                                   f"to {len(variables)}")
         return MPoly(self.field, tuple(variables), dict(self.terms))
 
     def sorted_terms(self):

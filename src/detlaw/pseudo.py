@@ -8,6 +8,9 @@ an exact polynomial computation: the generic element is a universal point,
 so identities checked here hold after arbitrary base change.
 """
 
+from collections import Counter
+from itertools import chain, combinations_with_replacement, product, repeat
+
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
 from .errors import (InvariantViolation, NotFoundWithinBound, SchemaError,
                      SearchCapExceeded, ShapeMismatch, VariableMismatch)
@@ -169,7 +172,9 @@ class PseudoRep:
 
 def _drop_var(poly, name):
     i = poly.vars.index(name)
-    assert all(e[i] == 0 for e in poly.terms)
+    left = [e for e in poly.terms if e[i]]
+    if left:
+        raise InvariantViolation(f"polynomial still depends on {name}", witness=left[0])
     newvars = poly.vars[:i] + poly.vars[i + 1:]
     terms = {e[:i] + e[i + 1:]: c for e, c in poly.terms.items()}
     return MPoly(poly.field, newvars, terms)
@@ -237,78 +242,96 @@ def _generic_element(A):
     return tuple(MPoly.var(F, xs, v) for v in xs)
 
 
-def ch_element(D):
-    """chi(x, x) at the generic element, as a vector of coordinate polynomials."""
-    A = D.source
-    F = A.field
-    xs = generic_vars(A.n)
-    zero = MPoly.zero(F, xs)
-    xi = _generic_element(A)
-    lambdas = D.lambda_polys()
-    powers = [tuple(MPoly.const(F, xs, u) for u in A.unit)]
-    for _ in range(D.d):
-        powers.append(A.mul_poly(powers[-1], xi, zero))
-    acc = list(powers[D.d])
-    sign = 1
-    for i in range(1, D.d + 1):
-        sign = -sign
-        coeff = lambdas[i - 1] if sign > 0 else lambdas[i - 1].scale(F.neg(1))
-        vec = powers[D.d - i]
-        for k in range(A.n):
-            acc[k] = acc[k] + coeff * vec[k]
-    return tuple(acc)
-
-
 def is_cayley_hamilton(D):
     """True iff the generic element satisfies its characteristic polynomial."""
-    return all(c.is_zero() for c in ch_element(D))
+    return not ch_ideal(D).basis
 
 
 def ch_ideal(D):
-    """The obstruction ideal: generated by all coefficient extractions of
-    chi(x, x) at the generic element."""
+    """The obstruction ideal, generated by the coefficients of chi(x, x) at
+    the generic element, computed one monomial at a time with no symbolic
+    chi(x, x).
+
+    For a multiset m of d basis indices the coefficient of x^m is
+    sum_i (-1)^i sum_{m' <= m, |m'| = i} L_i[m'] S(m - m'), with L_0 = 1,
+    where S(k), the coefficient of x^k in x^|k|, is the sum of the products
+    of k's basis elements over its distinct orderings.  On a group algebra
+    D and every L_i are conjugation invariant, so chi(h x h^-1) =
+    h chi(x) h^-1 and one multiset per simultaneous-conjugation orbit
+    generates the same two-sided ideal.
+    """
     A = D.source
-    rows = {}  # exponent -> coefficient of x^e in each coordinate
-    for k, c in enumerate(ch_element(D)):
-        for e, v in c.terms.items():
-            row = rows.get(e)
-            if row is None:
-                row = rows[e] = [0] * A.n
-            row[k] = v
-    return ideal_generated(A, [tuple(rows[e]) for e in sorted(rows)])
+    F = A.field
+    n = A.n
+    minus_one = F.neg(1)
+    lams = [{(): 1}]  # (-1)^i L_i, keyed by the sorted indices of a monomial
+    for i, L in enumerate(D.lambda_polys(), start=1):
+        lams.append({tuple(chain.from_iterable(map(repeat, range(n), e))):
+                     F.mul(c, minus_one) if i % 2 else c
+                     for e, c in L.terms.items()})
+    powers = {(): {j: c for j, c in enumerate(A.unit) if c}}
+
+    def power_coeff(k):
+        """S(k), memoized by S(k) = sum over distinct g in k of e_g S(k - g)."""
+        v = powers.get(k)
+        if v is None:
+            v = {}
+            for g in dict.fromkeys(k):
+                i = k.index(g)
+                for j, c in power_coeff(k[:i] + k[i + 1:]).items():
+                    for t, s in A.sc[g][j]:
+                        v[t] = F.add(v.get(t, 0), F.mul(c, s))
+            v = powers[k] = {t: c for t, c in v.items() if c}
+        return v
+
+    conjugations = []
+    if isinstance(A, GroupAlgebra):
+        G = A.group
+        conjugations = [tuple(G.table[G.table[h][g]][G.inverse(h)] for g in range(n))
+                        for h in range(n)]
+    seen = set()
+    rows = []
+    for m in combinations_with_replacement(range(n), D.d):
+        if m in seen:
+            continue
+        seen.update(tuple(sorted(map(p.__getitem__, m))) for p in conjugations)
+        counts = list(Counter(m).items())
+        row = [0] * n
+        for take in product(*(range(k + 1) for _, k in counts)):
+            sub, rest = (), ()
+            for (g, k), t in zip(counts, take):
+                sub += (g,) * t
+                rest += (g,) * (k - t)
+            c = lams[len(sub)].get(sub)
+            if c:
+                for j, v in power_coeff(rest).items():
+                    row[j] = F.add(row[j], F.mul(c, v))
+        if any(row):
+            rows.append(tuple(row))
+    return ideal_generated(A, rows)
 
 
 def ch_quotient(D):
     """(Q, D_Q, project, lift): the universal Cayley-Hamilton quotient and the
-    factored law.  Factoring is verified exactly: D is invariant under adding
-    a generic ideal element."""
+    factored law.  Factoring is verified exactly: D(x) = D_Q(project(x)) at
+    the generic x.  Since x - lift(project(x)) lies in the ideal, this holds
+    iff D(x + s) = D(x) for every s in the ideal."""
     A = D.source
     F = A.field
-    I = ch_ideal(D)
-    _assert_factors_through(D, I)
-    Q, project, lift = quotient(A, I)
+    Q, project, lift = quotient(A, ch_ideal(D))
+    xs = D.poly.vars
     ys = generic_vars(Q.n)
     lifts = [lift(e) for e in Q.basis]
-    images = {x: MPoly.linear(F, ys, [v[i] for v in lifts])
-              for i, x in enumerate(D.poly.vars)}
-    DQ = PseudoRep(Q, D.d, D.poly.substitute(images))
-    return Q, DQ, project, lift
-
-
-def _assert_factors_through(D, ideal):
-    """Check D(x + s) = D(x) for the generic x and a generic s of the ideal;
-    raise InvariantViolation, with the leading term of the difference, if
-    not."""
-    F = D.field
-    xs = D.poly.vars
-    ext = xs + tuple(f"s{j}" for j in range(len(ideal.basis)))
-    shifted = D.poly.substitute({
-        x: MPoly.linear(F, ext, e + tuple(v[i] for v in ideal.basis))
-        for i, (x, e) in enumerate(zip(xs, D.source.basis))})
-    base = D.poly.substitute({x: MPoly.var(F, ext, x) for x in xs})
-    if shifted != base:
+    DQ = PseudoRep(Q, D.d, D.poly.substitute(
+        {x: MPoly.linear(F, ys, [v[i] for v in lifts]) for i, x in enumerate(xs)}))
+    cols = [project(e) for e in A.basis]
+    back = (DQ.poly.substitute({y: MPoly.linear(F, xs, [c[j] for c in cols])
+                                for j, y in enumerate(ys)})
+            if ys else MPoly.const(F, xs, DQ.poly.constant_code()))
+    if back != D.poly:
         raise InvariantViolation("law does not factor through the quotient",
-                                 witness=(shifted - base).sorted_terms()[0])
+                                 witness=(D.poly - back).sorted_terms()[0])
+    return Q, DQ, project, lift
 
 
 # --- kernel and nilpotency ---
@@ -316,29 +339,30 @@ def _assert_factors_through(D, ideal):
 def kernel(D, cap=200000):
     """ker(D) = {r : chi(r r', t) = t^d for the generic r'}, as a verified ideal.
 
-    The linear constraints from L_1 cut the candidate space down first; the
-    remaining conditions (all L_i vanish on r x identically in x) are checked
-    on projective representatives of that subspace.
+    D = D_Q o project on the Cayley-Hamilton quotient Q, and project is onto,
+    so ker(D) = CH(D) + lift(ker(D_Q)).  In Q the linear constraints from L_1
+    cut the candidate space down first; the remaining conditions (all L_i
+    vanish on r x identically in x) are checked on projective
+    representatives of that subspace.
     """
     A = D.source
     F = A.field
-    lambdas = D.lambda_polys()
-    null = A.trace_form_radical(D.trace_form())
+    Q, DQ, project, lift = ch_quotient(D)
+    rows = [A.sub(e, lift(project(e))) for e in A.basis]  # these span CH(D)
+    null = Q.trace_form_radical(DQ.trace_form())
     m = len(null)
-    if m == 0:
-        return Ideal(A, [], check=False)
-    npts = proj_point_count(F.q, m)
-    if npts > cap:
-        raise SearchCapExceeded(f"{npts} candidate lines exceed kernel search cap")
-    xi = _generic_element(A)
-    zero = MPoly.zero(F, D.poly.vars)
-    members = []
-    for coeffs in projective_points(F.q, m):
-        r = combine(F, coeffs, null)
-        if _kernel_member(D, lambdas, r, xi, zero):
-            members.append(r)
-    basis, _ = rref(F, members)
-    return Ideal(A, list(basis), check=True)
+    if m:
+        npts = proj_point_count(F.q, m)
+        if npts > cap:
+            raise SearchCapExceeded(f"{npts} candidate lines exceed kernel search cap")
+        lambdas = DQ.lambda_polys()
+        xi = _generic_element(Q)
+        zero = MPoly.zero(F, DQ.poly.vars)
+        for coeffs in projective_points(F.q, m):
+            r = combine(F, coeffs, null)
+            if _kernel_member(DQ, lambdas, r, xi, zero):
+                rows.append(lift(r))
+    return Ideal(A, rows, check=True)
 
 
 def _kernel_member(D, lambdas, r, xi, zero):

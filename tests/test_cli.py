@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import detlaw.pseudo as pseudo_mod
+from detlaw.algebras import Ideal
 from detlaw.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -156,3 +160,29 @@ def test_ordinary_without_a_second_character(capsys):
     code, out = run(capsys, "ordinary", _inst("c3_f3.json"))
     assert code == 2
     assert json.loads(out)["error"]["code"] == "SchemaError"
+
+
+def test_invariant_violation_exits_3(capsys, monkeypatch):
+    # a failed check of a mathematical claim is not bad input
+    monkeypatch.setattr(pseudo_mod, "ch_ideal",
+                        lambda D: Ideal(D.source, D.source.basis))
+    code, out = run(capsys, "ch-quotient", _inst("s3_f3.json"))
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "InvariantViolation"
+
+
+def test_closed_stdout_leaves_no_traceback():
+    # the report (about 90 KB) is larger than a pipe's buffer, so the
+    # writer meets the closed read end
+    src = os.path.join(HERE, os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from detlaw.cli import main; sys.exit(main())",
+         "enumerate-reps", _inst("c3_f7.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err

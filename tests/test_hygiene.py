@@ -8,7 +8,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "detlaw"
-MAX_BARE_ASSERTS = 4
+MAX_BARE_ASSERTS = 0
 
 
 def _trees():

@@ -9,7 +9,7 @@ from detlaw.moduli import (degeneration_lands_in_closed_orbit,
                            orbit_partition, psi_fiber, word_invariant_vector,
                            word_invariants)
 from detlaw.pseudo import PseudoRep, det_law
-from detlaw.reps import characters, direct_sum, semisimplify
+from detlaw.reps import Representation, characters, direct_sum, semisimplify
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -119,6 +119,23 @@ def test_word_invariants_constant_on_orbits():
     report = orbit_partition(symmetric(3), 2, F3)
     vectors = word_invariants(report, maxlen=2)
     assert len(vectors) == len(report.orbits)
+
+
+def test_word_invariants_raise_when_a_conjugate_differs(monkeypatch):
+    report = orbit_partition(symmetric(3), 2, F3)
+    first = report.orbits[0].rep
+    monkeypatch.setattr(moduli, "conjugate_rep", lambda rep, g: first)
+    with pytest.raises(InvariantViolation) as info:
+        word_invariants(report, maxlen=2)
+    assert info.value.witness[0] != first.images
+
+
+def test_orbits_direct_raises_when_conjugation_leaves_the_points(monkeypatch):
+    # r -> r * g is no conjugation, and sends the trivial point off the set
+    monkeypatch.setattr(moduli, "conjugate_rep", lambda rep, g: Representation(
+        rep.source, rep.field, rep.dim, [m * g for m in rep.images], check_now=False))
+    with pytest.raises(InvariantViolation):
+        moduli._orbits_direct(cyclic(3), 2, F3)
 
 
 def test_invariants_separate_laws_s3_f3():

@@ -112,6 +112,8 @@ def test_rename():
     q = p.rename(("a", "b"))
     assert q.vars == ("a", "b")
     assert q.terms == p.terms
+    with pytest.raises(VariableMismatch):
+        p.rename(("a",))
 
 
 # --- the product kernel ---

@@ -1,17 +1,20 @@
+import time
+
 import pytest
 
 import detlaw.pseudo as pseudo_mod
 from detlaw.algebras import FinAlgebra, Ideal, group_algebra, ideal_generated
 from detlaw.errors import InvariantViolation, ShapeMismatch
 from detlaw.fields import make_field
-from detlaw.groups import cyclic, dihedral, symmetric
-from detlaw.linalg import Mat
+from detlaw.groups import cyclic, dihedral, direct_product, symmetric
+from detlaw.linalg import Mat, combine, projective_points
 from detlaw.poly import MPoly
 from detlaw.pseudo import (PseudoRep, ch_ideal, ch_quotient, det_law,
                            from_group_rep, is_cayley_hamilton, kernel,
                            matrix_algebra, nilpotency_index, split_search,
                            tautological_rep)
-from detlaw.reps import Representation, characters, direct_sum, enumerate_reps
+from detlaw.reps import (Representation, characters, direct_sum, enumerate_reps,
+                         irreducible_reps)
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -211,7 +214,8 @@ def test_split_search_rejects_two_factor_multisets(monkeypatch):
 
 
 def test_ch_quotient_rejects_a_law_that_does_not_factor(monkeypatch):
-    # the whole algebra in place of the Cayley-Hamilton ideal
+    # the whole algebra in place of the Cayley-Hamilton ideal: Q = 0, so
+    # D_Q o project is the zero polynomial in the n = 3 coordinates
     monkeypatch.setattr(pseudo_mod, "ch_ideal",
                         lambda D: Ideal(D.source, D.source.basis))
     cs = characters(cyclic(3), F7)
@@ -219,7 +223,27 @@ def test_ch_quotient_rejects_a_law_that_does_not_factor(monkeypatch):
     with pytest.raises(InvariantViolation) as info:
         ch_quotient(D)
     exps, code = info.value.witness
-    assert len(exps) == 3 + 3 and code
+    assert len(exps) == 3 and code
+
+
+def test_ch_quotient_rejects_the_augmentation_ideal(monkeypatch):
+    # a two-sided ideal that D = triv + sgn on S3 does not factor through:
+    # D_Q o project is (sum x_g)^2, D is (sum x_g)(sum sgn(g) x_g)
+    cs = characters(symmetric(3), F5)
+    D = PseudoRep.induce(direct_sum(cs[0], cs[1]))
+    A = D.source
+    aug = ideal_generated(A, [A.sub(e, A.unit) for e in A.basis])
+    assert aug.dim == 5
+    monkeypatch.setattr(pseudo_mod, "ch_ideal", lambda D: aug)
+    with pytest.raises(InvariantViolation):
+        ch_quotient(D)
+
+
+def test_drop_var_rejects_a_polynomial_that_uses_it():
+    poly = MPoly.var(F5, ("x0", "t"), "x0") * MPoly.var(F5, ("x0", "t"), "t")
+    with pytest.raises(InvariantViolation) as info:
+        pseudo_mod._drop_var(poly, "t")
+    assert info.value.witness == (1, 1)
 
 
 def test_tautological_rep_induces_det():
@@ -248,15 +272,145 @@ def test_group_rep_views_reject_an_algebra_source():
         from_group_rep(rep)
 
 
-def test_ch_ideal_rows_are_the_coefficients_of_chi(monkeypatch):
-    # one generator per exponent of chi(x, x), in sorted exponent order
-    cs = characters(symmetric(3), F5)
-    D = PseudoRep.induce(direct_sum(cs[0], cs[1]))
-    vec = pseudo_mod.ch_element(D)
+# --- the Cayley-Hamilton ideal and the kernel against their oracles ---
+
+def _ch_element(D):
+    """chi(x, x) at the generic element, expanded symbolically: the oracle
+    for ch_ideal's polarized coefficients."""
+    A = D.source
+    F = A.field
+    xs = D.poly.vars
+    zero = MPoly.zero(F, xs)
+    xi = pseudo_mod._generic_element(A)
+    lambdas = D.lambda_polys()
+    powers = [tuple(MPoly.const(F, xs, u) for u in A.unit)]
+    for _ in range(D.d):
+        powers.append(A.mul_poly(powers[-1], xi, zero))
+    acc = list(powers[D.d])
+    for i in range(1, D.d + 1):
+        coeff = lambdas[i - 1] if i % 2 == 0 else lambdas[i - 1].scale(F.neg(1))
+        for k in range(A.n):
+            acc[k] = acc[k] + coeff * powers[D.d - i][k]
+    return acc
+
+
+def _oracle_rows(D):
+    """One row per monomial of chi(x, x): its coefficient in each coordinate."""
+    vec = _ch_element(D)
     exps = sorted({e for c in vec for e in c.terms})
+    return [tuple(c.terms.get(e, 0) for c in vec) for e in exps]
+
+
+def _kernel_oracle(D):
+    """ker(D) by testing every projective line of the trace-form radical of
+    the whole algebra, with no pass through the Cayley-Hamilton quotient."""
+    A = D.source
+    F = A.field
+    null = A.trace_form_radical(D.trace_form())
+    if not null:
+        return Ideal(A, [], check=False)
+    lambdas = D.lambda_polys()
+    xi = pseudo_mod._generic_element(A)
+    zero = MPoly.zero(F, D.poly.vars)
+    members = [r for r in (combine(F, c, null)
+                           for c in projective_points(F.q, len(null)))
+               if pseudo_mod._kernel_member(D, lambdas, r, xi, zero)]
+    return Ideal(A, members, check=True)
+
+
+def _dual_numbers_law():
+    # F5[e]/(e^2) with D(a + b e) = a^2
+    A = FinAlgebra(F5, ("1", "e"), [[((0, 1),), ((1, 1),)], [((1, 1),), ()]], (1, 0))
+    return PseudoRep(A, 2, MPoly.var(F5, ("x0", "x1"), "x0") ** 2, check=True)
+
+
+def _sum_law(reps):
+    rho = reps[0]
+    for r in reps[1:]:
+        rho = direct_sum(rho, r)
+    return PseudoRep.induce(rho)
+
+
+def _ch_sweep():
+    """Laws on C3, S3, D4, D5 and C3xS3 over F_3, F_5, F_7 with 1-4
+    characters (repeated where the field has fewer), a 2-dimensional
+    irreducible with and without a character, the determinant on M_2 and
+    M_3, and the dual numbers."""
+    out = []
+    for G in (cyclic(3), symmetric(3), dihedral(4), dihedral(5),
+              direct_product(cyclic(3), symmetric(3))):
+        for F in (F3, F5, F7):
+            cs = characters(G, F)
+            for k in range(1, 5):
+                out.append((f"{G.name}-F{F.q}-{k}",
+                            _sum_law([cs[i % len(cs)] for i in range(k)])))
+    for G, F in ((symmetric(3), F5), (dihedral(4), F3)):
+        two = next(r for r in irreducible_reps(G, F, 2) if r.dim == 2)
+        out.append((f"{G.name}-F{F.q}-2dim", _sum_law([two])))
+        out.append((f"{G.name}-F{F.q}-2dim+1", _sum_law([two, characters(G, F)[-1]])))
+    out += [(f"M{d}-F5", det_law(F5, d)) for d in (2, 3)]
+    out.append(("dual-numbers-F5", _dual_numbers_law()))
+    return out
+
+
+@pytest.mark.parametrize("D", [pytest.param(D, id=name) for name, D in _ch_sweep()])
+def test_ch_ideal_matches_the_symbolic_oracle(D):
+    assert ch_ideal(D) == ideal_generated(D.source, _oracle_rows(D))
+
+
+def test_ch_ideal_rows_are_the_coefficients_of_chi(monkeypatch):
+    # a plain FinAlgebra copy of F[G] has the same structure constants but
+    # no orbit reduction, so every nonzero coefficient row of chi(x, x)
+    # reaches ideal_generated
     seen = []
     monkeypatch.setattr(pseudo_mod, "ideal_generated",
                         lambda A, gens: seen.append(gens) or ideal_generated(A, gens))
-    I = ch_ideal(D)
-    assert seen == [[tuple(c.terms.get(e, 0) for c in vec) for e in exps]]
-    assert I == ideal_generated(D.source, seen[0])
+    for group, field, k in ((symmetric(3), F5, 2), (symmetric(3), F5, 3),
+                            (dihedral(4), F3, 3), (dihedral(4), F3, 4)):
+        cs = characters(group, field)
+        D = _sum_law([cs[i % len(cs)] for i in range(k)])
+        A = D.source
+        plain = PseudoRep(FinAlgebra(field, A.labels, A.sc, A.unit, check=False),
+                          D.d, D.poly)
+        seen.clear()
+        I_plain = ch_ideal(plain)
+        assert len(seen) == 1
+        assert sorted(seen[0]) == sorted(_oracle_rows(plain))
+        # on F[G] itself one row per conjugation orbit generates the same ideal
+        seen.clear()
+        I = ch_ideal(D)
+        assert len(seen[0]) < len(_oracle_rows(plain))
+        assert I.basis == I_plain.basis
+
+
+def _kernel_cases():
+    out = []
+    for G, F, k in ((symmetric(3), F5, 2), (symmetric(3), F3, 2), (cyclic(3), F7, 2),
+                    (cyclic(3), F7, 3), (cyclic(3), F3, 1),
+                    (dihedral(4), F3, 2), (symmetric(3), F7, 2)):
+        cs = characters(G, F)
+        out.append((f"{G.name}-F{F.q}-{k}", _sum_law([cs[i % len(cs)] for i in range(k)])))
+    u = Mat.from_rows(F3, [[1, 1], [0, 1]])
+    out.append(("C3-F3-unipotent", PseudoRep.induce(
+        Representation(cyclic(3), F3, 2, [Mat.identity(F3, 2), u, u * u]))))
+    out += [(f"M{d}-F3", det_law(F3, d)) for d in (1, 2)]
+    out.append(("dual-numbers-F5", _dual_numbers_law()))
+    return out
+
+
+@pytest.mark.parametrize("D", [pytest.param(D, id=name) for name, D in _kernel_cases()])
+def test_kernel_matches_the_direct_enumeration(D):
+    assert kernel(D) == _kernel_oracle(D)
+
+
+@pytest.mark.parametrize("group, field", [(dihedral(5), F5), (dihedral(6), F3)],
+                         ids=["D5-F5", "D6-F3"])
+def test_kernel_through_the_quotient_frees_large_searches(group, field):
+    # the direct search has 97,656 lines on D5/F_5 and 29,524 on D6/F_3
+    cs = characters(group, field)
+    D = _sum_law(cs[:2])
+    t0 = time.perf_counter()
+    ker = kernel(D)
+    assert time.perf_counter() - t0 < 1.0
+    Ideal(D.source, ker.basis, check=True)
+    assert all(ker.contains(v) for v in ch_ideal(D).basis)
