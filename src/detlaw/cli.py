@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .cohomology import ext1, fiber_stratify
 from .errors import DetlawError, InvariantViolation, SchemaError
@@ -25,6 +26,9 @@ from .serialize import (field_from_json, instance_from_json, poly_to_json,
                         pseudorep_to_json, rep_to_json)
 
 
+JSON_BATCH = 4096  # encoder chunks joined into one write
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -32,18 +36,19 @@ def main(argv=None):
         report = args.func(args)
     except DetlawError as exc:
         err = {"error": {"code": type(exc).__name__, "message": str(exc)}}
-        lines = [json.dumps(err, sort_keys=True)]
+        lines = [json.dumps(err, sort_keys=True) + "\n"]
         code = 3 if isinstance(exc, InvariantViolation) else 2
     else:
         code = 0
         if args.output == "summary":
-            lines = report.get("summary", [json.dumps(report, sort_keys=True)])
+            lines = [line + "\n" for line in
+                     report.get("summary", [json.dumps(report, sort_keys=True)])]
         else:
             report.pop("summary", None)
-            lines = [json.dumps(report, sort_keys=True, indent=2)]
+            lines = _json_batches(report)
     try:
         for line in lines:
-            print(line)
+            sys.stdout.write(line)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone; point stdout at devnull so the flush at exit
@@ -53,29 +58,40 @@ def main(argv=None):
     return code
 
 
+def _json_batches(report):
+    """The text of json.dumps(report, sort_keys=True, indent=2) and a newline,
+    as strings of JSON_BATCH encoder chunks each.  The whole text is never
+    held at once, and one write per chunk would cost more than the encoding."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+    while batch := list(islice(chunks, JSON_BATCH)):
+        yield "".join(batch)
+    yield "\n"
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="detlaw",
         description="exact determinant-law computations over finite fields")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand shares these arguments; build them once
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("instance", help="path to an instance JSON file")
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--d", type=int, default=None)
+    flags.add_argument("--field", default=None,
+                       help="override field, e.g. 7 or 5^2")
+    flags.add_argument("--cap", type=int, default=200000)
+    flags.add_argument("--chars", default=None,
+                       help="comma-separated character names for the law")
+    flags.add_argument("--v1", default=None)
+    flags.add_argument("--v2", default=None)
+    flags.add_argument("--psi", default=None)
+    flags.add_argument("--chi", default=None)
+    flags.add_argument("--output", choices=("json", "summary"), default="json")
 
     def cmd(name, func, needs_instance=True):
-        p = sub.add_parser(name)
-        if needs_instance:
-            p.add_argument("instance", help="path to an instance JSON file")
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--field", default=None,
-                       help="override field, e.g. 7 or 5^2")
-        p.add_argument("--cap", type=int, default=200000)
-        p.add_argument("--chars", default=None,
-                       help="comma-separated character names for the law")
-        p.add_argument("--v1", default=None)
-        p.add_argument("--v2", default=None)
-        p.add_argument("--psi", default=None)
-        p.add_argument("--chi", default=None)
-        p.add_argument("--output", choices=("json", "summary"), default="json")
-        p.set_defaults(func=func)
-        return p
+        parents = [instance, flags] if needs_instance else [flags]
+        sub.add_parser(name, parents=parents).set_defaults(func=func)
 
     cmd("enumerate-reps", _cmd_enumerate_reps)
     cmd("pseudorep", _cmd_pseudorep)

@@ -49,9 +49,11 @@ class Ext1Space:
 def ext1(group, rep1, rep2):
     """Ext^1_G(rep2, rep1) with explicit cocycle and coboundary bases.
 
-    Unknowns are the blocks c(g) for every group element; the cocycle
-    condition is imposed on all pairs, which subsumes any generator and
-    relation presentation.
+    Unknowns are the blocks c(g) for every group element.  The cocycle
+    condition c(gs) = rho1(g) c(s) + c(g) rho2(s) is imposed for every g and
+    every generator s, with c(1) = 0 pinned: every element is a positive
+    word in the generators, so induction on the word gives the condition on
+    all pairs, and the solution space is the one of the all-pairs system.
     """
     if rep1.field != rep2.field or rep1.source is not rep2.source:
         raise ShapeMismatch("ext1 needs representations of one group over one field")
@@ -66,25 +68,24 @@ def ext1(group, rep1, rep2):
 
     rows = []
     for g in range(n):
-        for h in range(n):
-            gh = group.table[g][h]
+        for s in group.generators:
+            gs = group.table[g][s]
             for i in range(d1):
                 for j in range(d2):
                     row = [0] * nvars
-                    row[slot(gh, i, j)] = F.add(row[slot(gh, i, j)], 1)
-                    # -(rho1(g) c(h))_{ij}
+                    row[slot(gs, i, j)] = F.add(row[slot(gs, i, j)], 1)
+                    # -(rho1(g) c(s))_{ij}
                     for k in range(d1):
                         a = rep1.images[g][i, k]
                         if a:
-                            row[slot(h, k, j)] = F.sub(row[slot(h, k, j)], a)
-                    # -(c(g) rho2(h))_{ij}
+                            row[slot(s, k, j)] = F.sub(row[slot(s, k, j)], a)
+                    # -(c(g) rho2(s))_{ij}
                     for k in range(d2):
-                        a = rep2.images[h][k, j]
+                        a = rep2.images[s][k, j]
                         if a:
                             row[slot(g, i, k)] = F.sub(row[slot(g, i, k)], a)
                     rows.append(tuple(row))
-    # normalization c(identity) = 0 follows from the pair equations, but pin
-    # it anyway so the basis is canonical
+    # c(identity) = 0 is the base of the induction over words
     e = group.identity
     for i in range(d1):
         for j in range(d2):

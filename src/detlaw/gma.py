@@ -531,6 +531,14 @@ def gma_from_characters(group, chars, field):
 
     if not chars:
         raise HypothesisViolation("a GMA needs at least one character")
+    for j, c in enumerate(chars):
+        for i in range(j):
+            if chars[i].images == c.images:
+                values = [c.images[g][0, 0] for g in group.generators]
+                raise HypothesisViolation(
+                    f"characters {i} and {j} are the same character (values "
+                    f"{values} on the generators); a GMA needs pairwise "
+                    f"distinct characters")
     rho = chars[0]
     for c in chars[1:]:
         rho = direct_sum(rho, c)

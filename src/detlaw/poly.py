@@ -128,6 +128,46 @@ def _add_into(F, out, items):
             del out[k]
 
 
+def _substitute_terms(poly, images):
+    """The terms of ``poly.substitute(images)`` as the kernel leaves them:
+    (terms, packed), with packed-int keys over the images' variables when
+    ``packed`` is true and exponent tuples otherwise."""
+    some = next(iter(images.values()))
+    tf, tv = some.field, some.vars
+    nv = len(tv)
+    used = {}  # name -> (packed image, its exponent bound)
+    bound = 0  # the largest exponent any term's product can reach
+    for e in poly.terms:
+        reach = 0
+        for name, exp in zip(poly.vars, e):
+            if exp:
+                got = used.get(name)
+                if got is None:
+                    img = images.get(name)
+                    if img is None:
+                        raise VariableMismatch(f"no image for variable {name}")
+                    if img.field != tf or img.vars != tv:
+                        raise VariableMismatch(f"image of {name} is not over {tf}{tv}")
+                    got = used[name] = _pack(tf, img.terms, nv)
+                reach += exp * got[1]
+        bound = max(bound, reach)
+    packed = tf._mul is not None and bound < PACK_LIMIT
+    one = 0 if packed else (0,) * nv
+    pow_cache = {}
+    out = {}
+    for e, c in poly.terms.items():
+        term = {one: embed_code(poly.field, tf, c)}
+        for name, exp in zip(poly.vars, e):
+            if exp:
+                p = pow_cache.get((name, exp))
+                if p is None:
+                    base = used[name][0] if packed else images[name].terms
+                    p = pow_cache[name, exp] = _pow_terms(tf, base, exp, packed)
+                term = _mul_terms(tf, term, p, packed)
+        _add_into(tf, out, term.items())
+    return out, packed
+
+
 class MPoly:
     __slots__ = ("field", "vars", "terms")
 
@@ -290,39 +330,9 @@ class MPoly:
         VariableMismatch.
         """
         some = next(iter(images.values()))
-        tf, tv = some.field, some.vars
-        nv = len(tv)
-        used = {}  # name -> (packed image, its exponent bound)
-        bound = 0  # the largest exponent any term's product can reach
-        for e in self.terms:
-            reach = 0
-            for name, exp in zip(self.vars, e):
-                if exp:
-                    got = used.get(name)
-                    if got is None:
-                        img = images.get(name)
-                        if img is None:
-                            raise VariableMismatch(f"no image for variable {name}")
-                        if img.field != tf or img.vars != tv:
-                            raise VariableMismatch(f"image of {name} is not over {tf}{tv}")
-                        got = used[name] = _pack(tf, img.terms, nv)
-                    reach += exp * got[1]
-            bound = max(bound, reach)
-        packed = tf._mul is not None and bound < PACK_LIMIT
-        one = 0 if packed else (0,) * nv
-        pow_cache = {}
-        out = {}
-        for e, c in self.terms.items():
-            term = {one: embed_code(self.field, tf, c)}
-            for name, exp in zip(self.vars, e):
-                if exp:
-                    p = pow_cache.get((name, exp))
-                    if p is None:
-                        base = used[name][0] if packed else images[name].terms
-                        p = pow_cache[name, exp] = _pow_terms(tf, base, exp, packed)
-                    term = _mul_terms(tf, term, p, packed)
-            _add_into(tf, out, term.items())
-        return MPoly(tf, tv, _unpack(out, nv) if packed else out)
+        terms, packed = _substitute_terms(self, images)
+        return MPoly(some.field, some.vars,
+                     _unpack(terms, len(some.vars)) if packed else terms)
 
     def evaluate(self, point):
         """Evaluate at a dict var -> code; returns a code."""

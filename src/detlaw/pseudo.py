@@ -17,7 +17,7 @@ from .errors import (InvariantViolation, NotFoundWithinBound, SchemaError,
 from .fields import make_field
 from .linalg import (Mat, combine, proj_point_count, projective_points, rref,
                      span_closure)
-from .poly import MPoly, symbolic_det
+from .poly import MPoly, _pack, _substitute_terms, symbolic_det
 from .reps import (JHDecomposition, Representation, direct_sum,
                    intertwiner_basis, invariant_subspace, irreducible_reps,
                    isomorphic, sub_quotient_reps)
@@ -135,7 +135,16 @@ class PseudoRep:
         return self.poly.is_homogeneous(self.d)
 
     def is_multiplicative(self):
-        """D(x) D(y) = D(xy) as an identity in 2n generic coordinates."""
+        """D(x) D(y) = D(xy) as an identity in 2n generic coordinates.
+
+        x and y share no variable, so D(x) D(y) has exactly one term per
+        ordered pair (a, b) of terms of D, x^a y^b with coefficient c_a c_b:
+        that is nonzero in a field, and distinct pairs give distinct
+        monomials.  So D is multiplicative iff D(xy) has len(D)^2 terms and
+        the term of each pair has coefficient c_a c_b; the product is never
+        expanded.  D(xy) keeps the substitution kernel's keys: packed ints,
+        x_i in byte i and y_i in byte n + i, or exponent tuples.
+        """
         A = self.source
         F = self.field
         n = A.n
@@ -144,10 +153,20 @@ class PseudoRep:
         xv = tuple(MPoly.var(F, both, both[i]) for i in range(n))
         yv = tuple(MPoly.var(F, both, both[n + i]) for i in range(n))
         zv = A.mul_poly(xv, yv, MPoly.zero(F, both))
-        dx = self.poly.substitute({xs[i]: xv[i] for i in range(n)})
-        dy = self.poly.substitute({xs[i]: yv[i] for i in range(n)})
-        dz = self.poly.substitute({xs[i]: zv[i] for i in range(n)})
-        return dx * dy == dz
+        dz, packed = _substitute_terms(self.poly, {xs[i]: zv[i] for i in range(n)})
+        left = self.poly.terms
+        if len(dz) != len(left) ** 2:
+            return False
+        right = left  # tuple keys: x^a y^b is keyed a + b
+        if packed:
+            left, _top = _pack(F, left, n)
+            if left is None:
+                # an exponent of D reaches 256, past every exponent of D(xy)
+                return False
+            right = {b << (8 * n): c for b, c in left.items()}
+        get, mul = dz.get, F.mul
+        return all(get(a + b) == mul(ca, cb)
+                   for a, ca in left.items() for b, cb in right.items())
 
     def check_axioms(self):
         return self.is_homogeneous() and self.is_unital() and self.is_multiplicative()

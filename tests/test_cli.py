@@ -7,6 +7,7 @@ import pytest
 
 import detlaw.pseudo as pseudo_mod
 from detlaw.algebras import Ideal
+from detlaw import cli
 from detlaw.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -186,3 +187,115 @@ def test_closed_stdout_leaves_no_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert b"Traceback" not in err
+
+
+# --- the JSON writer and the argument parser ---
+
+SUBCOMMANDS = ("enumerate-reps", "pseudorep", "char-poly", "kernel", "ch-quotient",
+               "gma-verify", "gma-det", "adapted-points", "orbits", "fiber", "ext1",
+               "stratify", "ordinary")
+INSTANCES = sorted(n for n in os.listdir(os.path.join(HERE, "instances"))
+                   if n.endswith(".json"))
+
+
+@pytest.mark.parametrize("instance", INSTANCES)
+def test_reports_are_the_text_of_json_dumps(capsys, instance):
+    ok = 0
+    for sub in SUBCOMMANDS:
+        extra = ["--d", "2"] if sub in ("enumerate-reps", "orbits") else []
+        code, out = run(capsys, sub, _inst(instance), *extra)
+        indent = 2 if code == 0 else None  # error objects stay on one line
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=indent) + "\n"
+        ok += code == 0
+    assert ok >= 9
+
+
+class _Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def flush(self):
+        pass
+
+
+def test_a_long_report_is_written_in_batches(monkeypatch):
+    out = _Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["enumerate-reps", _inst("c3_f7.json")]) == 0
+    text = "".join(out.writes)
+    assert len(text) > 80000
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    # several full batches, the partial last one, then the newline
+    assert len(out.writes) >= 3 and out.writes[-1] == "\n"
+    chunks = list(json.JSONEncoder(sort_keys=True, indent=2).iterencode(json.loads(text)))
+    assert len(out.writes) - 1 == -(-len(chunks) // cli.JSON_BATCH)
+
+
+HELP = {
+    "kernel": (
+        "usage: detlaw kernel [-h] [--d D] [--field FIELD] [--cap CAP] [--chars CHARS]\n"
+        "                     [--v1 V1] [--v2 V2] [--psi PSI] [--chi CHI]\n"
+        "                     [--output {json,summary}]\n"
+        "                     instance\n"
+        "\n"
+        "positional arguments:\n"
+        "  instance              path to an instance JSON file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --d D\n"
+        "  --field FIELD         override field, e.g. 7 or 5^2\n"
+        "  --cap CAP\n"
+        "  --chars CHARS         comma-separated character names for the law\n"
+        "  --v1 V1\n"
+        "  --v2 V2\n"
+        "  --psi PSI\n"
+        "  --chi CHI\n"
+        "  --output {json,summary}\n"),
+    "selftest": (
+        "usage: detlaw selftest [-h] [--d D] [--field FIELD] [--cap CAP]\n"
+        "                       [--chars CHARS] [--v1 V1] [--v2 V2] [--psi PSI]\n"
+        "                       [--chi CHI] [--output {json,summary}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --d D\n"
+        "  --field FIELD         override field, e.g. 7 or 5^2\n"
+        "  --cap CAP\n"
+        "  --chars CHARS         comma-separated character names for the law\n"
+        "  --v1 V1\n"
+        "  --v2 V2\n"
+        "  --psi PSI\n"
+        "  --chi CHI\n"
+        "  --output {json,summary}\n"),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(HELP))
+def test_subcommand_help_text(capsys, monkeypatch, sub):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP[sub]
+
+
+def test_every_subcommand_parses_every_flag():
+    flags = ["--d", "3", "--field", "5^2", "--cap", "17", "--chars", "triv,c1",
+             "--v1", "a", "--v2", "b", "--psi", "c", "--chi", "e",
+             "--output", "summary"]
+    set_all = {"d": 3, "field": "5^2", "cap": 17, "chars": "triv,c1", "v1": "a",
+               "v2": "b", "psi": "c", "chi": "e", "output": "summary"}
+    defaults = {"d": None, "field": None, "cap": 200000, "chars": None, "v1": None,
+                "v2": None, "psi": None, "chi": None, "output": "json"}
+    parser = cli._build_parser()
+    for sub in SUBCOMMANDS + ("selftest",):
+        func = getattr(cli, "_cmd_" + sub.replace("-", "_"))
+        head = [sub] if sub == "selftest" else [sub, "inst.json"]
+        place = {} if sub == "selftest" else {"instance": "inst.json"}
+        for argv, want in ((head, defaults), (head + flags, set_all)):
+            got = vars(parser.parse_args(argv))
+            assert got == {"command": sub, "func": func, **place, **want}

@@ -5,10 +5,12 @@ from detlaw.cohomology import (assemble_extension, ext1, ext_representatives,
                                fiber_stratify)
 from detlaw.errors import InvariantViolation, NotMultiplicityFree, ShapeMismatch
 from detlaw.fields import make_field
-from detlaw.groups import cyclic, dihedral, semidirect_cyclic_squared, symmetric
-from detlaw.linalg import proj_point_count, rref
+from detlaw.groups import (FiniteGroup, cyclic, dihedral, semidirect_cyclic_squared,
+                           symmetric)
+from detlaw.linalg import nullspace, proj_point_count, rref
 from detlaw.moduli import orbit_partition
-from detlaw.reps import characters, invariant_subspace, isomorphic, trivial_rep
+from detlaw.reps import (characters, invariant_subspace, irreducible_reps, isomorphic,
+                         trivial_rep)
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -156,3 +158,54 @@ def test_designated_instance_p_plus_2():
     assert strat.m_up == 2 and strat.m_down == 0
     assert strat.counts() == (6, 1, 0)
     assert strat.total() == 5 + 2
+
+
+# --- the generator equations against the all-pairs system ---
+
+def _z_basis_all_pairs(group, rep1, rep2):
+    """The RREF cocycle basis with c(gh) = rho1(g) c(h) + c(g) rho2(h)
+    imposed on every pair (g, h) and c(1) = 0."""
+    F = rep1.field
+    n = group.order
+    d1, d2 = rep1.dim, rep2.dim
+    block = d1 * d2
+    nvars = n * block
+    rows = []
+    for g in range(n):
+        for h in range(n):
+            gh = group.table[g][h]
+            for i in range(d1):
+                for j in range(d2):
+                    row = [0] * nvars
+                    row[gh * block + i * d2 + j] = 1
+                    for k in range(d1):
+                        col = h * block + k * d2 + j
+                        row[col] = F.sub(row[col], rep1.images[g][i, k])
+                    for k in range(d2):
+                        col = g * block + i * d2 + k
+                        row[col] = F.sub(row[col], rep2.images[h][k, j])
+                    rows.append(tuple(row))
+    e = group.identity
+    for i in range(block):
+        row = [0] * nvars
+        row[e * block + i] = 1
+        rows.append(tuple(row))
+    return list(rref(F, nullspace(F, rows, nvars))[0])
+
+
+def _irreducible_pairs():
+    # the trivial group has no generators, so only c(1) = 0 pins its cocycles
+    G1 = FiniteGroup([[0]])
+    out = [pytest.param(G1, irreducible_reps(G1, F3, 2), id="trivial-F3")]
+    for G in (cyclic(3), cyclic(4), symmetric(3), dihedral(4), dihedral(5), symmetric(4)):
+        for q in (2, 3, 5, 7):
+            irs = irreducible_reps(G, make_field(q), 2)
+            out.append(pytest.param(G, irs, id=f"{G.name}-F{q}"))
+    return out
+
+
+@pytest.mark.parametrize("group, irs", _irreducible_pairs())
+def test_ext1_generator_equations_match_all_pairs(group, irs):
+    for rep1 in irs:
+        for rep2 in irs:
+            assert ext1(group, rep1, rep2).z_basis == _z_basis_all_pairs(group, rep1, rep2)

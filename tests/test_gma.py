@@ -1,3 +1,4 @@
+import json
 import os
 from itertools import permutations
 
@@ -13,7 +14,7 @@ from detlaw.gma import (GmaData, adapted_points, adapted_scheme, canonical_det,
 from detlaw.groups import FiniteGroup, symmetric, with_inertia
 from detlaw.poly import MPoly
 from detlaw.pseudo import PseudoRep, det_law, matrix_algebra
-from detlaw.reps import characters, direct_sum
+from detlaw.reps import Representation, characters, direct_sum
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -104,6 +105,26 @@ def test_gma_from_characters_s3():
 def test_gma_from_no_characters_is_rejected():
     with pytest.raises(HypothesisViolation):
         gma_from_characters(symmetric(3), [], F3)
+
+
+def test_gma_from_repeated_characters_is_rejected():
+    # equal images, not the same object: the third character repeats the first
+    cs = characters(symmetric(3), F5)
+    again = Representation(cs[0].source, F5, 1, cs[0].images)
+    with pytest.raises(HypothesisViolation, match="characters 0 and 2"):
+        gma_from_characters(symmetric(3), [cs[0], cs[1], again], F5)
+
+
+@pytest.mark.parametrize("sub", ["gma-det", "gma-verify", "adapted-points"])
+@pytest.mark.parametrize("instance, chars", [("s3_f3.json", "triv,triv"),
+                                             ("c3_f7.json", "c1,triv,c1")])
+def test_repeated_characters_exit_2(capsys, sub, instance, chars):
+    # this used to surface as GmaAxiomFailure from the idempotent lift
+    inst = os.path.join(os.path.dirname(__file__), "instances", instance)
+    assert main([sub, inst, "--chars", chars]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "HypothesisViolation"
+    assert "same character" in err["message"]
 
 
 def test_adapted_scheme_m2_split():

@@ -1,7 +1,9 @@
 import time
+import tracemalloc
 
 import pytest
 
+import detlaw.poly as poly_mod
 import detlaw.pseudo as pseudo_mod
 from detlaw.algebras import FinAlgebra, Ideal, group_algebra, ideal_generated
 from detlaw.errors import InvariantViolation, ShapeMismatch
@@ -414,3 +416,125 @@ def test_kernel_through_the_quotient_frees_large_searches(group, field):
     assert time.perf_counter() - t0 < 1.0
     Ideal(D.source, ker.basis, check=True)
     assert all(ker.contains(v) for v in ch_ideal(D).basis)
+
+
+# --- multiplicativity against the expanded product ---
+
+def _multiplicative_oracle(D):
+    """D(x) D(y) == D(xy) with both sides expanded in full."""
+    A = D.source
+    F = D.field
+    n = A.n
+    xs = D.poly.vars
+    both = tuple(f"x{i}" for i in range(n)) + tuple(f"y{i}" for i in range(n))
+    xv = tuple(MPoly.var(F, both, both[i]) for i in range(n))
+    yv = tuple(MPoly.var(F, both, both[n + i]) for i in range(n))
+    zv = A.mul_poly(xv, yv, MPoly.zero(F, both))
+    dx = D.poly.substitute({xs[i]: xv[i] for i in range(n)})
+    dy = D.poly.substitute({xs[i]: yv[i] for i in range(n)})
+    dz = D.poly.substitute({xs[i]: zv[i] for i in range(n)})
+    return dx * dy == dz
+
+
+def _changed(D, edit):
+    terms = dict(D.poly.terms)
+    edit(terms)
+    return PseudoRep(D.source, D.d, MPoly(D.field, D.poly.vars, terms))
+
+
+def _bump_first(F):
+    def edit(terms):
+        e = next(iter(terms))
+        terms[e] = F.add(terms[e], 1)
+    return edit
+
+
+def _add_missing(d):
+    """Add x0^(d-1) x_k for the first k where the law has no such term."""
+    def edit(terms):
+        n = len(next(iter(terms)))
+        e = next(e for e in ((d - 1,) + tuple(int(i == k) for i in range(1, n))
+                             for k in range(1, n)) if e not in terms)
+        terms[e] = 1
+    return edit
+
+
+def _multiplicativity_cases():
+    """(name, law, expected) on genuine laws of every shape the kernel keys
+    differently, and fakes that differ from a law in one place."""
+    out = []
+    for d in (1, 2, 3):
+        for F in (F3, F5):
+            out.append((f"M{d}-F{F.q}", det_law(F, d), True))
+    out.append(("dual-numbers-F5", _dual_numbers_law(), True))
+    F257 = make_field(257)  # no tables: exponent-tuple keys
+    out.append(("S3-F257-2", _sum_law(characters(symmetric(3), F257)), True))
+    C1 = group_algebra(cyclic(1), F3)
+    out.append(("C1-F3-degree-256", PseudoRep(
+        C1, 256, MPoly.var(F3, ("x0",), "x0") ** 256), True))
+    S3 = symmetric(3)
+    law = _sum_law(characters(S3, F5))
+    two = next(r for r in irreducible_reps(S3, F5, 2) if r.dim == 2)
+    for name, D in (("S3-F5-2", law), ("S3-F5-2dim", _sum_law([two]))):
+        _Q, DQ, _p, _l = ch_quotient(D)
+        out.append((f"{name}-quotient", DQ, True))
+    C2 = group_algebra(cyclic(2), F3)
+    xs = ("x0", "x1")
+    x0, x1 = MPoly.var(F3, xs, "x0"), MPoly.var(F3, xs, "x1")
+    out.append(("C2-F3-x0^2+x1^2", PseudoRep(C2, 2, x0 ** 2 + x1 ** 2), False))
+    # every pair's key holds c_a c_b, but D(xy) has two more terms
+    out.append(("C2-F3-x0^2", PseudoRep(C2, 2, x0 ** 2), False))
+    out.append(("S3-F5-coefficient-changed", _changed(law, _bump_first(F5)), False))
+    out.append(("S3-F5-term-added", _changed(law, _add_missing(2)), False))
+    out.append(("S3-F5-2dim-term-added",
+                _changed(_sum_law([two]), _add_missing(2)), False))
+    # z has zero products, so D(xy) packs although z^256 does not fit a
+    # byte, and D(xy) has the 4 = 2^2 terms of x0 y0 (x0 y2 + x2 y0)^3
+    one, e = ((0, 1),), ((2, 1),)
+    zero_z = FinAlgebra(F5, ("1", "z", "e"), [[one, (), e], [(), (), ()], [e, (), ()]],
+                        (1, 0, 0), check=False)
+    out.append(("zero-product-degree-256", PseudoRep(zero_z, 4, MPoly.from_terms(
+        F5, ("x0", "x1", "x2"), [((1, 0, 3), 1), ((0, 256, 0), 1)])), False))
+    return out
+
+
+@pytest.mark.parametrize("D, expected", [pytest.param(D, want, id=name)
+                                         for name, D, want in _multiplicativity_cases()])
+def test_is_multiplicative_matches_the_expanded_product(D, expected):
+    assert _multiplicative_oracle(D) is expected
+    assert D.is_multiplicative() is expected
+
+
+@pytest.mark.parametrize("gname", ["C2", "C3", "C4", "S3", "D4"])
+def test_is_multiplicative_on_the_acceptance_corpus(gname):
+    from test_acceptance import PRIMES, corpus_laws
+
+    laws = [D for q in PRIMES for d in (1, 2) for D, _rep in corpus_laws(gname, q, d)]
+    assert laws
+    for D in laws:
+        assert D.is_multiplicative() is _multiplicative_oracle(D) is True
+    # a changed coefficient breaks each of the degree-2 laws
+    for D in laws:
+        if D.d == 2:
+            assert not _changed(D, _bump_first(D.field)).is_multiplicative()
+
+
+def test_is_multiplicative_holds_no_expanded_product(monkeypatch):
+    # the 144-term law of c1 + c5 on C3xS3 over F_7 in 18 variables: the
+    # expanded D(x) D(y) had 20,736 terms keyed by 36-entry tuples
+    G = direct_product(cyclic(3), symmetric(3))
+    cs = [c for c in characters(G, F7) if any(m[0, 0] != 1 for m in c.images)]
+    D = _sum_law([cs[0], cs[4]])
+    assert len(D.poly.terms) == 144
+
+    def no_unpack(packed, nv):
+        raise AssertionError("unpacked a term dict on a tabled field")
+
+    monkeypatch.setattr(poly_mod, "_unpack", no_unpack)
+    tracemalloc.start()
+    try:
+        assert D.is_multiplicative()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
