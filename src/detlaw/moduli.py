@@ -3,9 +3,9 @@ closed-orbit detection, fibers, and trace-of-word invariants.
 
 Orbits of Hom(G, GL_d(F)) under conjugation are computed by centralizer
 descent through conjugacy-class representatives (reps.hom_orbit_reps), the
-only production orbit path.  While GL_d(F) is small enough to scan, each
-orbit is reported by its least point, so the report does not depend on
-which representative the descent happened to pick.
+only production orbit path.  While |GL_d(F)| <= LEAST_POINT_GL, each orbit
+is reported by its least point (reps.least_conjugate), so the report does
+not depend on which representative the descent happened to pick.
 """
 
 from .errors import InvariantViolation, UnknownPseudoRep

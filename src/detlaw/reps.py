@@ -4,7 +4,10 @@ Enumeration works from per-generator candidate sets {M : M^m = 1} built by
 characteristic-polynomial fibers, so no scan of all of M_d(F) is ever needed.
 Orbit classification under GL_d-conjugation descends through centralizers of
 canonical class representatives, which keeps large fields (q up to 49 at
-d = 2) within reach.
+d = 2) within reach.  Candidates that break a conjugation relation of the
+group are dropped before their image table is built, and at d = 2 least
+orbit points descend through a centralizer too, so nothing there scans
+GL_2(F).
 """
 
 from functools import lru_cache
@@ -155,6 +158,29 @@ def _companion2(field, s, p):
 
 
 @lru_cache(maxsize=None)
+def cyclic_char_polys(field, m):
+    """The pairs (s, p), p != 0, in code order, with t^m = 1 modulo
+    t^2 - s t + p.
+
+    A non-scalar 2 x 2 matrix is cyclic: its minimal polynomial is its
+    characteristic polynomial t^2 - s t + p.  So these are the trace and
+    determinant of the non-scalar M with M^m = 1.  t^m is carried as the
+    pair of codes (a, b) of a + b t, and t (a + b t) = -b p + (a + b s) t.
+    """
+    F = field
+    out = []
+    for s in range(F.q):
+        for p in range(1, F.q):
+            neg_p = F.neg(p)
+            a, b = 1, 0
+            for _ in range(m):
+                a, b = F.mul(b, neg_p), F.add(a, F.mul(b, s))
+            if a == 1 and not b:
+                out.append((s, p))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def order_candidates(field, d, m):
     """All M in GL_d(F) with M^m = 1, in a deterministic order."""
     F = field
@@ -162,12 +188,8 @@ def order_candidates(field, d, m):
         return tuple(Mat(F, 1, 1, (a,)) for a in scalar_roots_of_unity(F, m))
     if d == 2:
         out = [Mat.scalar(F, 2, a) for a in scalar_roots_of_unity(F, m)]
-        for s in range(F.q):
-            for p in range(1, F.q):
-                comp = _companion2(F, s, p)
-                if (comp ** m).is_identity():
-                    out.extend(M for M in _fiber_elements(F, s, p)
-                               if not _is_scalar(M))
+        for s, p in cyclic_char_polys(F, m):
+            out.extend(M for M in _fiber_elements(F, s, p) if not _is_scalar(M))
         return tuple(out)
     if d == 3 and F.q <= 3:
         out = []
@@ -200,18 +222,15 @@ def order_class_reps(field, d, m):
                 reps.append(Mat(F, 2, 2, (a, 0, 0, b)))
         # non-semisimple and irreducible classes via companion matrices;
         # root count of t^2 - s t + p decides the class shape in any char
-        for s in range(F.q):
-            for p in range(1, F.q):
-                comp = _companion2(F, s, p)
-                if not (comp ** m).is_identity():
-                    continue
-                nroots = sum(
-                    1 for x in range(F.q)
-                    if F.add(F.sub(F.mul(x, x), F.mul(s, x)), p) == 0
-                )
-                if nroots == 2:
-                    continue  # already listed as diag(a,b)
-                reps.append(comp)  # Jordan block (1 root) or irreducible (0 roots)
+        for s, p in cyclic_char_polys(F, m):
+            nroots = sum(
+                1 for x in range(F.q)
+                if F.add(F.sub(F.mul(x, x), F.mul(s, x)), p) == 0
+            )
+            if nroots == 2:
+                continue  # already listed as diag(a,b)
+            # Jordan block (1 root) or irreducible (0 roots)
+            reps.append(_companion2(F, s, p))
         return tuple(reps)
     # small d=3 fallback: orbit representatives by explicit conjugation
     seen = set()
@@ -253,35 +272,84 @@ def conjugation_orbit(M, pairs):
     return {g * M * ginv for g, ginv in pairs}
 
 
-def least_conjugate(rep):
-    """The least point of rep's GL_d-orbit under sort_key, and the order of
-    rep's stabilizer.
+def cyclic_unit_classes(field, X):
+    """One unit of F[X] per scalar class, for a non-scalar 2 x 2 matrix X,
+    as (T, T^-1) pairs: 1, then x + X for each x in code order with
+    det(x + X) != 0.
 
-    One pass over gl_pairs.  Each conjugate is compared lazily, image by
-    image in element order, with the least conjugate so far and with rep
-    itself; scalar images are skipped, since conjugation fixes them.
-    """
-    images = rep.images
-    moving = [x for x, m in enumerate(images) if not _is_scalar(m)]
+    X is cyclic, so F[X] is all of its commutant, and these represent its
+    centralizer in GL_2(F) modulo the scalars."""
+    F = field
+    a, b, c, d = X.data
+    out = [(Mat.identity(F, 2),) * 2]
+    for x in range(F.q):
+        T = Mat(F, 2, 2, (F.add(x, a), b, c, F.add(x, d)))
+        if T.det():
+            out.append((T, T.inverse()))
+    return tuple(out)
+
+
+def _least_conjugator(pairs, mats):
+    """The first (g, g^-1) of pairs whose conjugate g M g^-1 of mats is
+    least, compared lazily matrix by matrix in order against the least so
+    far and against mats itself, and the number of pairs that fix mats."""
     best, best_data = None, {}
     stab = 0
-    for g, ginv in gl_pairs(rep.field, rep.dim):
+    for g, ginv in pairs:
         order = -1 if best is None else 0
         fixed = True
         data = {}
-        for x in moving:
-            c = data[x] = (g * images[x] * ginv).data
-            fixed = fixed and c == images[x].data
+        for x, M in enumerate(mats):
+            c = data[x] = (g * M * ginv).data
+            fixed = fixed and c == M.data
             if not order:
                 if x not in best_data:
-                    best_data[x] = (best[0] * images[x] * best[1]).data
+                    best_data[x] = (best[0] * M * best[1]).data
                 order = (c > best_data[x]) - (c < best_data[x])
             if order and not fixed:
                 break
         stab += fixed
         if order < 0:
             best, best_data = (g, ginv), data
-    return conjugate_rep(rep, best[0]), stab
+    return best, stab
+
+
+def least_conjugate(rep):
+    """The least point of rep's GL_d-orbit under sort_key, and the order of
+    rep's stabilizer.
+
+    Conjugation fixes scalar images, so only the others, the moving ones,
+    are compared, image by image in element order.  With none, rep is its
+    own least point and all of GL_d fixes it.
+
+    At d = 2 the first moving image X is non-scalar, so cyclic, and its
+    class is every non-scalar matrix with its trace and determinant.  The
+    least of them is L = (0, 1, -det X, tr X): a = 0 is reached, then
+    bc = -det X != 0 (the images are invertible) makes b = 1 least, and
+    b fixes c and d.  g0 = (r; r X), for a row r that is no eigenvector of
+    X, takes X to L, and the conjugators that do so are the coset C(L) g0,
+    C(L) being the units of F[L].  Scalars conjugate trivially, so one unit
+    per scalar class is scanned (cyclic_unit_classes), on the later moving
+    images; each class u that fixes them all adds q - 1 to the stabilizer,
+    since g0^-1 u g0 and its multiples then fix rep.  Other d scan all of
+    GL_d.
+    """
+    F, d, images = rep.field, rep.dim, rep.images
+    moving = [m for m in images if not _is_scalar(m)]
+    if not moving:
+        return rep, gl_order(F.q, d)
+    if d != 2:
+        best, stab = _least_conjugator(gl_pairs(F, d), moving)
+        return conjugate_rep(rep, best[0]), stab
+    X = moving[0]
+    a, b, c, e = X.data
+    # r = e1, e2 or e1 + e2, whichever X does not send into its own line
+    g0 = Mat(F, 2, 2, (1, 0, a, b) if b else (0, 1, c, e) if c else (1, 1, a, e))
+    g0inv = g0.inverse()
+    L = Mat(F, 2, 2, (0, 1, F.neg(X.det()), X.trace()))
+    rest = [g0 * M * g0inv for M in moving[1:]]
+    best, classes = _least_conjugator(cyclic_unit_classes(F, L), rest)
+    return conjugate_rep(rep, best[0] * g0), classes * (F.q - 1)
 
 
 def intertwiner_basis(field, mats1, mats2, d):
@@ -387,6 +455,27 @@ def _leaf_rep(group, field, dim, images):
                           check_now=False)
 
 
+def conjugation_relations(group):
+    """Per generator g_i, the pairs (h, k) with h one of g_0 .. g_(i-1) and
+    k = g_i^-1 h g_i in the subgroup H those generate.
+
+    A homomorphism rho has rho(h) rho(g_i) = rho(g_i) rho(k), and rho(k) is
+    known from H's image table before any image of g_i is tried; so
+    rho(h) N = N rho(k) must hold for every pair before N is extended."""
+    gens, table = group.generators, group.table
+    out = []
+    for i, g in enumerate(gens):
+        ginv = group.inverse(g)
+        sub = group._closure(gens[:i])
+        conj = ((h, table[table[ginv][h]][g]) for h in gens[:i])
+        out.append(tuple((h, k) for h, k in conj if k in sub))
+    return out
+
+
+def _respects(relations, images, M):
+    return all(images[h] * M == M * images[k] for h, k in relations)
+
+
 def enumerate_reps(group, dim, field, cap=10 ** 7):
     """Complete list of homomorphisms G -> GL_d(F), in deterministic order."""
     gens = group.generators
@@ -397,6 +486,7 @@ def enumerate_reps(group, dim, field, cap=10 ** 7):
     if total > cap:
         raise EnumerationCapExceeded(
             f"{total} candidate tuples exceed enumeration cap {cap}")
+    relations = conjugation_relations(group)
     out = []
 
     def dfs(assigned, images):
@@ -405,6 +495,8 @@ def enumerate_reps(group, dim, field, cap=10 ** 7):
             out.append(_leaf_rep(group, field, dim, images))
             return
         for M in cand_sets[i]:
+            if not _respects(relations[i], images, M):
+                continue
             ext = _extend_images(group, images, assigned + [M])
             if ext is not None:
                 dfs(assigned + [M], ext)
@@ -434,6 +526,7 @@ def hom_orbit_reps(group, dim, field):
     gens = group.generators
     orders = [group.element_order(g) for g in gens]
     gl = gl_order(field.q, dim)
+    relations = conjugation_relations(group)
     results = []
 
     def recurse(assigned, images, symmetry):
@@ -447,6 +540,8 @@ def hom_orbit_reps(group, dim, field):
         last = i + 1 == len(gens)
         if symmetry is FULL_GL:
             for M in order_class_reps(field, dim, orders[i]):
+                if not _respects(relations[i], images, M):
+                    continue
                 ext = _extend_images(group, images, assigned + [M])
                 if ext is not None:
                     recurse(assigned + [M], ext,
@@ -454,7 +549,7 @@ def hom_orbit_reps(group, dim, field):
             return
         seen = set()
         for M in order_candidates(field, dim, orders[i]):
-            if M in seen:
+            if M in seen or not _respects(relations[i], images, M):
                 continue
             ext = _extend_images(group, images, assigned + [M])
             if ext is None:
@@ -470,12 +565,17 @@ def hom_orbit_reps(group, dim, field):
 
 
 def centralizer_or_full(field, M, dim):
-    """Centralizer of M in GL_d as a list of (g, g^-1) pairs, or FULL_GL for
-    scalars."""
+    """Centralizer of M in GL_d modulo the scalars, one (g, g^-1) pair per
+    scalar class, or FULL_GL for scalar M.  g and its multiples conjugate
+    alike, so the pairs give the same orbits as the whole centralizer."""
     if _is_scalar(M):
         return FULL_GL
+    if dim == 2:
+        return cyclic_unit_classes(field, M)
     basis = intertwiner_basis(field, [M], [M], dim)
-    return [(T, T.inverse()) for T in _span_units(field, basis, dim)]
+    # the class representative whose first nonzero entry is 1
+    return [(T, T.inverse()) for T in _span_units(field, basis, dim)
+            if next(filter(None, T.data)) == 1]
 
 
 # --- submodules, semisimplification, isomorphism ---

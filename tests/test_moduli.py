@@ -41,6 +41,22 @@ def test_orbit_size_check_raises_with_witness(monkeypatch):
     assert info.value.witness["stabilizer"] > 1
 
 
+@pytest.mark.parametrize("G, F", [(symmetric(3), F7), (dihedral(4), F5)],
+                         ids=["S3-F_7", "D4-F_5"])
+def test_least_points_at_d2_never_scan_gl(monkeypatch, G, F):
+    # least points descend through the centralizer of the first moving
+    # image; only d = 3 still walks all of GL_d
+    want = [(o.rep.sort_key(), o.size) for o in orbit_partition(G, 2, F).orbits]
+
+    def no_scan(field, d):
+        raise AssertionError(f"scanned GL_{d}(F_{field.q})")
+
+    monkeypatch.setattr(reps, "gl_pairs", no_scan)
+    reps.hom_orbit_reps.cache_clear()
+    got = orbit_partition(G, 2, F)
+    assert [(o.rep.sort_key(), o.size) for o in got.orbits] == want
+
+
 def test_fiber_descends_once_per_dimension():
     # orbit_partition descends at d = 2; psi_fiber's split_search asks for
     # the irreducibles of dimension 1 and 2 and reuses the d = 2 descent

@@ -1,43 +1,81 @@
+from itertools import product
+
 import pytest
 
+from detlaw import reps
 from detlaw.errors import ShapeMismatch
 from detlaw.fields import make_field
-from detlaw.groups import cyclic, dihedral, symmetric
+from detlaw.groups import (cyclic, dihedral, direct_product,
+                           semidirect_cyclic_squared, symmetric)
 from detlaw.linalg import Mat, gl_order
 from detlaw.reps import (Representation, centralizer_or_full, characters,
-                         conjugate_rep, direct_sum,
-                         enumerate_reps, gl_elements,
+                         conjugate_rep, cyclic_char_polys, direct_sum,
+                         enumerate_reps, gl_elements, gl_pairs,
                          hom_orbit_reps, intertwiner_basis, invariant_subspace,
-                         irreducible_reps, isomorphic, order_candidates,
-                         order_class_reps, semisimplify, sub_quotient_reps,
-                         trivial_rep, unit_count_of_commutant)
+                         irreducible_reps, isomorphic, least_conjugate,
+                         order_candidates, order_class_reps, semisimplify,
+                         sub_quotient_reps, trivial_rep,
+                         unit_count_of_commutant)
 
+F2 = make_field(2)
 F3 = make_field(3)
 F5 = make_field(5)
 F7 = make_field(7)
 F4 = make_field(2, 2)
+F9 = make_field(3, 2)
+F25 = make_field(5, 2)
+
+
+def _mats_with_det(field, delta):
+    """The entries (a, b, c, d) of every 2 x 2 matrix with ad - bc = delta."""
+    F = field
+    for a, b, c in product(range(F.q), repeat=3):
+        rest = F.add(delta, F.mul(b, c))
+        if a:
+            yield (a, b, c, F.mul(rest, F.inv(a)))
+        elif not rest:
+            for d in range(F.q):
+                yield (0, b, c, d)
 
 
 def _brute_order_candidates(field, d, m):
+    """Every 2 x 2 M with M^m = 1, by powering each matrix whose
+    determinant is an m-th root of unity (det(M)^m = det(M^m))."""
+    assert d == 2
     out = []
-    q = field.q
-    for data in _all_mats(field, d):
-        M = Mat(field, d, d, data)
-        if (M ** m).is_identity():
-            out.append(M)
+    for delta in range(1, field.q):
+        if field.pow(delta, m) == 1:
+            for data in _mats_with_det(field, delta):
+                M = Mat(field, 2, 2, data)
+                if (M ** m).is_identity():
+                    out.append(M)
     return out
 
 
 def _all_mats(field, d):
-    from itertools import product
     return product(range(field.q), repeat=d * d)
 
 
-@pytest.mark.parametrize("field,m", [(F3, 2), (F3, 3), (F5, 4), (F4, 2)])
+_ORDER_CASES = [(F3, 2), (F3, 3), (F5, 4), (F4, 2)]
+
+
+@pytest.mark.parametrize("field,m", _ORDER_CASES + [
+    (F, m) for F in (F3, F4, F5, F9) for m in range(1, 13)
+    if (F, m) not in _ORDER_CASES
+] + [(F25, 4), (F25, 5), (F25, 10)])
 def test_order_candidates_exhaustive_d2(field, m):
-    got = set(M.data for M in order_candidates(field, 2, m))
+    got = [M.data for M in order_candidates(field, 2, m)]
     want = set(M.data for M in _brute_order_candidates(field, 2, m))
-    assert got == want
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F9], ids=str)
+def test_cyclic_char_polys_match_companion_powers(field):
+    for m in range(1, 13):
+        want = tuple((s, p) for s in range(field.q) for p in range(1, field.q)
+                     if (reps._companion2(field, s, p) ** m).is_identity())
+        assert cyclic_char_polys(field, m) == want, m
 
 
 def test_order_class_reps_cover_all_classes():
@@ -103,12 +141,20 @@ def test_centralizer_is_the_brute_force_commutant(F, d, data):
     M = Mat(F, d, d, data)
     pairs = centralizer_or_full(F, M, d)
     want = [g for g in gl_elements(F, d) if g * M == M * g]
-    assert sorted(g.data for g, _ in pairs) == sorted(g.data for g in want)
-    assert len({g.data for g, _ in pairs}) == len(pairs)
+
+    def leading_one(g):
+        # the multiple of g whose first nonzero entry is 1
+        return (g * F.inv(next(filter(None, g.data)))).data
+
+    # one pair per scalar class of the brute-force commutant, each class once
+    assert sorted(leading_one(g) for g, _ in pairs) == \
+        sorted({leading_one(g) for g in want})
+    assert all(g * M == M * g for g, _ in pairs)
     eye = Mat.identity(F, d)
     assert all(g * ginv == eye and ginv * g == eye for g, ginv in pairs)
     basis = intertwiner_basis(F, [M], [M], d)
-    assert unit_count_of_commutant(F, basis, d) == len(pairs)
+    assert unit_count_of_commutant(F, basis, d) == len(pairs) * (F.q - 1) \
+        == len(want)
 
 
 def _full_closure(group, dim, field, assigned):
@@ -227,3 +273,138 @@ def test_irreducible_reps_s3():
     irs = irreducible_reps(symmetric(3), F, 2)
     dims = sorted(r.dim for r in irs)
     assert dims == [1, 1, 2]
+
+
+# --- the relation pre-filter and least points by descent, against oracles ---
+
+_GROUPS = [cyclic(2), cyclic(4), symmetric(3), dihedral(4), dihedral(6),
+           direct_product(cyclic(3), symmetric(3)),
+           semidirect_cyclic_squared(3, 2, 2)]
+# the three slowest cases: about 1.4, 7 and 5 s, mostly in the oracle
+_SLOW = {("D6", "F_7"), ("C3xS3", "F_7"), ("(C3xC3):C2", "F_7")}
+
+
+def _enumerate_unfiltered(group, dim, field):
+    """enumerate_reps without the relation pre-filter: every candidate is
+    tried by _extend_images."""
+    gens = group.generators
+    cand_sets = [order_candidates(field, dim, group.element_order(g))
+                 for g in gens]
+    out = []
+
+    def dfs(assigned, images):
+        if len(assigned) == len(gens):
+            out.append(reps._leaf_rep(group, field, dim, images))
+            return
+        for M in cand_sets[len(assigned)]:
+            ext = reps._extend_images(group, images, assigned + [M])
+            if ext is not None:
+                dfs(assigned + [M], ext)
+
+    dfs([], {group.identity: Mat.identity(field, dim)})
+    out.sort(key=lambda r: r.sort_key())
+    return out
+
+
+def _orbit_keys(pairs):
+    return [(rep.sort_key(), size) for rep, size in pairs]
+
+
+@pytest.mark.parametrize("G, F, dims", [
+    pytest.param(G, F, (1, 2), id=f"{G.name}-{F}",
+                 marks=[pytest.mark.slow] if (G.name, str(F)) in _SLOW else [])
+    for G in _GROUPS for F in (F2, F3, F4, F5, F7)
+] + [pytest.param(symmetric(3), F2, (3,), id="S3-F_2-d3")])
+def test_prefilter_keeps_every_homomorphism_and_orbit(monkeypatch, G, F, dims):
+    for d in dims:
+        got = enumerate_reps(G, d, F)
+        assert [r.sort_key() for r in got] == \
+            [r.sort_key() for r in _enumerate_unfiltered(G, d, F)], d
+        orbits = hom_orbit_reps.__wrapped__(G, d, F)
+        with monkeypatch.context() as m:
+            m.setattr(reps, "conjugation_relations",
+                      lambda group: [()] * len(group.generators))
+            unfiltered = hom_orbit_reps.__wrapped__(G, d, F)
+        assert _orbit_keys(orbits) == _orbit_keys(unfiltered), d
+        assert sum(size for _rep, size in orbits) == len(got), d
+
+
+def test_conjugation_relations_from_the_table():
+    D4, S3 = dihedral(4), symmetric(3)
+    r, f = D4.generators
+    # f^-1 r f = r^-1, in the subgroup generated by r
+    assert reps.conjugation_relations(D4) == [(), ((r, D4.inverse(r)),)]
+    assert reps.conjugation_relations(S3) == [(), ()]
+    assert reps.conjugation_relations(cyclic(5)) == [()]
+
+
+def test_prefilter_leaves_no_rejected_extension_on_d4(monkeypatch):
+    # D4 = <r, f | r^4, f^2, f r f^-1 = r^-1>: the candidate orders give the
+    # first two relations and the pre-filter the third, so every candidate
+    # that reaches _extend_images extends (the unfiltered search rejects
+    # 5,124 of 5,900)
+    calls = []
+    extend = reps._extend_images
+
+    def counting(group, images, assigned):
+        out = extend(group, images, assigned)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(reps, "_extend_images", counting)
+    assert len(enumerate_reps(dihedral(4), 2, F7)) == 676
+    assert calls and all(calls)
+
+
+def _least_conjugate_scan(rep):
+    """The least point of rep's orbit and its stabilizer order, by one pass
+    over all of GL_d: each conjugate is compared lazily, image by image in
+    element order, with the least so far and with rep itself."""
+    images = rep.images
+    moving = [x for x, m in enumerate(images) if not reps._is_scalar(m)]
+    best, best_data = None, {}
+    stab = 0
+    for g, ginv in gl_pairs(rep.field, rep.dim):
+        order = -1 if best is None else 0
+        fixed = True
+        data = {}
+        for x in moving:
+            c = data[x] = (g * images[x] * ginv).data
+            fixed = fixed and c == images[x].data
+            if not order:
+                if x not in best_data:
+                    best_data[x] = (best[0] * images[x] * best[1]).data
+                order = (c > best_data[x]) - (c < best_data[x])
+            if order and not fixed:
+                break
+        stab += fixed
+        if order < 0:
+            best, best_data = (g, ginv), data
+    return conjugate_rep(rep, best[0]), stab
+
+
+def test_least_point_by_descent_matches_the_full_scan():
+    # every orbit of C2, C4, S3 and D4 at d = 2 over F_2 .. F_7, at its
+    # class representative and at two conjugates of it
+    samples = scalar = 0
+    for G in _GROUPS[:4]:
+        for F in (F2, F3, F4, F5, F7):
+            gl = gl_elements(F, 2)
+            conjugators = [gl[len(gl) // 3], gl[2 * len(gl) // 3]]
+            for rep, _size in hom_orbit_reps(G, 2, F):
+                for c in [rep] + [conjugate_rep(rep, g) for g in conjugators]:
+                    point, stab = least_conjugate(c)
+                    want_point, want_stab = _least_conjugate_scan(c)
+                    assert point.sort_key() == want_point.sort_key(), (G, F, c)
+                    assert stab == want_stab, (G, F, c)
+                    samples += 1
+                    scalar += all(reps._is_scalar(m) for m in c.images)
+    assert samples == 291 and scalar > 0
+
+
+def test_least_point_at_d3_scans_gl3():
+    for rep, size in hom_orbit_reps(symmetric(3), 3, F2):
+        point, stab = least_conjugate(rep)
+        want_point, want_stab = _least_conjugate_scan(rep)
+        assert (point.sort_key(), stab) == (want_point.sort_key(), want_stab)
+        assert size * stab == gl_order(2, 3)
