@@ -164,17 +164,9 @@ class PseudoRep:
                 # an exponent of D reaches 256, past every exponent of D(xy)
                 return False
             right = {b << (8 * n): c for b, c in left.items()}
-        get, pairs = dz.get, right.items()
-        if F._mul is None:
-            return all(get(a + b) == F.mul(ca, cb)
-                       for a, ca in left.items() for b, cb in pairs)
-        q, mul = F.q, F._mul
-        for a, ca in left.items():
-            row = ca * q
-            for b, cb in pairs:
-                if get(a + b) != mul[row + cb]:
-                    return False
-        return True
+        get, mul = dz.get, F.mul
+        return all(get(a + b) == mul(ca, cb)
+                   for a, ca in left.items() for b, cb in right.items())
 
     def check_axioms(self):
         return self.is_homogeneous() and self.is_unital() and self.is_multiplicative()

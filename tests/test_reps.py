@@ -329,6 +329,27 @@ def test_prefilter_keeps_every_homomorphism_and_orbit(monkeypatch, G, F, dims):
         assert sum(size for _rep, size in orbits) == len(got), d
 
 
+def _centralizer_all_units(field, M, dim):
+    """centralizer_or_full keeping every unit of the commutant, not one per
+    scalar class."""
+    if reps._is_scalar(M):
+        return reps.FULL_GL
+    basis = intertwiner_basis(field, [M], [M], dim)
+    return [(T, T.inverse()) for T in reps._span_units(field, basis, dim)]
+
+
+@pytest.mark.parametrize("G", [symmetric(3),
+                               direct_product(cyclic(2), cyclic(2))],
+                         ids=lambda G: G.name)
+def test_scalar_class_centralizer_keeps_every_orbit_d3(monkeypatch, G):
+    # over F_3 there are two scalars, so one unit per scalar class halves
+    # the centralizer at d = 3; the orbits and their sizes must not change
+    orbits = hom_orbit_reps.__wrapped__(G, 3, F3)
+    monkeypatch.setattr(reps, "centralizer_or_full", _centralizer_all_units)
+    assert _orbit_keys(orbits) == \
+        _orbit_keys(hom_orbit_reps.__wrapped__(G, 3, F3))
+
+
 def test_conjugation_relations_from_the_table():
     D4, S3 = dihedral(4), symmetric(3)
     r, f = D4.generators
