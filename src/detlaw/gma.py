@@ -14,7 +14,7 @@ from operator import add, le, sub
 
 from .errors import (GmaAxiomFailure, HypothesisViolation, InvariantViolation,
                      PointCapExceeded, ShapeMismatch)
-from .linalg import Mat, rref, in_span, _perm_sign
+from .linalg import Mat, rref, in_span, _cycles
 from .poly import MPoly, _add_into, symbolic_det
 from .pseudo import (PseudoRep, algebra_base_change, ch_quotient, from_group_rep,
                      generic_vars)
@@ -244,40 +244,23 @@ def canonical_det(data, start="min"):
     X = [[A.mul_poly(consts[l], A.mul_poly(xi, consts[m], zero), zero)
           for m in range(d)] for l in range(d)]
     acc = zero
+    pick = min if start == "min" else max
     for perm in permutations(range(d)):
         term = MPoly.const(F, xs, 1)
-        for cycle in _cycles(perm):
-            k = min(cycle) if start == "min" else max(cycle)
-            seq = [k]
-            while perm[seq[-1]] != k:
-                seq.append(perm[seq[-1]])
+        cycles = _cycles(perm)
+        for cycle in cycles:
+            j = cycle.index(pick(cycle))
+            seq = cycle[j:] + cycle[:j]
             prod = X[seq[0]][perm[seq[0]]]
             for l in seq[1:]:
                 prod = A.mul_poly(prod, X[l][perm[l]], zero)
-            term = term * data.scalar_poly_of(k, prod, zero)
+            term = term * data.scalar_poly_of(seq[0], prod, zero)
             if term.is_zero():
                 break
-        if _perm_sign(perm) < 0:
+        if (d - len(cycles)) % 2:
             term = term.scale(F.neg(1))
         acc = acc + term
     return PseudoRep(A, d, acc)
-
-
-def _cycles(perm):
-    seen = [False] * len(perm)
-    out = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        out.append(cyc)
-    return out
 
 
 # --- adapted representations ---

@@ -101,21 +101,6 @@ class FiniteGroup:
             n += 1
         return n
 
-    def generator_words(self):
-        """BFS word (list of generator positions) for every element."""
-        words = {self.identity: []}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for pos, g in enumerate(self.generators):
-                    b = self.table[a][g]
-                    if b not in words:
-                        words[b] = words[a] + [pos]
-                        nxt.append(b)
-            frontier = nxt
-        return [words[x] for x in range(self.order)]
-
     def __repr__(self):
         return f"{self.name}(order={self.order})"
 

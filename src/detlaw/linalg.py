@@ -258,21 +258,27 @@ class Mat:
         return "[" + "; ".join(rows) + "]"
 
 
-def _perm_sign(perm):
-    sign = 1
+def _cycles(perm):
+    """The cycles of a permutation of range(n), each listed from its least
+    element, in order of those elements."""
     seen = [False] * len(perm)
+    out = []
     for i in range(len(perm)):
         if seen[i]:
             continue
-        j = i
-        length = 0
-        while not seen[j]:
+        cyc = [i]
+        seen[i] = True
+        j = perm[i]
+        while j != i:
+            cyc.append(j)
             seen[j] = True
             j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+        out.append(cyc)
+    return out
+
+
+def _perm_sign(perm):
+    return -1 if (len(perm) - len(_cycles(perm))) % 2 else 1
 
 
 # --- row-space utilities over code tuples ---

@@ -348,34 +348,6 @@ class MPoly:
             acc = F.add(acc, t)
         return acc
 
-    def partial_evaluate(self, point):
-        """Evaluate a subset of variables (dict var -> code), keeping the rest."""
-        F = self.field
-        idx = {self.vars.index(n): v for n, v in point.items()}
-        out = {}
-        for e, c in self.terms.items():
-            t = c
-            e2 = list(e)
-            for i, v in idx.items():
-                if e[i]:
-                    t = F.mul(t, F.pow(v, e[i]))
-                    e2[i] = 0
-                if not t:
-                    break
-            if not t:
-                continue
-            e2 = tuple(e2)
-            prev = out.get(e2)
-            if prev is None:
-                out[e2] = t
-            else:
-                s = F.add(prev, t)
-                if s:
-                    out[e2] = s
-                else:
-                    del out[e2]
-        return MPoly(F, self.vars, out)
-
     def map_field(self, target):
         """Coefficient-wise canonical embedding into an extension field."""
         if target == self.field:

@@ -2,16 +2,18 @@
 
 Enumeration works from per-generator candidate sets {M : M^m = 1} built by
 characteristic-polynomial fibers, so no scan of all of M_d(F) is ever needed.
-Orbit classification under GL_d-conjugation descends through centralizers of
-canonical class representatives, which keeps large fields (q up to 49 at
-d = 2) within reach.  Candidates that break a conjugation relation of the
-group are dropped before their image table is built, and at d = 2 least
-orbit points descend through a centralizer too, so nothing there scans
-GL_2(F).
+One descent serves enumeration and orbit classification under
+GL_d-conjugation.  The latter descends through centralizers of canonical
+class representatives, which keeps large fields (q up to 49 at d = 2)
+within reach, and reads each orbit's size off the stabilizer it reaches.
+Candidates that break a conjugation relation of the group are dropped
+before their image table is built, and at d = 2 least orbit points descend
+through a centralizer too, so nothing there scans GL_2(F).
 """
 
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 from .errors import (EnumerationCapExceeded, SearchCapExceeded, ShapeMismatch)
 from .groups import FiniteGroup
@@ -242,12 +244,6 @@ def order_class_reps(field, d, m):
     return tuple(reps)
 
 
-def _has_sqrt(field, a):
-    if a == 0:
-        return True
-    return field.pow(a, (field.q - 1) // 2) == 1 if field.p != 2 else True
-
-
 @lru_cache(maxsize=None)
 def gl_elements(field, d):
     """All of GL_d(F); guarded by size."""
@@ -368,40 +364,6 @@ def intertwiner_basis(field, mats1, mats2, d):
     return [Mat(field, d, d, v) for v in basis]
 
 
-def unit_count_of_commutant(field, basis, d):
-    """Number of invertible elements in the span of a commutant basis.
-
-    The span is an algebra (it always is for a commutant); for d <= 2 the
-    count follows from its isomorphism type, otherwise small spans are
-    enumerated.
-    """
-    F = field
-    m = len(basis)
-    q = F.q
-    if m == 1:
-        return q - 1
-    if d == 2:
-        if m == 4:
-            return gl_order(q, 2)
-        if m == 2:
-            u = next(b for b in basis if not _is_scalar(b))
-            s, p = u.trace(), u.det()
-            disc = F.sub(F.mul(s, s), F.mul(4 % F.p, p))
-            if F.p == 2:
-                # char 2: (t^2 - st + p) separable iff s != 0
-                if s == 0:
-                    return q * q - q
-                # roots in F iff t^2+st+p has a root: scan (q is tiny here)
-                has_root = any(F.add(F.mul(x, F.add(x, s)), p) == 0 for x in range(q))
-                return (q - 1) ** 2 if has_root else q * q - 1
-            if disc == 0:
-                return q * q - q
-            return (q - 1) ** 2 if _has_sqrt(F, disc) else q * q - 1
-    if q ** m <= 200000:
-        return sum(1 for _ in _span_units(F, basis, d))
-    raise SearchCapExceeded("commutant too large to count units")
-
-
 def _span_units(field, basis, d):
     """The invertible elements of the span of basis (d x d matrices), in
     coefficient order: sum c_i B_i for (c_1, ..., c_m) in product order."""
@@ -476,90 +438,81 @@ def _respects(relations, images, M):
     return all(images[h] * M == M * images[k] for h, k in relations)
 
 
+FULL_GL = "full"
+
+
+def _descend(group, dim, field, symmetry):
+    """The homomorphisms G -> GL_d(F) up to conjugation by a symmetry group,
+    generator by generator, as (rep, symmetry at the leaf).
+
+    symmetry is FULL_GL or a list of (g, g^-1) pairs, one per scalar class
+    of a subgroup of GL_d(F).  Under FULL_GL a generator's image runs over
+    the class representatives of its order and the symmetry becomes the
+    image's centralizer (centralizer_or_full); under pairs it runs over all
+    candidates of that order, the first of each orbit of the pairs is kept,
+    and the symmetry becomes the pairs that commute with it.  So the leaf
+    symmetry is rep's stabilizer in the symmetry group, one pair per scalar
+    class, or FULL_GL while every image is scalar.  From the identity pair
+    alone every homomorphism comes out once.
+    """
+    gens = group.generators
+    orders = [group.element_order(g) for g in gens]
+    relations = conjugation_relations(group)
+
+    def recurse(assigned, images, symmetry):
+        i = len(assigned)
+        if i == len(gens):
+            yield _leaf_rep(group, field, dim, images), symmetry
+            return
+        full = symmetry is FULL_GL
+        seen = set()
+        cands = (order_class_reps if full else order_candidates)(field, dim, orders[i])
+        for M in cands:
+            if not _respects(relations[i], images, M) or M in seen:
+                continue
+            ext = _extend_images(group, images, assigned + [M])
+            if ext is None:
+                continue
+            if full:
+                stab = centralizer_or_full(field, M, dim)
+            else:
+                seen |= conjugation_orbit(M, symmetry)
+                stab = [(g, ginv) for g, ginv in symmetry if g * M == M * g]
+            yield from recurse(assigned + [M], ext, stab)
+
+    return recurse([], {group.identity: Mat.identity(field, dim)}, symmetry)
+
+
 def enumerate_reps(group, dim, field, cap=10 ** 7):
     """Complete list of homomorphisms G -> GL_d(F), in deterministic order."""
-    gens = group.generators
-    cand_sets = [order_candidates(field, dim, group.element_order(g)) for g in gens]
-    total = 1
-    for s in cand_sets:
-        total *= len(s)
+    total = prod(len(order_candidates(field, dim, group.element_order(g)))
+                 for g in group.generators)
     if total > cap:
         raise EnumerationCapExceeded(
             f"{total} candidate tuples exceed enumeration cap {cap}")
-    relations = conjugation_relations(group)
-    out = []
-
-    def dfs(assigned, images):
-        i = len(assigned)
-        if i == len(gens):
-            out.append(_leaf_rep(group, field, dim, images))
-            return
-        for M in cand_sets[i]:
-            if not _respects(relations[i], images, M):
-                continue
-            ext = _extend_images(group, images, assigned + [M])
-            if ext is not None:
-                dfs(assigned + [M], ext)
-
-    dfs([], {group.identity: Mat.identity(field, dim)})
+    eye = Mat.identity(field, dim)
+    out = [rep for rep, _ in _descend(group, dim, field, [(eye, eye)])]
     out.sort(key=lambda r: r.sort_key())
     return out
-
-
-FULL_GL = "full"
 
 
 @lru_cache(maxsize=None)
 def hom_orbit_reps(group, dim, field):
     """GL_d-conjugation orbit representatives of Hom(G, GL_d(F)) with orbit sizes.
 
-    Descends generator by generator: under the full GL the first image is
-    reduced to a canonical conjugacy class representative and the remaining
-    generators are classified under its centralizer (explicit lists of
-    (g, g^-1) pairs once the symmetry group is small enough).  No symmetry
-    group is built after the last generator.
+    Descends from the full GL (_descend): each first non-scalar image is a
+    canonical conjugacy class representative, and the later generators are
+    classified under its centralizer.  The leaf symmetry is rep's
+    stabilizer, one pair per scalar class, so the orbit has
+    |GL_d| / (pairs x (q - 1)) points, or 1 when every image is scalar.
 
     Returns a tuple of (Representation, orbit_size), deterministically
     ordered.  The result is cached per (group, dim, field), so that `fiber`
     descends once per dimension across orbit_partition and split_search.
     """
-    gens = group.generators
-    orders = [group.element_order(g) for g in gens]
     gl = gl_order(field.q, dim)
-    relations = conjugation_relations(group)
-    results = []
-
-    def recurse(assigned, images, symmetry):
-        i = len(assigned)
-        if i == len(gens):
-            mats = assigned or [Mat.identity(field, dim)]
-            comm = intertwiner_basis(field, mats, mats, dim)
-            results.append((_leaf_rep(group, field, dim, images),
-                            gl // unit_count_of_commutant(field, comm, dim)))
-            return
-        last = i + 1 == len(gens)
-        if symmetry is FULL_GL:
-            for M in order_class_reps(field, dim, orders[i]):
-                if not _respects(relations[i], images, M):
-                    continue
-                ext = _extend_images(group, images, assigned + [M])
-                if ext is not None:
-                    recurse(assigned + [M], ext,
-                            None if last else centralizer_or_full(field, M, dim))
-            return
-        seen = set()
-        for M in order_candidates(field, dim, orders[i]):
-            if M in seen or not _respects(relations[i], images, M):
-                continue
-            ext = _extend_images(group, images, assigned + [M])
-            if ext is None:
-                continue
-            seen |= conjugation_orbit(M, symmetry)
-            stab = None if last else [(g, ginv) for g, ginv in symmetry
-                                      if g * M == M * g]
-            recurse(assigned + [M], ext, stab)
-
-    recurse([], {group.identity: Mat.identity(field, dim)}, FULL_GL)
+    results = [(rep, 1 if stab is FULL_GL else gl // (len(stab) * (field.q - 1)))
+               for rep, stab in _descend(group, dim, field, FULL_GL)]
     results.sort(key=lambda t: t[0].sort_key())
     return tuple(results)
 

@@ -68,17 +68,6 @@ def test_inertia_must_be_subgroup():
         with_inertia(S3, [0, 1, 2])  # three arbitrary elements
 
 
-def test_generator_words_reach_everything():
-    D4 = dihedral(4)
-    words = D4.generator_words()
-    assert len(words) == D4.order
-    for g, word in enumerate(words):
-        acc = D4.identity
-        for pos in word:
-            acc = D4.table[acc][D4.generators[pos]]
-        assert acc == g
-
-
 def test_inverse():
     S3 = symmetric(3)
     for g in range(6):

@@ -34,11 +34,23 @@ def test_orbit_partition_methods_agree():
 
 
 def test_orbit_size_check_raises_with_witness(monkeypatch):
-    monkeypatch.setattr(reps, "unit_count_of_commutant", lambda *a: 1)
+    # each centralizer pair listed twice halves every non-scalar orbit size
+    # the descent reads off its leaf stabilizer
+    centralizer = reps.centralizer_or_full
+
+    def listed_twice(*args):
+        pairs = centralizer(*args)
+        return pairs if pairs is reps.FULL_GL else pairs * 2
+
+    monkeypatch.setattr(reps, "centralizer_or_full", listed_twice)
+    reps.hom_orbit_reps.cache_clear()
     with pytest.raises(InvariantViolation) as info:
         orbit_partition(cyclic(3), 2, F3)
+    reps.hom_orbit_reps.cache_clear()
     assert info.value.code == "InvariantViolation"
-    assert info.value.witness["stabilizer"] > 1
+    witness = info.value.witness
+    assert witness["stabilizer"] > 1
+    assert witness["size"] * witness["stabilizer"] * 2 == 48
 
 
 @pytest.mark.parametrize("G, F", [(symmetric(3), F7), (dihedral(4), F5)],

@@ -62,8 +62,6 @@ def test_evaluate_full_and_partial():
         for b in range(5):
             want = (a * a + 2 * a * b + 3) % 5
             assert p.evaluate({"x": a, "y": b}) == want
-    part = p.partial_evaluate({"x": 2})
-    assert part == 4 * y() + 2
 
 
 def test_substitute_is_ring_homomorphism():

@@ -14,8 +14,7 @@ from detlaw.reps import (Representation, centralizer_or_full, characters,
                          hom_orbit_reps, intertwiner_basis, invariant_subspace,
                          irreducible_reps, isomorphic, least_conjugate,
                          order_candidates, order_class_reps, semisimplify,
-                         sub_quotient_reps, trivial_rep,
-                         unit_count_of_commutant)
+                         sub_quotient_reps, trivial_rep)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -134,7 +133,7 @@ def test_hom_orbit_reps_matches_direct_oracle():
     (F3, 2, (1, 1, 0, 1)), (F3, 2, (0, 2, 1, 0)), (F3, 2, (1, 0, 0, 2)),
     (F4, 2, (1, 0, 0, 2)), (F4, 2, (0, 1, 1, 1)), (F4, 2, (1, 1, 0, 1)),
     (F5, 2, (2, 0, 0, 3)), (F5, 2, (0, 3, 1, 0)), (F5, 2, (1, 1, 0, 1)),
-    # commutants of dimension 5 and 3, where the units are counted by a walk
+    # commutants of dimension 5 and 3, whose units are found by a walk
     (F3, 3, (1, 0, 0, 0, 1, 0, 0, 0, 2)), (F3, 3, (1, 1, 0, 0, 1, 0, 0, 0, 2)),
 ], ids=str)
 def test_centralizer_is_the_brute_force_commutant(F, d, data):
@@ -152,9 +151,7 @@ def test_centralizer_is_the_brute_force_commutant(F, d, data):
     assert all(g * M == M * g for g, _ in pairs)
     eye = Mat.identity(F, d)
     assert all(g * ginv == eye and ginv * g == eye for g, ginv in pairs)
-    basis = intertwiner_basis(F, [M], [M], d)
-    assert unit_count_of_commutant(F, basis, d) == len(pairs) * (F.q - 1) \
-        == len(want)
+    assert len(pairs) * (F.q - 1) == len(want)
 
 
 def _full_closure(group, dim, field, assigned):
@@ -343,11 +340,29 @@ def _centralizer_all_units(field, M, dim):
                          ids=lambda G: G.name)
 def test_scalar_class_centralizer_keeps_every_orbit_d3(monkeypatch, G):
     # over F_3 there are two scalars, so one unit per scalar class halves
-    # the centralizer at d = 3; the orbits and their sizes must not change
+    # the centralizer at d = 3.  The orbits must not change, and the sizes,
+    # read off the leaf stabilizer as one pair per scalar class, must count
+    # every homomorphism (the all-units centralizer breaks that count)
     orbits = hom_orbit_reps.__wrapped__(G, 3, F3)
+    assert sum(size for _rep, size in orbits) == \
+        len(enumerate_reps(G, 3, F3)) == {"S3": 7724, "C2xC2": 7024}[G.name]
     monkeypatch.setattr(reps, "centralizer_or_full", _centralizer_all_units)
-    assert _orbit_keys(orbits) == \
-        _orbit_keys(hom_orbit_reps.__wrapped__(G, 3, F3))
+    assert [rep.sort_key() for rep, _size in orbits] == \
+        [rep.sort_key() for rep, _size in hom_orbit_reps.__wrapped__(G, 3, F3)]
+
+
+@pytest.mark.parametrize("G, F", [(dihedral(4), F5), (symmetric(3), F7)],
+                         ids=["D4-F_5", "S3-F_7"])
+def test_orbit_sizes_at_d2_solve_no_intertwiner_system(monkeypatch, G, F):
+    # the leaf stabilizer of the descent gives each orbit's size, so no
+    # commutant is solved for at d = 2
+    want = _orbit_keys(hom_orbit_reps.__wrapped__(G, 2, F))
+
+    def no_system(*args):
+        raise AssertionError("solved an intertwiner system")
+
+    monkeypatch.setattr(reps, "intertwiner_basis", no_system)
+    assert _orbit_keys(hom_orbit_reps.__wrapped__(G, 2, F)) == want
 
 
 def test_conjugation_relations_from_the_table():
