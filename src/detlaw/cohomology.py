@@ -4,7 +4,7 @@ projective spaces of extensions around the semisimple point.
 """
 
 from .errors import InvariantViolation, NotMultiplicityFree, ShapeMismatch
-from .linalg import (Mat, combine, in_span, nullspace, proj_point_count,
+from .linalg import (Mat, combine, nullspace, proj_point_count,
                      projective_points, reduce_vector, rref)
 from .pseudo import PseudoRep
 from .reps import (Representation, direct_sum, invariant_subspace,
@@ -36,10 +36,6 @@ class Ext1Space:
         for g in range(self.group.order):
             out.append(Mat(self.field, d1, d2, vec[g * block:(g + 1) * block]))
         return out
-
-    def is_coboundary(self, vec):
-        basis, pivots = rref(self.field, self.b_basis)
-        return in_span(self.field, vec, basis, pivots)
 
     def __repr__(self):
         return (f"Ext1({self.group.name}: dimZ={len(self.z_basis)}, "

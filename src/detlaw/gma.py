@@ -478,8 +478,8 @@ def torus_orbits(scheme, field, points):
 
     z = (z_1..z_r) conjugates the universal matrix by the block-scalar
     diagonal, scaling the A_{i,j} variable block by z_i / z_j.  This stays
-    apart from ``reps.conjugation_orbit``: it scales coordinate tuples of
-    points by z_i / z_j and never conjugates matrices.
+    apart from the orbit search of ``reps._descend``: it scales coordinate
+    tuples of points by z_i / z_j and never conjugates matrices.
     """
     r = scheme.data.r
     on_scheme = set(points)

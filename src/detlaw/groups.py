@@ -1,6 +1,8 @@
 """Finite groups given by multiplication tables, plus standard constructors."""
 
-from .errors import BadGroupTable, SizeCapExceeded
+from .errors import BadGroupTable, SchemaError, SizeCapExceeded
+
+ORDER_CAP = 1000  # largest order the constructors build (C_1000: about 0.5 s)
 
 
 class FiniteGroup:
@@ -105,7 +107,17 @@ class FiniteGroup:
         return f"{self.name}(order={self.order})"
 
 
+def _check_order(name, order, *params):
+    """SchemaError for a parameter below 1, SizeCapExceeded past ORDER_CAP."""
+    if min(params, default=1) < 1:
+        raise SchemaError(f"{name} needs parameters of at least 1, got "
+                          + ", ".join(map(str, params)))
+    if order > ORDER_CAP:
+        raise SizeCapExceeded(f"{name} has order {order}, past the cap {ORDER_CAP}")
+
+
 def cyclic(n):
+    _check_order("C_n", n, n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, generators=[1 % n], name=f"C{n}")
 
@@ -120,6 +132,7 @@ def _from_elements(elems, op, generators, name, inertia_elems=None):
 
 def dihedral(n):
     """D_n of order 2n: pairs (rotation, flip)."""
+    _check_order("D_n", 2 * n, n)
     elems = [(r, f) for f in (0, 1) for r in range(n)]
 
     def op(a, b):
@@ -129,7 +142,7 @@ def dihedral(n):
             return ((r1 + r2) % n, f2)
         return ((r1 - r2) % n, 1 - f2)
 
-    return _from_elements(elems, op, [(1, 0), (0, 1)], f"D{n}")
+    return _from_elements(elems, op, [(1 % n, 0), (0, 1)], f"D{n}")
 
 
 def symmetric(n):
@@ -151,6 +164,7 @@ def symmetric(n):
 
 
 def direct_product(g1, g2, name=None):
+    _check_order("a direct product", g1.order * g2.order)
     elems = [(a, b) for a in range(g1.order) for b in range(g2.order)]
 
     def op(x, y):
@@ -165,6 +179,7 @@ def semidirect_cyclic_squared(p, m, alpha):
 
     Elements are (a, b, s) with s in C_m acting diagonally by alpha^s.
     """
+    _check_order("(C_p x C_p):C_m", p * p * m, p, m)
     elems = [(a, b, s) for s in range(m) for a in range(p) for b in range(p)]
 
     def op(x, y):
@@ -173,7 +188,7 @@ def semidirect_cyclic_squared(p, m, alpha):
         t = pow(alpha, s1, p)
         return ((a1 + t * a2) % p, (b1 + t * b2) % p, (s1 + s2) % m)
 
-    gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    gens = [(1 % p, 0, 0), (0, 1 % p, 0), (0, 0, 1 % m)]
     return _from_elements(elems, op, gens, f"(C{p}xC{p}):C{m}")
 
 

@@ -391,11 +391,6 @@ def intersect_spans(field, rows1, rows2, n):
     return result
 
 
-def span_dim(field, rows):
-    basis, _ = rref(field, rows)
-    return len(basis)
-
-
 def combine(field, coeffs, rows):
     """The code tuple sum_i coeffs[i] * rows[i]; rows must be nonempty."""
     F = field
@@ -417,16 +412,6 @@ def projective_points(q, m):
 def proj_point_count(q, m):
     """The number of lines in F_q^m, that is |P^{m-1}(F_q)|."""
     return (q ** m - 1) // (q - 1)
-
-
-def all_vectors(field, n):
-    """All code tuples in F^n, in lexicographic code order."""
-    if n == 0:
-        yield ()
-        return
-    for rest in all_vectors(field, n - 1):
-        for c in range(field.q):
-            yield (c,) + rest
 
 
 def all_subspaces(field, n, k):

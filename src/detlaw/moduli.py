@@ -50,9 +50,6 @@ class OrbitReport:
     def total_points(self):
         return sum(o.size for o in self.orbits)
 
-    def closed_orbits(self):
-        return [i for i, o in enumerate(self.orbits) if o.is_closed]
-
     def __repr__(self):
         return (f"OrbitReport({self.group.name}, d={self.dim}, {self.field}: "
                 f"{len(self.orbits)} orbits, {len(self.pseudoreps)} laws)")

@@ -50,9 +50,6 @@ class OrdinaryInstance:
         self.scheme = adapted_scheme(data)
         self._group_universal = self._build_group_universal()
 
-    def chi_unramified(self):
-        return all(self.chi.images[s][0, 0] == 1 for s in self.group.inertia)
-
     def _build_group_universal(self):
         """Universal adapted matrix of every group element (entries MPoly)."""
         F = self.field

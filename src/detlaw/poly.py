@@ -355,12 +355,6 @@ class MPoly:
         terms = {e: embed_code(self.field, target, c) for e, c in self.terms.items()}
         return MPoly(target, self.vars, terms)
 
-    def rename(self, variables):
-        if len(variables) != len(self.vars):
-            raise VariableMismatch(f"cannot rename {len(self.vars)} variables "
-                                   f"to {len(variables)}")
-        return MPoly(self.field, tuple(variables), dict(self.terms))
-
     def sorted_terms(self):
         """Terms in descending graded-lex order: (exps, coeff code) pairs."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)

@@ -1,14 +1,14 @@
 """d-dimensional representations of finite groups and algebras over finite fields.
 
-Enumeration works from per-generator candidate sets {M : M^m = 1} built by
-characteristic-polynomial fibers, so no scan of all of M_d(F) is ever needed.
-One descent serves enumeration and orbit classification under
-GL_d-conjugation.  The latter descends through centralizers of canonical
-class representatives, which keeps large fields (q up to 49 at d = 2)
-within reach, and reads each orbit's size off the stabilizer it reaches.
-Candidates that break a conjugation relation of the group are dropped
-before their image table is built, and at d = 2 least orbit points descend
-through a centralizer too, so nothing there scans GL_2(F).
+Enumeration works from per-generator candidate sets {M : M^m = 1}, at
+d = 2 from characteristic-polynomial fibers and at d = 3 (q <= 3) from
+GL_3(F).  One descent serves enumeration and orbit classification under
+GL_d-conjugation and reads each orbit's size off the stabilizer it reaches.
+At d = 2 it descends through centralizers of canonical class
+representatives, which keeps q up to 49 within reach, and least orbit
+points descend the same way, so nothing there scans GL_2(F); at d >= 3 it
+starts from GL_d, one element per scalar class.  Candidates that break a
+conjugation relation of the group are dropped before their image table.
 """
 
 from functools import lru_cache
@@ -194,12 +194,7 @@ def order_candidates(field, d, m):
             out.extend(M for M in _fiber_elements(F, s, p) if not _is_scalar(M))
         return tuple(out)
     if d == 3 and F.q <= 3:
-        out = []
-        for data in product(range(F.q), repeat=9):
-            M = Mat(F, 3, 3, data)
-            if M.det() and (M ** m).is_identity():
-                out.append(M)
-        return tuple(out)
+        return tuple(M for M in gl_elements(F, 3) if (M ** m).is_identity())
     raise EnumerationCapExceeded(f"candidate enumeration unsupported for d={d}, q={F.q}")
 
 
@@ -211,36 +206,27 @@ def _is_scalar(M):
 
 @lru_cache(maxsize=None)
 def order_class_reps(field, d, m):
-    """Conjugacy class representatives of {M in GL_d : M^m = 1} (canonical forms)."""
+    """Canonical class representatives of {M in GL_d : M^m = 1}, d <= 2."""
     F = field
     if d == 1:
         return order_candidates(field, 1, m)
-    if d == 2:
-        reps = [Mat.scalar(F, 2, a) for a in scalar_roots_of_unity(F, m)]
-        # split semisimple: diag(a, b), a < b
-        roots = scalar_roots_of_unity(F, m)
-        for i, a in enumerate(roots):
-            for b in roots[i + 1:]:
-                reps.append(Mat(F, 2, 2, (a, 0, 0, b)))
-        # non-semisimple and irreducible classes via companion matrices;
-        # root count of t^2 - s t + p decides the class shape in any char
-        for s, p in cyclic_char_polys(F, m):
-            nroots = sum(
-                1 for x in range(F.q)
-                if F.add(F.sub(F.mul(x, x), F.mul(s, x)), p) == 0
-            )
-            if nroots == 2:
-                continue  # already listed as diag(a,b)
-            # Jordan block (1 root) or irreducible (0 roots)
-            reps.append(_companion2(F, s, p))
-        return tuple(reps)
-    # small d=3 fallback: orbit representatives by explicit conjugation
-    seen = set()
-    reps = []
-    for M in order_candidates(field, d, m):
-        if M not in seen:
-            reps.append(M)
-            seen |= conjugation_orbit(M, gl_pairs(field, d))
+    reps = [Mat.scalar(F, 2, a) for a in scalar_roots_of_unity(F, m)]
+    # split semisimple: diag(a, b), a < b
+    roots = scalar_roots_of_unity(F, m)
+    for i, a in enumerate(roots):
+        for b in roots[i + 1:]:
+            reps.append(Mat(F, 2, 2, (a, 0, 0, b)))
+    # non-semisimple and irreducible classes via companion matrices;
+    # root count of t^2 - s t + p decides the class shape in any char
+    for s, p in cyclic_char_polys(F, m):
+        nroots = sum(
+            1 for x in range(F.q)
+            if F.add(F.sub(F.mul(x, x), F.mul(s, x)), p) == 0
+        )
+        if nroots == 2:
+            continue  # already listed as diag(a,b)
+        # Jordan block (1 root) or irreducible (0 roots)
+        reps.append(_companion2(F, s, p))
     return tuple(reps)
 
 
@@ -258,14 +244,12 @@ def gl_elements(field, d):
 
 
 @lru_cache(maxsize=None)
-def gl_pairs(field, d):
-    """(g, g^-1) for every g of GL_d(F), in gl_elements order."""
-    return tuple((g, g.inverse()) for g in gl_elements(field, d))
-
-
-def conjugation_orbit(M, pairs):
-    """The conjugates g M g^-1 over the (g, g^-1) pairs of a matrix group."""
-    return {g * M * ginv for g, ginv in pairs}
+def gl_classes(field, d):
+    """(g, g^-1) for one g per scalar class of GL_d(F), the g whose first
+    nonzero entry is 1, in gl_elements order.  g and its multiples conjugate
+    alike, so these give the orbits and stabilizers of all of GL_d."""
+    return tuple((g, g.inverse()) for g in gl_elements(field, d)
+                 if next(filter(None, g.data)) == 1)
 
 
 def cyclic_unit_classes(field, X):
@@ -327,16 +311,17 @@ def least_conjugate(rep):
     C(L) being the units of F[L].  Scalars conjugate trivially, so one unit
     per scalar class is scanned (cyclic_unit_classes), on the later moving
     images; each class u that fixes them all adds q - 1 to the stabilizer,
-    since g0^-1 u g0 and its multiples then fix rep.  Other d scan all of
-    GL_d.
+    since g0^-1 u g0 and its multiples then fix rep.  At d >= 3 the scan
+    runs over GL_d, one element per scalar class (gl_classes), and each
+    class that fixes rep adds q - 1 alike.
     """
     F, d, images = rep.field, rep.dim, rep.images
     moving = [m for m in images if not _is_scalar(m)]
     if not moving:
         return rep, gl_order(F.q, d)
-    if d != 2:
-        best, stab = _least_conjugator(gl_pairs(F, d), moving)
-        return conjugate_rep(rep, best[0]), stab
+    if d > 2:
+        best, classes = _least_conjugator(gl_classes(F, d), moving)
+        return conjugate_rep(rep, best[0]), classes * (F.q - 1)
     X = moving[0]
     a, b, c, e = X.data
     # r = e1, e2 or e1 + e2, whichever X does not send into its own line
@@ -362,21 +347,6 @@ def intertwiner_basis(field, mats1, mats2, d):
                 rows.append(tuple(row))
     basis = nullspace(field, rows, d * d)
     return [Mat(field, d, d, v) for v in basis]
-
-
-def _span_units(field, basis, d):
-    """The invertible elements of the span of basis (d x d matrices), in
-    coefficient order: sum c_i B_i for (c_1, ..., c_m) in product order."""
-    F = field
-    rows = [B.data for B in basis]
-    for coeffs in product(range(F.q), repeat=len(rows)):
-        data = [0] * (d * d)
-        for c, row in zip(coeffs, rows):
-            if c:
-                data = F.sub_mul_row(data, F.neg(c), row)
-        T = Mat(F, d, d, data)
-        if T.det():
-            yield T
 
 
 # --- enumeration of homomorphisms ---
@@ -445,15 +415,15 @@ def _descend(group, dim, field, symmetry):
     """The homomorphisms G -> GL_d(F) up to conjugation by a symmetry group,
     generator by generator, as (rep, symmetry at the leaf).
 
-    symmetry is FULL_GL or a list of (g, g^-1) pairs, one per scalar class
-    of a subgroup of GL_d(F).  Under FULL_GL a generator's image runs over
-    the class representatives of its order and the symmetry becomes the
-    image's centralizer (centralizer_or_full); under pairs it runs over all
-    candidates of that order, the first of each orbit of the pairs is kept,
-    and the symmetry becomes the pairs that commute with it.  So the leaf
-    symmetry is rep's stabilizer in the symmetry group, one pair per scalar
-    class, or FULL_GL while every image is scalar.  From the identity pair
-    alone every homomorphism comes out once.
+    symmetry is FULL_GL (d <= 2) or a list of (g, g^-1) pairs, one per
+    scalar class of a subgroup of GL_d(F).  Under FULL_GL a generator's
+    image runs over the class representatives of its order and the symmetry
+    becomes the image's centralizer (centralizer_or_full); under pairs it
+    runs over all candidates of that order, the first of each orbit of the
+    pairs is kept, and the symmetry becomes the pairs that commute with it.
+    So the leaf symmetry is rep's stabilizer in the symmetry group, one pair
+    per scalar class, or FULL_GL while every image is scalar.  From the
+    identity pair alone every homomorphism comes out once.
     """
     gens = group.generators
     orders = [group.element_order(g) for g in gens]
@@ -474,9 +444,11 @@ def _descend(group, dim, field, symmetry):
             if ext is None:
                 continue
             if full:
-                stab = centralizer_or_full(field, M, dim)
+                stab = centralizer_or_full(field, M)
+            elif _is_scalar(M):
+                stab = symmetry  # every conjugation fixes a scalar
             else:
-                seen |= conjugation_orbit(M, symmetry)
+                seen |= {g * M * ginv for g, ginv in symmetry}
                 stab = [(g, ginv) for g, ginv in symmetry if g * M == M * g]
             yield from recurse(assigned + [M], ext, stab)
 
@@ -485,8 +457,9 @@ def _descend(group, dim, field, symmetry):
 
 def enumerate_reps(group, dim, field, cap=10 ** 7):
     """Complete list of homomorphisms G -> GL_d(F), in deterministic order."""
+    # the identity stands in for no generators: a bad d fails before any I_d
     total = prod(len(order_candidates(field, dim, group.element_order(g)))
-                 for g in group.generators)
+                 for g in group.generators or (group.identity,))
     if total > cap:
         raise EnumerationCapExceeded(
             f"{total} candidate tuples exceed enumeration cap {cap}")
@@ -500,9 +473,11 @@ def enumerate_reps(group, dim, field, cap=10 ** 7):
 def hom_orbit_reps(group, dim, field):
     """GL_d-conjugation orbit representatives of Hom(G, GL_d(F)) with orbit sizes.
 
-    Descends from the full GL (_descend): each first non-scalar image is a
-    canonical conjugacy class representative, and the later generators are
-    classified under its centralizer.  The leaf symmetry is rep's
+    At d <= 2 the descent (_descend) starts from FULL_GL: each first
+    non-scalar image is a canonical class representative, and the later
+    generators are classified under its centralizer.  At d >= 3 it starts
+    from gl_classes once every generator's candidates are built, so an
+    unsupported (d, q) fails before GL_d is.  The leaf symmetry is rep's
     stabilizer, one pair per scalar class, so the orbit has
     |GL_d| / (pairs x (q - 1)) points, or 1 when every image is scalar.
 
@@ -510,25 +485,22 @@ def hom_orbit_reps(group, dim, field):
     ordered.  The result is cached per (group, dim, field), so that `fiber`
     descends once per dimension across orbit_partition and split_search.
     """
+    symmetry = FULL_GL
+    if dim > 2:
+        for g in group.generators or (group.identity,):
+            order_candidates(field, dim, group.element_order(g))
+        symmetry = gl_classes(field, dim)
     gl = gl_order(field.q, dim)
     results = [(rep, 1 if stab is FULL_GL else gl // (len(stab) * (field.q - 1)))
-               for rep, stab in _descend(group, dim, field, FULL_GL)]
+               for rep, stab in _descend(group, dim, field, symmetry)]
     results.sort(key=lambda t: t[0].sort_key())
     return tuple(results)
 
 
-def centralizer_or_full(field, M, dim):
-    """Centralizer of M in GL_d modulo the scalars, one (g, g^-1) pair per
-    scalar class, or FULL_GL for scalar M.  g and its multiples conjugate
-    alike, so the pairs give the same orbits as the whole centralizer."""
-    if _is_scalar(M):
-        return FULL_GL
-    if dim == 2:
-        return cyclic_unit_classes(field, M)
-    basis = intertwiner_basis(field, [M], [M], dim)
-    # the class representative whose first nonzero entry is 1
-    return [(T, T.inverse()) for T in _span_units(field, basis, dim)
-            if next(filter(None, T.data)) == 1]
+def centralizer_or_full(field, M):
+    """Centralizer of M in GL_d, d <= 2, one (g, g^-1) pair per scalar class
+    (g and its multiples conjugate alike), or FULL_GL for scalar M."""
+    return FULL_GL if _is_scalar(M) else cyclic_unit_classes(field, M)
 
 
 # --- submodules, semisimplification, isomorphism ---

@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import detlaw.pseudo as pseudo_mod
 from detlaw.algebras import Ideal
@@ -145,9 +151,16 @@ def test_summary_prints_unit_coefficients_bare_over_extension_fields(capsys):
       "characters": {"x": ["8", "2", "4"]}}, ["pseudorep"], "SchemaError"),
     ({"group": {"type": "cyclic", "args": ["3"]}, "field": {"p": "7", "k": "1"},
       "characters": {"x": ["1", "-1", "1"]}}, ["pseudorep"], "SchemaError"),
+    ({"group": {"type": "cyclic", "args": ["0"]}, "field": {"p": "7", "k": "1"}},
+     ["orbits", "--d", "1"], "SchemaError"),
+    ({"group": {"type": "cyclic", "args": ["100000"]}, "field": {"p": "7", "k": "1"}},
+     ["orbits", "--d", "1"], "SizeCapExceeded"),
+    ({"group": {"type": "symmetric", "args": ["1"]}, "field": {"p": "3", "k": "1"},
+      "d": "100000"}, ["enumerate-reps"], "EnumerationCapExceeded"),
 ], ids=["degree_not_an_int", "character_not_an_int", "characters_not_a_map",
         "symmetric_5", "flag_degree_zero", "flag_degree_negative",
-        "degree_zero", "character_code_past_q", "character_code_negative"])
+        "degree_zero", "character_code_past_q", "character_code_negative",
+        "cyclic_0", "cyclic_100000", "trivial_group_degree_100000"])
 def test_bad_instance_is_a_structured_error(tmp_path, capsys, instance, argv, code):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(instance))
@@ -299,3 +312,105 @@ def test_every_subcommand_parses_every_flag():
         for argv, want in ((head, defaults), (head + flags, set_all)):
             got = vars(parser.parse_args(argv))
             assert got == {"command": sub, "func": func, **place, **want}
+
+
+# --- d = 3 output, which no benchmark job runs ---
+
+D3_DIGESTS = {
+    "orbits s3_f3.json --d 3":
+        "c15181c2084bec39c46b6de27838cb519ed94fd86ae83e8f5568b9c675b2225c",
+    "fiber s3_f3.json --chars triv,c1,c1":
+        "d5c8a47693ccefdf0536ff96d9566f0fdd277892b1236f43145d4881fae59f3e",
+    "orbits s3_f3.json --d 3 --field 2":
+        "be43a8340c23d0213169a5061b1f60e6071dac571453316a55e2cd4bc8f46bc7",
+    "orbits c3_f7.json --d 3 --field 3":
+        "a25f0227005e3c7fafbc241c80c00aa80eb603183ab19f4070f9b22e8a781683",
+}
+
+
+@pytest.mark.parametrize("job", sorted(D3_DIGESTS))
+def test_d3_output_is_pinned(capsys, job):
+    sub, instance, *flags = job.split()
+    code, out = run(capsys, sub, _inst(instance), *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == D3_DIGESTS[job]
+
+
+@pytest.mark.parametrize("argv, d, q", [
+    (["c3_f3.json", "--d", "4"], 4, 3),
+    (["s3_f3.json", "--d", "3", "--field", "2^2"], 3, 4),
+], ids=["c3_f3-d4", "s3_f3-d3-F4"])
+def test_unsupported_orbit_dimension_is_a_cap_error(capsys, argv, d, q):
+    code, out = run(capsys, "orbits", _inst(argv[0]), *argv[1:])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": "EnumerationCapExceeded",
+        "message": f"candidate enumeration unsupported for d={d}, q={q}"}
+
+
+# --- fuzzing: mutated instance files end in a report or a structured error ---
+
+def _load_instance(name):
+    with open(_inst(name)) as fh:
+        return json.load(fh)
+
+
+SEEDS = [_load_instance(n) for n in INSTANCES]
+# small numbers, strings that are no numbers, wrong types, and group specs
+FUZZ_VALUES = ["-1", "0", "1", "2", "100000", "x", "", -1, 2, 2.5, None, True,
+               [], {}, ["2"], ["2", "1", "1"], {"p": "2"}, "product",
+               "dihedral", "semidirect_cyclic_squared", "symmetric"]
+FUZZ_KEYS = ["d", "inertia", "characters", "generators", "table", "type",
+             "args", "factors", "k", "p"]
+
+
+def _paths(obj, path=()):
+    """The path of every value inside obj, obj itself first."""
+    yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_instances(draw):
+    obj = copy.deepcopy(draw(st.sampled_from(SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        value = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+        if not path:
+            obj = value
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["set", "drop", "add"]))
+        if action == "set":
+            parent[path[-1]] = value
+        elif action == "drop":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(FUZZ_KEYS))] = value
+    return obj
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(instance=mutated_instances())
+def test_mutated_instances_end_in_a_report_or_a_structured_error(
+        tmp_path, sub, instance):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([sub, str(path), "--cap", "2000"])
+    assert code in (0, 2, 3)
+    assert isinstance(json.loads(out.getvalue()), dict)
+    assert "Traceback" not in err.getvalue()

@@ -57,13 +57,13 @@ def test_orbit_size_check_raises_with_witness(monkeypatch):
                          ids=["S3-F_7", "D4-F_5"])
 def test_least_points_at_d2_never_scan_gl(monkeypatch, G, F):
     # least points descend through the centralizer of the first moving
-    # image; only d = 3 still walks all of GL_d
+    # image; only d >= 3 builds GL_d
     want = [(o.rep.sort_key(), o.size) for o in orbit_partition(G, 2, F).orbits]
 
     def no_scan(field, d):
         raise AssertionError(f"scanned GL_{d}(F_{field.q})")
 
-    monkeypatch.setattr(reps, "gl_pairs", no_scan)
+    monkeypatch.setattr(reps, "gl_elements", no_scan)
     reps.hom_orbit_reps.cache_clear()
     got = orbit_partition(G, 2, F)
     assert [(o.rep.sort_key(), o.size) for o in got.orbits] == want

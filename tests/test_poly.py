@@ -105,15 +105,6 @@ def test_sorted_terms_graded_lex():
     assert exps == [(1, 1), (0, 2), (1, 0), (0, 0)]
 
 
-def test_rename():
-    p = x() * y()
-    q = p.rename(("a", "b"))
-    assert q.vars == ("a", "b")
-    assert q.terms == p.terms
-    with pytest.raises(VariableMismatch):
-        p.rename(("a",))
-
-
 # --- the product kernel ---
 
 F25 = make_field(5, 2)

@@ -1,16 +1,17 @@
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
 from detlaw import reps
-from detlaw.errors import ShapeMismatch
+from detlaw.errors import EnumerationCapExceeded, ShapeMismatch
 from detlaw.fields import make_field
 from detlaw.groups import (cyclic, dihedral, direct_product,
                            semidirect_cyclic_squared, symmetric)
 from detlaw.linalg import Mat, gl_order
 from detlaw.reps import (Representation, centralizer_or_full, characters,
                          conjugate_rep, cyclic_char_polys, direct_sum,
-                         enumerate_reps, gl_elements, gl_pairs,
+                         enumerate_reps, gl_classes, gl_elements,
                          hom_orbit_reps, intertwiner_basis, invariant_subspace,
                          irreducible_reps, isomorphic, least_conjugate,
                          order_candidates, order_class_reps, semisimplify,
@@ -53,6 +54,12 @@ def _brute_order_candidates(field, d, m):
 
 def _all_mats(field, d):
     return product(range(field.q), repeat=d * d)
+
+
+@lru_cache(maxsize=None)
+def _gl_pairs(field, d):
+    """(g, g^-1) for every g of GL_d(F), in gl_elements order."""
+    return tuple((g, g.inverse()) for g in gl_elements(field, d))
 
 
 _ORDER_CASES = [(F3, 2), (F3, 3), (F5, 4), (F4, 2)]
@@ -133,12 +140,10 @@ def test_hom_orbit_reps_matches_direct_oracle():
     (F3, 2, (1, 1, 0, 1)), (F3, 2, (0, 2, 1, 0)), (F3, 2, (1, 0, 0, 2)),
     (F4, 2, (1, 0, 0, 2)), (F4, 2, (0, 1, 1, 1)), (F4, 2, (1, 1, 0, 1)),
     (F5, 2, (2, 0, 0, 3)), (F5, 2, (0, 3, 1, 0)), (F5, 2, (1, 1, 0, 1)),
-    # commutants of dimension 5 and 3, whose units are found by a walk
-    (F3, 3, (1, 0, 0, 0, 1, 0, 0, 0, 2)), (F3, 3, (1, 1, 0, 0, 1, 0, 0, 0, 2)),
 ], ids=str)
 def test_centralizer_is_the_brute_force_commutant(F, d, data):
     M = Mat(F, d, d, data)
-    pairs = centralizer_or_full(F, M, d)
+    pairs = centralizer_or_full(F, M)
     want = [g for g in gl_elements(F, d) if g * M == M * g]
 
     def leading_one(g):
@@ -326,29 +331,38 @@ def test_prefilter_keeps_every_homomorphism_and_orbit(monkeypatch, G, F, dims):
         assert sum(size for _rep, size in orbits) == len(got), d
 
 
-def _centralizer_all_units(field, M, dim):
-    """centralizer_or_full keeping every unit of the commutant, not one per
-    scalar class."""
-    if reps._is_scalar(M):
-        return reps.FULL_GL
-    basis = intertwiner_basis(field, [M], [M], dim)
-    return [(T, T.inverse()) for T in reps._span_units(field, basis, dim)]
-
-
 @pytest.mark.parametrize("G", [symmetric(3),
                                direct_product(cyclic(2), cyclic(2))],
                          ids=lambda G: G.name)
-def test_scalar_class_centralizer_keeps_every_orbit_d3(monkeypatch, G):
-    # over F_3 there are two scalars, so one unit per scalar class halves
-    # the centralizer at d = 3.  The orbits must not change, and the sizes,
-    # read off the leaf stabilizer as one pair per scalar class, must count
-    # every homomorphism (the all-units centralizer breaks that count)
+def test_scalar_class_centralizer_keeps_every_orbit_d3(G):
+    # over F_3 there are two scalars, so the descent from gl_classes scans
+    # half of GL_3.  The orbits must be those of the descent under every
+    # element of GL_3, and the sizes, read off the leaf stabilizer as one
+    # pair per scalar class, must count every homomorphism
+    classes = gl_classes(F3, 3)
+    assert len(classes) * 2 == len(gl_elements(F3, 3)) == gl_order(3, 3)
+    assert all(next(filter(None, g.data)) == 1 for g, _ in classes)
     orbits = hom_orbit_reps.__wrapped__(G, 3, F3)
     assert sum(size for _rep, size in orbits) == \
         len(enumerate_reps(G, 3, F3)) == {"S3": 7724, "C2xC2": 7024}[G.name]
-    monkeypatch.setattr(reps, "centralizer_or_full", _centralizer_all_units)
-    assert [rep.sort_key() for rep, _size in orbits] == \
-        [rep.sort_key() for rep, _size in hom_orbit_reps.__wrapped__(G, 3, F3)]
+    every = sorted(rep.sort_key()
+                   for rep, _ in reps._descend(G, 3, F3, _gl_pairs(F3, 3)))
+    assert [rep.sort_key() for rep, _size in orbits] == every
+
+
+@pytest.mark.parametrize("G, d, F", [(symmetric(3), 3, F4), (cyclic(3), 4, F3),
+                                     (cyclic(2), 4, F2), (symmetric(1), 4, F3),
+                                     (symmetric(1), 10 ** 5, F3)], ids=str)
+def test_unsupported_dimension_fails_before_gl_is_built(monkeypatch, G, d, F):
+    # symmetric(1) has no generators: its one point is the d x d identity
+    def no_gl(field, dim):
+        raise AssertionError(f"built GL_{dim}(F_{field.q})")
+
+    monkeypatch.setattr(reps, "gl_elements", no_gl)
+    for search in (hom_orbit_reps.__wrapped__, enumerate_reps):
+        with pytest.raises(EnumerationCapExceeded,
+                           match=f"unsupported for d={d}, q={F.q}"):
+            search(G, d, F)
 
 
 @pytest.mark.parametrize("G, F", [(dihedral(4), F5), (symmetric(3), F7)],
@@ -400,7 +414,7 @@ def _least_conjugate_scan(rep):
     moving = [x for x, m in enumerate(images) if not reps._is_scalar(m)]
     best, best_data = None, {}
     stab = 0
-    for g, ginv in gl_pairs(rep.field, rep.dim):
+    for g, ginv in _gl_pairs(rep.field, rep.dim):
         order = -1 if best is None else 0
         fixed = True
         data = {}
