@@ -8,8 +8,7 @@ field codes.  Everything is immutable after construction.
 from functools import cached_property, partial
 
 from .errors import BadGroupTable, NotAnIdeal
-from .linalg import (Mat, in_span, is_stable, nullspace, reduce_vector, rref,
-                     span_closure)
+from .linalg import Mat, is_stable, nullspace, reduce_vector, rref, span_closure
 from .poly import MPoly, _add_into
 
 
@@ -181,9 +180,6 @@ class Ideal:
     def _closed(self):
         A = self.parent
         return is_stable(A.field, self.basis, self.pivots, A.multiplication_maps())
-
-    def contains(self, vec):
-        return in_span(self.parent.field, vec, self.basis, self.pivots)
 
     def reduce(self, vec):
         return reduce_vector(self.parent.field, vec, self.basis, self.pivots)

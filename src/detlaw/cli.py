@@ -169,20 +169,17 @@ def _chars_of(inst, args):
     other one, with their names."""
     table = _named_characters(inst)
     if args.chars:
-        names = args.chars.split(",")
+        names = [n.strip() for n in args.chars.split(",")]
     else:
         names = sorted(table)[:2]
         if "triv" in table and "triv" not in names:
             names = ["triv", sorted(n for n in table if n != "triv")[0]]
-    return [_pick_char(table, n.strip()) for n in names], names
+    return [_pick_char(table, n) for n in names], names
 
 
 def _law_of(inst, args):
     chars, names = _chars_of(inst, args)
-    rho = chars[0]
-    for r in chars[1:]:
-        rho = direct_sum(rho, r)
-    return PseudoRep.induce(rho), names
+    return PseudoRep.induce(direct_sum(*chars)), names
 
 
 def _require_d(inst):

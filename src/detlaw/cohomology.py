@@ -4,7 +4,7 @@ projective spaces of extensions around the semisimple point.
 """
 
 from .errors import InvariantViolation, NotMultiplicityFree, ShapeMismatch
-from .linalg import (Mat, combine, nullspace, proj_point_count,
+from .linalg import (Mat, block_matrix, combine, nullspace, proj_point_count,
                      projective_points, reduce_vector, rref)
 from .pseudo import PseudoRep
 from .reps import (Representation, direct_sum, invariant_subspace,
@@ -106,21 +106,12 @@ def ext1(group, rep1, rep2):
 
 def assemble_extension(space, vec):
     """The block-triangular representation [[rho1, c], [0, rho2]]."""
-    F = space.field
-    d1, d2 = space.rep1.dim, space.rep2.dim
-    d = d1 + d2
-    blocks = space.cocycle_matrices(vec)
-    images = []
-    for g in range(space.group.order):
-        data = []
-        for i in range(d1):
-            data.extend(space.rep1.images[g].rows()[i])
-            data.extend(blocks[g].rows()[i])
-        for i in range(d2):
-            data.extend([0] * d1)
-            data.extend(space.rep2.images[g].rows()[i])
-        images.append(Mat(F, d, d, data))
-    return Representation(space.group, F, d, images, check_now=False)
+    d1 = space.rep1.dim
+    d = d1 + space.rep2.dim
+    images = [block_matrix(space.field, d, [(0, 0, a), (0, d1, c), (d1, d1, b)])
+              for a, c, b in zip(space.rep1.images, space.cocycle_matrices(vec),
+                                 space.rep2.images)]
+    return Representation(space.group, space.field, d, images, check_now=False)
 
 
 class FiberStratification:

@@ -16,9 +16,8 @@ from .errors import (GmaAxiomFailure, HypothesisViolation, InvariantViolation,
                      PointCapExceeded, ShapeMismatch)
 from .linalg import Mat, rref, in_span, _cycles
 from .poly import MPoly, _add_into, symbolic_det
-from .pseudo import (PseudoRep, algebra_base_change, ch_quotient, from_group_rep,
-                     generic_vars)
-from .reps import Representation
+from .pseudo import PseudoRep, algebra_base_change, ch_quotient, generic_vars
+from .reps import Representation, direct_sum
 
 
 class GmaData:
@@ -387,6 +386,17 @@ class AdaptedScheme:
                                      for r, rc in self._by_lead[lead].terms.items()))
         return MPoly(F, poly.vars, terms)
 
+    def image(self, vec):
+        """The universal matrix of the parent element vec, sum_k vec[k]
+        universal[k], as its d * d entries."""
+        F = self.data.field
+        out = [MPoly.zero(F, self.vars) for _ in range(self.data.d ** 2)]
+        for k, c in enumerate(vec):
+            if c:
+                for t, cell in enumerate(self.universal[k]):
+                    out[t] = out[t] + cell.scale(c)
+        return out
+
     def universal_is_homomorphism(self):
         """Check rho(x) rho(y) = rho(xy) entrywise modulo the relations."""
         data = self.data
@@ -395,12 +405,7 @@ class AdaptedScheme:
         d = data.d
         for a in range(A.n):
             for b in range(A.n):
-                prod_vec = A.mul(A.basis[a], A.basis[b])
-                want = [MPoly.zero(F, self.vars) for _ in range(d * d)]
-                for k, c in enumerate(prod_vec):
-                    if c:
-                        for t in range(d * d):
-                            want[t] = want[t] + self.universal[k][t].scale(c)
+                want = self.image(A.mul(A.basis[a], A.basis[b]))
                 for i in range(d):
                     for j in range(d):
                         got = MPoly.zero(F, self.vars)
@@ -510,8 +515,6 @@ def gma_from_characters(group, chars, field):
     block idempotent lifts the projector onto the i-th character through the
     Cayley-Hamilton quotient.
     """
-    from .reps import direct_sum
-
     if not chars:
         raise HypothesisViolation("a GMA needs at least one character")
     for j, c in enumerate(chars):
@@ -522,14 +525,12 @@ def gma_from_characters(group, chars, field):
                     f"characters {i} and {j} are the same character (values "
                     f"{values} on the generators); a GMA needs pairwise "
                     f"distinct characters")
-    rho = chars[0]
-    for c in chars[1:]:
-        rho = direct_sum(rho, c)
-    D = PseudoRep.induce(rho)
-    Q, DQ, project, lift = ch_quotient(D)
+    rho = direct_sum(*chars)
+    Q, DQ, project, lift = ch_quotient(PseudoRep.induce(rho))
     d = len(chars)
     # the residual rep factors through Q; images of the Q basis
-    qrep = _factor_rep_through(rho, Q, lift, field, d)
+    qrep = Representation(Q, field, d, [rho.image_of(lift(e)) for e in Q.basis],
+                          check_now=False)
     es = []
     partial = Q.zero_vec()
     for i in range(d - 1):
@@ -546,15 +547,6 @@ def gma_from_characters(group, chars, field):
     es.append(Q.sub(Q.unit, partial))
     units = [[[e]] for e in es]
     return GmaData(Q, (1,) * d, units), DQ, project
-
-
-def _factor_rep_through(rho, Q, lift, field, d):
-    arep = from_group_rep(rho)
-    images = []
-    for j in range(Q.n):
-        vec = lift(Q.basis[j])
-        images.append(arep.image_of(vec))
-    return Representation(Q, field, d, images, check_now=False)
 
 
 def _idempotent_preimage(Q, qrep, target):

@@ -258,6 +258,16 @@ class Mat:
         return "[" + "; ".join(rows) + "]"
 
 
+def block_matrix(field, n, blocks):
+    """The n x n matrix that is zero outside blocks, a list of (row, column,
+    M) with the top-left entry of the matrix M at (row, column)."""
+    data = [0] * (n * n)
+    for r0, c0, M in blocks:
+        for r, row in enumerate(M.rows(), start=r0):
+            data[r * n + c0:r * n + c0 + M.ncols] = row
+    return Mat(field, n, n, data)
+
+
 def _cycles(perm):
     """The cycles of a permutation of range(n), each listed from its least
     element, in order of those elements."""

@@ -11,9 +11,9 @@ vanish and that the corresponding diagonal character be trivial on I.
 
 from .errors import DimensionUnsupported, HypothesisViolation, InvariantViolation
 from .gma import _lead, adapted_scheme, gma_from_characters
-from .linalg import Mat, in_span, intersect_spans, projective_points, rref
+from .linalg import Mat, in_span, intersect_spans, rref
 from .poly import MPoly
-from .reps import Representation
+from .reps import Representation, stable_subspaces, sub_quotient_reps
 
 
 class OrdinaryInstance:
@@ -52,17 +52,10 @@ class OrdinaryInstance:
 
     def _build_group_universal(self):
         """Universal adapted matrix of every group element (entries MPoly)."""
-        F = self.field
-        sch = self.scheme
-        d = self.data.d
+        n = self.group.order
         out = []
-        for g in range(self.group.order):
-            coords = self._project(_group_basis_vec(self.group.order, g))
-            entries = [MPoly.zero(F, sch.vars) for _ in range(d * d)]
-            for k, c in enumerate(coords):
-                if c:
-                    for t in range(d * d):
-                        entries[t] = entries[t] + sch.universal[k][t].scale(c)
+        for g in range(n):
+            entries = self.scheme.image(self._project(_group_basis_vec(n, g)))
             # the diagonal carries the residual characters exactly
             if (entries[0] != self.chi.images[g][0, 0]
                     or entries[3] != self.psi.images[g][0, 0]):
@@ -218,35 +211,11 @@ def is_ordinary(rep, inertia):
     character is trivial on the inertia subgroup.  Two-dimensional only."""
     if rep.dim != 2:
         raise DimensionUnsupported("ordinarity test requires dimension 2")
-    F = rep.field
-    for v in projective_points(F.q, 2):
-        eigen = _line_eigenvalues(rep, v)
-        if eigen is None:
-            continue
-        ok = True
-        for s in inertia:
-            det = rep.images[s].det()
-            quot = F.mul(det, F.inv(eigen[s]))
-            if quot != 1:
-                ok = False
-                break
-        if ok:
+    for rows in stable_subspaces(rep, 1):
+        _sub, quo = sub_quotient_reps(rep, rows)
+        if all(quo.images[s][0, 0] == 1 for s in inertia):
             return True
     return False
-
-
-def _line_eigenvalues(rep, v):
-    """Per-element eigenvalues on a stable line, or None if not stable."""
-    F = rep.field
-    pivot = 0 if v[0] else 1
-    out = []
-    for M in rep.images:
-        w = M.apply(v)
-        lam = F.mul(w[pivot], F.inv(v[pivot]))
-        if tuple(F.mul(lam, x) for x in v) != w:
-            return None
-        out.append(lam)
-    return out
 
 
 def certify_points(instance, ideal, cap=200000):

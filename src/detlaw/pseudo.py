@@ -13,7 +13,7 @@ from itertools import chain, combinations_with_replacement, product, repeat
 
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
 from .errors import (InvariantViolation, NotFoundWithinBound, SchemaError,
-                     SearchCapExceeded, ShapeMismatch, VariableMismatch)
+                     SearchCapExceeded, VariableMismatch)
 from .fields import make_field
 from .linalg import (Mat, combine, proj_point_count, projective_points, rref,
                      span_closure)
@@ -73,10 +73,9 @@ class PseudoRep:
 
     @classmethod
     def induce(cls, rep):
-        """The law det(rho(-)) of an algebra representation (psi on points)."""
-        if rep.is_group_rep:
-            rep = from_group_rep(rep)
-        A = rep.source
+        """The law det(rho(-)) of an algebra representation, or of a group
+        representation on its group algebra (psi on points)."""
+        A = GroupAlgebra(rep.source, rep.field) if rep.is_group_rep else rep.source
         F = rep.field
         xs = generic_vars(A.n)
         d = rep.dim
@@ -113,12 +112,6 @@ class PseudoRep:
                 out.append(c if sign > 0 else c.scale(F.neg(1)))
             self._lambdas = tuple(out)
         return self._lambdas
-
-    def char_poly(self, vec):
-        """chi(r, t) for a specific element r (coordinate codes)."""
-        xs = self.poly.vars
-        point = {xs[i]: c for i, c in enumerate(vec)}
-        return CharPoly(self.field, [L.evaluate(point) for L in self.lambda_polys()])
 
     def trace_form(self):
         """L_1 as a linear form: the tuple of values on basis elements."""
@@ -197,14 +190,6 @@ def _drop_var(poly, name):
     newvars = poly.vars[:i] + poly.vars[i + 1:]
     terms = {e[:i] + e[i + 1:]: c for e, c in poly.terms.items()}
     return MPoly(poly.field, newvars, terms)
-
-
-def from_group_rep(rep):
-    """Reinterpret a group representation as a group-algebra representation."""
-    if not rep.is_group_rep:
-        raise ShapeMismatch(f"not a group representation: source {rep.source!r}")
-    A = GroupAlgebra(rep.source, rep.field)
-    return Representation(A, rep.field, rep.dim, rep.images, check_now=False)
 
 
 def algebra_base_change(A, target):
@@ -431,9 +416,7 @@ def split_search(D):
         irs = _irreducible_modules(De.source, D, target)
         matches = []
         for multiset in _dim_multisets(irs, D.d):
-            rep = multiset[0]
-            for extra in multiset[1:]:
-                rep = direct_sum(rep, extra)
+            rep = direct_sum(*multiset)
             if PseudoRep.induce(rep).equals(De):
                 matches.append((multiset, rep))
         if matches:

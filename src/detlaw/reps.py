@@ -12,13 +12,13 @@ conjugation relation of the group are dropped before their image table.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 
 from .errors import (EnumerationCapExceeded, SearchCapExceeded, ShapeMismatch)
 from .groups import FiniteGroup
-from .linalg import (Mat, all_subspaces, gl_order, is_stable, nullspace,
-                     reduce_vector, rref)
+from .linalg import (Mat, all_subspaces, block_matrix, combine, gl_order,
+                     is_stable, nullspace, reduce_vector, rref)
 from .poly import MPoly, symbolic_det
 
 
@@ -60,21 +60,22 @@ class Representation:
         A = self.source
         if len(self.images) != A.n:
             raise ShapeMismatch("need one matrix per algebra basis element")
-        unit = _combine(self, A.unit)
+        unit = self.image_of(A.unit)
         if not unit.is_identity():
             return False
         for i in range(A.n):
             for j in range(A.n):
                 lhs = self.images[i] * self.images[j]
-                rhs = _combine(self, A.mul(A.basis[i], A.basis[j]))
+                rhs = self.image_of(A.mul(A.basis[i], A.basis[j]))
                 if lhs != rhs:
                     return False
         return True
 
     def image_of(self, vec):
         """Image of a coordinate vector of the source (algebra coords or a
-        formal group-algebra combination)."""
-        return _combine(self, vec)
+        formal group-algebra combination): sum_i vec[i] images[i]."""
+        F, d = self.field, self.dim
+        return Mat(F, d, d, combine(F, vec, [m.data for m in self.images]))
 
     def sort_key(self):
         return (self.dim, tuple(m.data for m in self.images))
@@ -94,15 +95,6 @@ class Representation:
         return f"Rep(dim={self.dim}, {self.field}, source={getattr(self.source, 'name', self.source)})"
 
 
-def _combine(rep, vec):
-    F = rep.field
-    out = Mat.zero(F, rep.dim)
-    for i, c in enumerate(vec):
-        if c:
-            out = out + rep.images[i] * c
-    return out
-
-
 def trivial_rep(group, field, dim=1):
     eye = Mat.identity(field, dim)
     return Representation(group, field, dim, [eye] * group.order)
@@ -114,20 +106,18 @@ def conjugate_rep(rep, g):
                           [g * m * ginv for m in rep.images], check_now=False)
 
 
-def direct_sum(rep1, rep2):
-    if rep1.source is not rep2.source or rep1.field != rep2.field:
-        raise ShapeMismatch(f"direct sum across sources or fields: {rep1!r}, {rep2!r}")
-    F = rep1.field
-    d1, d2 = rep1.dim, rep2.dim
-    images = []
-    for m1, m2 in zip(rep1.images, rep2.images):
-        data = []
-        for i in range(d1):
-            data.extend(list(m1.rows()[i]) + [0] * d2)
-        for i in range(d2):
-            data.extend([0] * d1 + list(m2.rows()[i]))
-        images.append(Mat(F, d1 + d2, d1 + d2, data))
-    return Representation(rep1.source, F, d1 + d2, images, check_now=False)
+def direct_sum(*reps):
+    """The block-diagonal sum of one or more representations of one source
+    over one field."""
+    first = reps[0]
+    for rep in reps[1:]:
+        if rep.source is not first.source or rep.field != first.field:
+            raise ShapeMismatch(f"direct sum across sources or fields: {first!r}, {rep!r}")
+    *starts, d = accumulate((rep.dim for rep in reps), initial=0)
+    F = first.field
+    images = [block_matrix(F, d, zip(starts, starts, mats))
+              for mats in zip(*(rep.images for rep in reps))]
+    return Representation(first.source, F, d, images, check_now=False)
 
 
 # --- candidate matrices of bounded order ---
@@ -512,21 +502,25 @@ def _acting_matrices(rep):
     return list(rep.images)
 
 
+def stable_subspaces(rep, k):
+    """Every k-dimensional submodule, as RREF rows, in all_subspaces order:
+    an exhaustive search."""
+    F = rep.field
+    maps = [M.apply for M in _acting_matrices(rep)]
+    for rows in all_subspaces(F, rep.dim, k):
+        basis, pivots = rref(F, rows)
+        if is_stable(F, basis, pivots, maps):
+            yield list(basis)
+
+
 def invariant_subspace(rep):
     """A proper nonzero stable subspace basis (RREF rows), or None iff irreducible.
 
-    Searches all k-dimensional subspaces for k = 1..d-1 in canonical order;
+    Searches the k-dimensional subspaces for k = 1..d-1 in canonical order;
     exhaustive, hence None certifies irreducibility.
     """
-    F = rep.field
-    d = rep.dim
-    maps = [M.apply for M in _acting_matrices(rep)]
-    for k in range(1, d):
-        for rows in all_subspaces(F, d, k):
-            basis, pivots = rref(F, rows)
-            if is_stable(F, basis, pivots, maps):
-                return list(basis)
-    return None
+    return next((rows for k in range(1, rep.dim) for rows in stable_subspaces(rep, k)),
+                None)
 
 
 def sub_quotient_reps(rep, subspace_rows):
@@ -581,10 +575,7 @@ class JHDecomposition:
         return tuple(sorted(out))
 
     def direct_sum_rep(self):
-        out = self.factors[0]
-        for f in self.factors[1:]:
-            out = direct_sum(out, f)
-        return out
+        return direct_sum(*self.factors)
 
     def __repr__(self):
         return f"JH({[f.dim for f in self.factors]})"

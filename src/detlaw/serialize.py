@@ -58,30 +58,12 @@ def mat_to_json(m):
     return [[str(x) for x in row] for row in m.rows()]
 
 
-def mat_from_json(field, rows):
-    try:
-        data = [[_code(field, x) for x in row] for row in rows]
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad matrix: {exc}") from exc
-    return Mat.from_rows(field, data)
-
-
 def rep_to_json(rep):
     return {
         "field": field_to_json(rep.field),
         "dim": str(rep.dim),
         "images": [mat_to_json(m) for m in rep.images],
     }
-
-
-def rep_from_json(source, obj):
-    try:
-        F = field_from_json(obj["field"])
-        dim = int(obj["dim"])
-        images = [mat_from_json(F, rows) for rows in obj["images"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad representation: {exc}") from exc
-    return Representation(source, F, dim, images)
 
 
 def pseudorep_to_json(D):
@@ -95,17 +77,6 @@ def pseudorep_from_json(source, obj):
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad law: {exc}") from exc
     return PseudoRep(source, d, poly, check=True)
-
-
-def group_to_json(group):
-    out = {
-        "name": group.name,
-        "table": [[str(x) for x in row] for row in group.table],
-        "generators": [str(g) for g in group.generators],
-    }
-    if group.inertia is not None:
-        out["inertia"] = [str(g) for g in sorted(group.inertia)]
-    return out
 
 
 _GROUP_MAKERS = {

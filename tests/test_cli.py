@@ -131,6 +131,18 @@ def test_summary_prints_unit_coefficients_bare_over_extension_fields(capsys):
     assert "[1,0]" not in out
 
 
+def test_chars_are_named_without_surrounding_spaces(capsys):
+    inst = _inst("s3_f3.json")
+    code, out = run(capsys, "pseudorep", inst, "--chars", "triv, c1")
+    assert code == 0
+    assert json.loads(out)["characters"] == ["triv", "c1"]
+    assert out == run(capsys, "pseudorep", inst, "--chars", "triv,c1")[1]
+    code, out = run(capsys, "pseudorep", inst, "--chars", " triv , c1",
+                    "--output", "summary")
+    assert code == 0
+    assert out.startswith("law of triv+c1: ")
+
+
 @pytest.mark.parametrize("instance, argv, code", [
     ({"group": {"type": "cyclic", "args": ["3"]}, "field": {"p": "7", "k": "1"},
       "d": "x"}, ["orbits"], "SchemaError"),

@@ -66,6 +66,9 @@ def test_assembled_extension_is_a_representation():
     for vec in ext_representatives(space):
         rep = assemble_extension(space, vec)
         assert rep.check()
+        # [[triv, c], [0, sgn]]: the cocycle sits in the top-right block
+        for g, c in enumerate(space.cocycle_matrices(vec)):
+            assert rep.images[g].data == (1, c[0, 0], 0, sgn.images[g][0, 0])
         # non-split: the only stable line is the sub
         rows = invariant_subspace(rep)
         assert rows is not None

@@ -11,7 +11,7 @@ from detlaw.fields import make_field
 from detlaw.gma import (GmaData, adapted_points, adapted_scheme, canonical_det,
                         gma_from_characters, gma_full, torus_orbits,
                         trace_form, verify_gma)
-from detlaw.groups import FiniteGroup, symmetric, with_inertia
+from detlaw.groups import FiniteGroup, cyclic, dihedral, symmetric, with_inertia
 from detlaw.poly import MPoly
 from detlaw.pseudo import PseudoRep, det_law, matrix_algebra
 from detlaw.reps import Representation, characters, direct_sum
@@ -153,6 +153,7 @@ def test_adapted_scheme_s3():
     data, law = _s3_gma(F3)
     scheme = adapted_scheme(data)
     assert scheme.universal_is_homomorphism()[0]
+    assert [scheme.image(e) for e in data.parent.basis] == list(map(list, scheme.universal))
     points, reps = adapted_points(scheme, F3)
     assert len(points) == 5  # bc = 0: two lines through the origin
     orbits = torus_orbits(scheme, F3, points)
@@ -161,14 +162,25 @@ def test_adapted_scheme_s3():
         assert PseudoRep.induce(rep).equals(law)
 
 
-def test_universal_det_reduces_to_law():
-    data, law = _s3_gma(F3)
-    scheme = adapted_scheme(data)
+def _reduced_universal_det(scheme):
+    """universal_det() in the generic coordinates alone: after reduction no
+    scheme variable may survive, since the law is constant on the adapted
+    family."""
     det = scheme.universal_det()
-    # after reduction no scheme variable survives: the law is constant on
-    # the adapted family
     nv = len(scheme.vars)
     assert all(sum(e[:nv]) == 0 for e in det.terms)
+    return MPoly(det.field, det.vars[nv:], {e[nv:]: c for e, c in det.terms.items()})
+
+
+def test_universal_det_reduces_to_law():
+    # det o rho_univ = D_E, symbolically, on two- to four-block GMAs
+    for group, field, count in [(symmetric(3), F3, 2), (symmetric(3), F5, 2),
+                                (dihedral(4), F5, 3), (dihedral(6), make_field(7), 3),
+                                (cyclic(4), F5, 4)]:
+        cs = characters(group, field)
+        data, _law, _project = gma_from_characters(group, cs[:count], field)
+        scheme = adapted_scheme(data)
+        assert _reduced_universal_det(scheme) == canonical_det(data).poly, group.name
 
 
 def _alternating_group_4():
@@ -194,8 +206,7 @@ def test_three_block_adapted_scheme_a4():
     assert len(scheme.vars) == 6
     assert len(scheme.relations) == 9
     assert scheme.universal_is_homomorphism() == (True, None)
-    nv = len(scheme.vars)
-    assert all(sum(e[:nv]) == 0 for e in scheme.universal_det().terms)
+    assert _reduced_universal_det(scheme) == canonical_det(data).poly
     points, reps = adapted_points(scheme, F4)
     assert len(points) == 73
     assert len(torus_orbits(scheme, F4, points)) == 13

@@ -11,10 +11,9 @@ from detlaw.fields import make_field
 from detlaw.groups import cyclic, dihedral, direct_product, symmetric
 from detlaw.linalg import Mat, combine, projective_points
 from detlaw.poly import MPoly
-from detlaw.pseudo import (PseudoRep, ch_ideal, ch_quotient, det_law,
-                           from_group_rep, is_cayley_hamilton, kernel,
-                           matrix_algebra, nilpotency_index, split_search,
-                           tautological_rep)
+from detlaw.pseudo import (CharPoly, PseudoRep, ch_ideal, ch_quotient, det_law,
+                           is_cayley_hamilton, kernel, matrix_algebra,
+                           nilpotency_index, split_search, tautological_rep)
 from detlaw.reps import (Representation, characters, direct_sum, enumerate_reps,
                          irreducible_reps)
 
@@ -52,8 +51,8 @@ def test_char_poly_of_diag_2_4():
     g_img = Mat.from_rows(F7, [[2, 0], [0, 4]])  # diag entries are cube roots
     rep = Representation(C3, F7, 2, [Mat.identity(F7, 2), g_img, g_img * g_img])
     D = PseudoRep.induce(rep)
-    g = (0, 1, 0)
-    chi = D.char_poly(g)
+    point = dict(zip(D.poly.vars, (0, 1, 0)))
+    chi = CharPoly(F7, [L.evaluate(point) for L in D.lambda_polys()])
     assert chi.coeffs == (6, 1)
     assert chi.evaluate(2) == 0 and chi.evaluate(4) == 0
 
@@ -270,8 +269,6 @@ def test_group_rep_views_reject_an_algebra_source():
     rep = tautological_rep(F5, 2)
     with pytest.raises(ShapeMismatch):
         rep.generator_images()
-    with pytest.raises(ShapeMismatch):
-        from_group_rep(rep)
 
 
 # --- the Cayley-Hamilton ideal and the kernel against their oracles ---
@@ -327,10 +324,7 @@ def _dual_numbers_law():
 
 
 def _sum_law(reps):
-    rho = reps[0]
-    for r in reps[1:]:
-        rho = direct_sum(rho, r)
-    return PseudoRep.induce(rho)
+    return PseudoRep.induce(direct_sum(*reps))
 
 
 def _ch_sweep():
@@ -415,7 +409,7 @@ def test_kernel_through_the_quotient_frees_large_searches(group, field):
     ker = kernel(D)
     assert time.perf_counter() - t0 < 1.0
     Ideal(D.source, ker.basis, check=True)
-    assert all(ker.contains(v) for v in ch_ideal(D).basis)
+    assert not any(any(ker.reduce(v)) for v in ch_ideal(D).basis)
 
 
 # --- multiplicativity against the expanded product ---

@@ -223,6 +223,10 @@ def test_direct_sum_and_invariant_subspace():
     sub, quo = sub_quotient_reps(rep, rows)
     assert sub.dim == 1 and quo.dim == 1
     assert sub.check() and quo.check()
+    # n-ary sums are the nested pairwise sums
+    three = direct_sum(cs[0], cs[1], rep)
+    assert three == direct_sum(direct_sum(cs[0], cs[1]), rep)
+    assert three.dim == 4 and three.check()
 
 
 def test_direct_sum_rejects_mixed_sources_and_fields():
@@ -231,6 +235,8 @@ def test_direct_sum_rejects_mixed_sources_and_fields():
         direct_sum(cs[0], characters(symmetric(3), F7)[0])  # another S3 object
     with pytest.raises(ShapeMismatch):
         direct_sum(trivial_rep(cs[0].source, F5), trivial_rep(cs[0].source, F7))
+    with pytest.raises(ShapeMismatch):
+        direct_sum(cs[0], cs[1], trivial_rep(cs[0].source, F5))
 
 
 def test_irreducible_has_no_invariant_subspace():

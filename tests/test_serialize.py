@@ -13,10 +13,8 @@ from detlaw.poly import MPoly
 from detlaw.pseudo import PseudoRep
 from detlaw.reps import characters, direct_sum
 from detlaw.serialize import (field_from_json, field_to_json, group_from_json,
-                              group_to_json, instance_from_json,
-                              law_with_group_source, poly_from_json,
-                              poly_to_json, pseudorep_to_json, rep_from_json,
-                              rep_to_json)
+                              instance_from_json, law_with_group_source,
+                              poly_from_json, poly_to_json, pseudorep_to_json)
 
 F5 = make_field(5)
 F25 = make_field(5, 2)
@@ -39,15 +37,6 @@ def test_poly_json_is_deterministic():
     p = MPoly.var(F5, xs, "y") + MPoly.var(F5, xs, "x") * 2 + 1
     assert json.dumps(poly_to_json(p), sort_keys=True) == \
         json.dumps(poly_to_json(p), sort_keys=True)
-
-
-def test_rep_round_trip():
-    S3 = symmetric(3)
-    cs = characters(S3, F5)
-    rep = direct_sum(cs[0], cs[1])
-    obj = json.loads(json.dumps(rep_to_json(rep)))
-    again = rep_from_json(S3, obj)
-    assert again.images == rep.images
 
 
 def test_pseudorep_round_trip():
@@ -102,7 +91,8 @@ sys.exit(1)
 
 def test_group_round_trip_table():
     S3 = symmetric(3)
-    obj = json.loads(json.dumps(group_to_json(S3)))
+    obj = {"name": S3.name, "table": [[str(x) for x in row] for row in S3.table],
+           "generators": [str(g) for g in S3.generators]}
     again = group_from_json(obj)
     assert again.table == S3.table
 
@@ -138,10 +128,6 @@ def test_out_of_range_codes_are_rejected():
         poly_from_json(poly)
     poly["terms"] = [[["1"], "6"]]
     assert poly_from_json(poly).terms == {(1,): 6}
-    rep = {"field": field_to_json(F7), "dim": "1",
-           "images": [[["1"]], [["8"]]]}
-    with pytest.raises(SchemaError):
-        rep_from_json(symmetric(2), rep)
 
 
 def test_schema_errors():
