@@ -41,10 +41,6 @@ class Mat:
         m = n if m is None else m
         return cls(field, n, m, [0] * (n * m))
 
-    @classmethod
-    def scalar(cls, field, n, code):
-        return cls(field, n, n, [code if i == j else 0 for i in range(n) for j in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i * self.ncols + j]

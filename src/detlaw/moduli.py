@@ -12,9 +12,9 @@ from .errors import InvariantViolation, UnknownPseudoRep
 from .fields import embedding_table
 from .linalg import Mat, gl_order
 from .pseudo import PseudoRep, split_search
-from .reps import (Representation, conjugate_rep, direct_sum, enumerate_reps,
-                   gl_elements, hom_orbit_reps, invariant_subspace, isomorphic,
-                   least_conjugate, semisimplify, sub_quotient_reps)
+from .reps import (Representation, conjugate_rep, enumerate_reps, gl_elements,
+                   hom_orbit_reps, intertwiner_basis, isomorphic,
+                   least_conjugate, semisimplify)
 
 # Largest |GL_d(F)| for which orbits are reported by their least point.
 LEAST_POINT_GL = 30000
@@ -124,12 +124,16 @@ def _orbits_direct(group, dim, field):
 
 def _is_closed(rep, jh):
     """An orbit is closed iff its representative is semisimple; jh is its
-    Jordan-Hoelder decomposition."""
-    if rep.dim == 1:
+    Jordan-Hoelder decomposition.
+
+    rep is semisimple iff dim End_G(rep) = dim End_G(rep^ss): otherwise the
+    orbit of rep^ss lies in the boundary of rep's orbit, which has lower
+    dimension, so rep^ss has the larger stabilizer."""
+    if rep.dim == 1 or len(jh.factors) == 1:
         return True
-    if len(jh.factors) == 1:
-        return True
-    return isomorphic(rep, jh.direct_sum_rep())
+    dims = [len(intertwiner_basis(r.field, r.generator_images(), r.generator_images(), r.dim))
+            for r in (rep, jh.direct_sum_rep())]
+    return dims[0] == dims[1]
 
 
 class FiberReport:
@@ -259,15 +263,10 @@ def invariants_separate_laws(report, maxlen=3):
 # --- degeneration witnesses ---
 
 def degeneration_limit(rep):
-    """The one-parameter limit of a non-closed orbit: triangularize along a
-    full stable flag, then discard the strictly upper blocks (the s -> 0
-    limit of conjugation by diag(s, 1, ...)).  Returns the limiting
-    semisimple representation."""
-    rows = invariant_subspace(rep)
-    if rows is None:
-        return rep
-    sub, quo = sub_quotient_reps(rep, rows)
-    return direct_sum(degeneration_limit(sub), degeneration_limit(quo))
+    """The one-parameter limit of a non-closed orbit, rep's semisimplification:
+    along a full stable flag, conjugation by diag(s, 1, ...) discards the
+    strictly upper blocks as s -> 0, leaving the Jordan-Hoelder factors."""
+    return semisimplify(rep).direct_sum_rep()
 
 
 def degeneration_lands_in_closed_orbit(report, orbit_index):

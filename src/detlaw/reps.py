@@ -1,24 +1,24 @@
 """d-dimensional representations of finite groups and algebras over finite fields.
 
-Enumeration works from per-generator candidate sets {M : M^m = 1}, at
-d = 2 from characteristic-polynomial fibers and at d = 3 (q <= 3) from
-GL_3(F).  One descent serves enumeration and orbit classification under
-GL_d-conjugation and reads each orbit's size off the stabilizer it reaches.
-At d = 2 it descends through centralizers of canonical class
-representatives, which keeps q up to 49 within reach, and least orbit
-points descend the same way, so nothing there scans GL_2(F); at d >= 3 it
-starts from GL_d, one element per scalar class.  Candidates that break a
-conjugation relation of the group are dropped before their image table.
+The classes of {M in GL_d : M^m = 1}, d <= 3 (q <= 5 at d = 3), are listed
+by elementary divisors, and the candidates of a generator are their union.
+One descent serves enumeration and orbit classification under
+GL_d-conjugation: it descends through class representatives and the units
+of their commutants, and reads each orbit's size off the stabilizer it
+reaches.  Least orbit points descend the same way at d = 2; only at d = 3
+(q <= 3) do they scan GL_3.  Candidates that break a conjugation or power
+relation of the group are dropped before their image table.
 """
 
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, combinations_with_replacement, product
 from math import prod
 
 from .errors import (EnumerationCapExceeded, SearchCapExceeded, ShapeMismatch)
 from .groups import FiniteGroup
 from .linalg import (Mat, all_subspaces, block_matrix, combine, gl_order,
-                     is_stable, nullspace, reduce_vector, rref)
+                     is_stable, nullspace, projective_points, reduce_vector,
+                     rref)
 from .poly import MPoly, symbolic_det
 
 
@@ -120,10 +120,80 @@ def direct_sum(*reps):
     return Representation(first.source, F, d, images, check_now=False)
 
 
-# --- candidate matrices of bounded order ---
+# --- classes and candidate matrices of bounded order ---
 
-def scalar_roots_of_unity(field, m):
-    return [a for a in range(1, field.q) if field.pow(a, m) == 1]
+def _times_linear(field, f, a):
+    """(t - a) f for a monic f, both as low coefficients: f = t^k + sum f[i] t^i."""
+    full = f + (1,)
+    return tuple(field.sub(lo, field.mul(a, hi)) for lo, hi in zip((0,) + full[:-1], full))
+
+
+def _divides_t_m_minus_1(field, f, m):
+    """Whether the monic f divides t^m - 1, carrying t^m modulo f."""
+    F = field
+    r = one = (1,) + (0,) * (len(f) - 1)
+    for _ in range(m):
+        top = r[-1]
+        r = tuple(F.sub(lo, F.mul(top, c)) for lo, c in zip((0,) + r[:-1], f))
+    return r == one
+
+
+@lru_cache(maxsize=None)
+def _elementary_divisors(field, d, m):
+    """The powers of monic irreducibles of degree <= d that divide t^m - 1,
+    by degree: (t - a)^k for each a^m = 1 in code order, then the irreducible
+    f.  Roots of a divisor are m-th roots of unity, and so is their product
+    (-1)^k f(0).  At degree <= 3 a divisor with no root is irreducible; one
+    with a root is (t - a) h for a divisor h of lower degree."""
+    F = field
+    roots = [a for a in range(1, F.q) if F.pow(a, m) == 1]
+    powers, divisors, out = [()] * len(roots), [()], []
+    for k in range(1, d + 1):
+        reducible = {_times_linear(F, h, a) for h in divisors for a in roots}
+        divisors = [f for c in roots for rest in product(range(F.q), repeat=k - 1)
+                    for f in [(F.neg(c) if k % 2 else c,) + rest]
+                    if _divides_t_m_minus_1(F, f, m)]
+        powers = [_times_linear(F, f, a) for f, a in zip(powers, roots)]
+        out += [f for f in powers if f in divisors] + [f for f in divisors if f not in reducible]
+    return out
+
+
+def _companion(field, f):
+    k = len(f)
+    return Mat(field, k, k, [field.neg(f[i]) if j == k - 1 else int(j == i - 1)
+                             for i in range(k) for j in range(k)])
+
+
+@lru_cache(maxsize=None)
+def order_class_reps(field, d, m):
+    """One matrix per class of {M in GL_d(F) : M^m = 1}, d <= 3 (q <= 5 at
+    d = 3): the block sum of the companion matrices of its elementary
+    divisors, linear ones first and in code order, so diag(a, b) has a <= b."""
+    F = field
+    if d not in (1, 2, 3) or d == 3 and F.q > 5:
+        raise EnumerationCapExceeded(f"candidate enumeration unsupported for d={d}, q={F.q}")
+    divisors = _elementary_divisors(F, d, m)
+    multisets = (fs for r in range(1, d + 1) for fs in combinations_with_replacement(divisors, r)
+                 if sum(map(len, fs)) == d)
+    return tuple(block_matrix(F, d, [(s, s, _companion(F, f)) for s, f in
+                                     zip(accumulate(map(len, fs), initial=0), fs)])
+                 for fs in multisets)
+
+
+def _conjugacy_class(R):
+    """The class of R in GL_3(F), as a set: the closure of {R} under
+    conjugation by I + E_ij, i != j, and diag(z, 1, 1) for a generator z of
+    F^x, which generate GL_3(F)."""
+    F = R.field
+    z = next(z for z in range(1, F.q) if len({F.pow(z, e) for e in range(1, F.q)}) == F.q - 1)
+    gens = [Mat(F, 3, 3, [int(x % 4 == 0) + (x == y) for x in range(9)])
+            for y in range(9) if y % 4]
+    pairs = [(g, g.inverse()) for g in gens + [Mat(F, 3, 3, (z, 0, 0, 0, 1, 0, 0, 0, 1))]]
+    out, frontier = {R}, {R}
+    while frontier:
+        frontier = {g * M * ginv for M in frontier for g, ginv in pairs} - out
+        out |= frontier
+    return out
 
 
 def _fiber_elements(field, s, p):
@@ -145,79 +215,25 @@ def _fiber_elements(field, s, p):
     return out
 
 
-def _companion2(field, s, p):
-    return Mat(field, 2, 2, (0, field.neg(p), 1, s))
-
-
-@lru_cache(maxsize=None)
-def cyclic_char_polys(field, m):
-    """The pairs (s, p), p != 0, in code order, with t^m = 1 modulo
-    t^2 - s t + p.
-
-    A non-scalar 2 x 2 matrix is cyclic: its minimal polynomial is its
-    characteristic polynomial t^2 - s t + p.  So these are the trace and
-    determinant of the non-scalar M with M^m = 1.  t^m is carried as the
-    pair of codes (a, b) of a + b t, and t (a + b t) = -b p + (a + b s) t.
-    """
-    F = field
-    out = []
-    for s in range(F.q):
-        for p in range(1, F.q):
-            neg_p = F.neg(p)
-            a, b = 1, 0
-            for _ in range(m):
-                a, b = F.mul(b, neg_p), F.add(a, F.mul(b, s))
-            if a == 1 and not b:
-                out.append((s, p))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def order_candidates(field, d, m):
-    """All M in GL_d(F) with M^m = 1, in a deterministic order."""
+    """All M in GL_d(F) with M^m = 1, in a deterministic order: at d <= 2
+    the scalars, then the other M by (trace, det) fibre in code order; at
+    d = 3 the union of the classes in entry order, the order of gl_elements."""
     F = field
-    if d == 1:
-        return tuple(Mat(F, 1, 1, (a,)) for a in scalar_roots_of_unity(F, m))
-    if d == 2:
-        out = [Mat.scalar(F, 2, a) for a in scalar_roots_of_unity(F, m)]
-        for s, p in cyclic_char_polys(F, m):
-            out.extend(M for M in _fiber_elements(F, s, p) if not _is_scalar(M))
-        return tuple(out)
-    if d == 3 and F.q <= 3:
-        return tuple(M for M in gl_elements(F, 3) if (M ** m).is_identity())
-    raise EnumerationCapExceeded(f"candidate enumeration unsupported for d={d}, q={F.q}")
+    classes = order_class_reps(F, d, m)
+    if d == 3:
+        return tuple(sorted((M for R in classes for M in _conjugacy_class(R)),
+                            key=lambda M: M.data))
+    fibers = sorted((R.trace(), R.det()) for R in classes if not _is_scalar(R))
+    return tuple([R for R in classes if _is_scalar(R)] +
+                 [M for s, p in fibers for M in _fiber_elements(F, s, p) if not _is_scalar(M)])
 
 
 def _is_scalar(M):
     d = M.nrows
     a = M[0, 0]
     return all(M[i, j] == (a if i == j else 0) for i in range(d) for j in range(d))
-
-
-@lru_cache(maxsize=None)
-def order_class_reps(field, d, m):
-    """Canonical class representatives of {M in GL_d : M^m = 1}, d <= 2."""
-    F = field
-    if d == 1:
-        return order_candidates(field, 1, m)
-    reps = [Mat.scalar(F, 2, a) for a in scalar_roots_of_unity(F, m)]
-    # split semisimple: diag(a, b), a < b
-    roots = scalar_roots_of_unity(F, m)
-    for i, a in enumerate(roots):
-        for b in roots[i + 1:]:
-            reps.append(Mat(F, 2, 2, (a, 0, 0, b)))
-    # non-semisimple and irreducible classes via companion matrices;
-    # root count of t^2 - s t + p decides the class shape in any char
-    for s, p in cyclic_char_polys(F, m):
-        nroots = sum(
-            1 for x in range(F.q)
-            if F.add(F.sub(F.mul(x, x), F.mul(s, x)), p) == 0
-        )
-        if nroots == 2:
-            continue  # already listed as diag(a,b)
-        # Jordan block (1 root) or irreducible (0 roots)
-        reps.append(_companion2(F, s, p))
-    return tuple(reps)
 
 
 @lru_cache(maxsize=None)
@@ -242,21 +258,16 @@ def gl_classes(field, d):
                  if next(filter(None, g.data)) == 1)
 
 
-def cyclic_unit_classes(field, X):
-    """One unit of F[X] per scalar class, for a non-scalar 2 x 2 matrix X,
-    as (T, T^-1) pairs: 1, then x + X for each x in code order with
-    det(x + X) != 0.
-
-    X is cyclic, so F[X] is all of its commutant, and these represent its
-    centralizer in GL_2(F) modulo the scalars."""
-    F = field
-    a, b, c, d = X.data
-    out = [(Mat.identity(F, 2),) * 2]
-    for x in range(F.q):
-        T = Mat(F, 2, 2, (F.add(x, a), b, c, F.add(x, d)))
-        if T.det():
-            out.append((T, T.inverse()))
-    return tuple(out)
+def commutant_units(field, X):
+    """X's centralizer in GL_d(F) modulo scalars, for a non-scalar X: the
+    (T, T^-1) with T = sum v_i B_i invertible, over a basis B of X's
+    commutant and v in projective_points.  At d = 2, X is cyclic, so the
+    commutant is F[X] = span(1, X) and no system is solved."""
+    F, d = field, X.nrows
+    basis = [Mat.identity(F, 2), X] if d == 2 else intertwiner_basis(F, [X], [X], d)
+    units = (Mat(F, d, d, combine(F, v, [B.data for B in basis]))
+             for v in projective_points(F.q, len(basis)))
+    return tuple((T, T.inverse()) for T in units if T.det())
 
 
 def _least_conjugator(pairs, mats):
@@ -299,7 +310,7 @@ def least_conjugate(rep):
     b fixes c and d.  g0 = (r; r X), for a row r that is no eigenvector of
     X, takes X to L, and the conjugators that do so are the coset C(L) g0,
     C(L) being the units of F[L].  Scalars conjugate trivially, so one unit
-    per scalar class is scanned (cyclic_unit_classes), on the later moving
+    per scalar class is scanned (commutant_units), on the later moving
     images; each class u that fixes them all adds q - 1 to the stabilizer,
     since g0^-1 u g0 and its multiples then fix rep.  At d >= 3 the scan
     runs over GL_d, one element per scalar class (gl_classes), and each
@@ -319,7 +330,7 @@ def least_conjugate(rep):
     g0inv = g0.inverse()
     L = Mat(F, 2, 2, (0, 1, F.neg(X.det()), X.trace()))
     rest = [g0 * M * g0inv for M in moving[1:]]
-    best, classes = _least_conjugator(cyclic_unit_classes(F, L), rest)
+    best, classes = _least_conjugator(commutant_units(F, L), rest)
     return conjugate_rep(rep, best[0] * g0), classes * (F.q - 1)
 
 
@@ -394,8 +405,24 @@ def conjugation_relations(group):
     return out
 
 
-def _respects(relations, images, M):
-    return all(images[h] * M == M * images[k] for h, k in relations)
+def power_relations(group):
+    """Per generator g_i, the pairs (h, k) with h one of g_0 .. g_(i-1) and
+    h^-1 g_i h = g_i^k, k != 1 (k = 1 is a conjugation relation).  rho(h) is
+    known before g_i's image N is tried, and N rho(h) = rho(h) N^k must hold."""
+    gens, table = group.generators, group.table
+    out = []
+    for i, g in enumerate(gens):
+        power, x = {}, group.identity
+        for k in range(group.element_order(g)):  # x = g^k
+            power[x], x = k, table[x][g]
+        conj = ((h, table[table[group.inverse(h)][g]][h]) for h in gens[:i])
+        out.append(tuple((h, power[c]) for h, c in conj if c in power and c != g))
+    return out
+
+
+def _respects(relations, powers, images, M):
+    return (all(images[h] * M == M * images[k] for h, k in relations)
+            and all(M * images[h] == images[h] * M ** k for h, k in powers))
 
 
 FULL_GL = "full"
@@ -405,19 +432,20 @@ def _descend(group, dim, field, symmetry):
     """The homomorphisms G -> GL_d(F) up to conjugation by a symmetry group,
     generator by generator, as (rep, symmetry at the leaf).
 
-    symmetry is FULL_GL (d <= 2) or a list of (g, g^-1) pairs, one per
-    scalar class of a subgroup of GL_d(F).  Under FULL_GL a generator's
-    image runs over the class representatives of its order and the symmetry
-    becomes the image's centralizer (centralizer_or_full); under pairs it
-    runs over all candidates of that order, the first of each orbit of the
-    pairs is kept, and the symmetry becomes the pairs that commute with it.
-    So the leaf symmetry is rep's stabilizer in the symmetry group, one pair
-    per scalar class, or FULL_GL while every image is scalar.  From the
-    identity pair alone every homomorphism comes out once.
+    symmetry is FULL_GL or a list of (g, g^-1) pairs, one per scalar class
+    of a subgroup of GL_d(F).  Under FULL_GL a generator's image runs over
+    the class representatives of its order and the symmetry becomes the
+    image's centralizer (centralizer_or_full); under pairs it runs over all
+    candidates of that order, the first of each orbit of the pairs is kept,
+    and the symmetry becomes the pairs that commute with it.  So the leaf
+    symmetry is rep's stabilizer in the symmetry group, one pair per scalar
+    class, or FULL_GL while every image is scalar.  From the identity pair
+    alone every homomorphism comes out once.
     """
     gens = group.generators
     orders = [group.element_order(g) for g in gens]
     relations = conjugation_relations(group)
+    powers = power_relations(group)
 
     def recurse(assigned, images, symmetry):
         i = len(assigned)
@@ -428,7 +456,7 @@ def _descend(group, dim, field, symmetry):
         seen = set()
         cands = (order_class_reps if full else order_candidates)(field, dim, orders[i])
         for M in cands:
-            if not _respects(relations[i], images, M) or M in seen:
+            if M in seen or not _respects(relations[i], powers[i], images, M):
                 continue
             ext = _extend_images(group, images, assigned + [M])
             if ext is None:
@@ -463,11 +491,9 @@ def enumerate_reps(group, dim, field, cap=10 ** 7):
 def hom_orbit_reps(group, dim, field):
     """GL_d-conjugation orbit representatives of Hom(G, GL_d(F)) with orbit sizes.
 
-    At d <= 2 the descent (_descend) starts from FULL_GL: each first
-    non-scalar image is a canonical class representative, and the later
-    generators are classified under its centralizer.  At d >= 3 it starts
-    from gl_classes once every generator's candidates are built, so an
-    unsupported (d, q) fails before GL_d is.  The leaf symmetry is rep's
+    The descent (_descend) starts from FULL_GL: each first non-scalar image
+    is a canonical class representative, and the later generators are
+    classified under its centralizer.  The leaf symmetry is rep's
     stabilizer, one pair per scalar class, so the orbit has
     |GL_d| / (pairs x (q - 1)) points, or 1 when every image is scalar.
 
@@ -475,22 +501,18 @@ def hom_orbit_reps(group, dim, field):
     ordered.  The result is cached per (group, dim, field), so that `fiber`
     descends once per dimension across orbit_partition and split_search.
     """
-    symmetry = FULL_GL
-    if dim > 2:
-        for g in group.generators or (group.identity,):
-            order_candidates(field, dim, group.element_order(g))
-        symmetry = gl_classes(field, dim)
+    order_class_reps(field, dim, 1)  # an unsupported (d, q) fails before I_d is built
     gl = gl_order(field.q, dim)
     results = [(rep, 1 if stab is FULL_GL else gl // (len(stab) * (field.q - 1)))
-               for rep, stab in _descend(group, dim, field, symmetry)]
+               for rep, stab in _descend(group, dim, field, FULL_GL)]
     results.sort(key=lambda t: t[0].sort_key())
     return tuple(results)
 
 
 def centralizer_or_full(field, M):
-    """Centralizer of M in GL_d, d <= 2, one (g, g^-1) pair per scalar class
-    (g and its multiples conjugate alike), or FULL_GL for scalar M."""
-    return FULL_GL if _is_scalar(M) else cyclic_unit_classes(field, M)
+    """Centralizer of M in GL_d, one (g, g^-1) pair per scalar class (g and
+    its multiples conjugate alike), or FULL_GL for scalar M."""
+    return FULL_GL if _is_scalar(M) else commutant_units(field, M)
 
 
 # --- submodules, semisimplification, isomorphism ---

@@ -348,10 +348,21 @@ def test_d3_output_is_pinned(capsys, job):
     assert hashlib.sha256(out.encode()).hexdigest() == D3_DIGESTS[job]
 
 
+@pytest.mark.parametrize("field, orbits, points", [("5", 6, 187552), ("2^2", 3, 20476)],
+                         ids=["F5", "F4"])
+def test_d3_orbits_over_f4_and_f5(capsys, field, orbits, points):
+    # d = 3 descends by classes up to q = 5; the counts are those of the
+    # Maschke oracle in test_reps (S3/F_5) and of its pinned F_4 case
+    code, out = run(capsys, "orbits", _inst("s3_f3.json"), "--d", "3", "--field", field)
+    assert code == 0
+    report = json.loads(out)
+    assert (len(report["orbits"]), report["total_points"]) == (orbits, str(points))
+
+
 @pytest.mark.parametrize("argv, d, q", [
     (["c3_f3.json", "--d", "4"], 4, 3),
-    (["s3_f3.json", "--d", "3", "--field", "2^2"], 3, 4),
-], ids=["c3_f3-d4", "s3_f3-d3-F4"])
+    (["s3_f3.json", "--d", "3", "--field", "7"], 3, 7),
+], ids=["c3_f3-d4", "s3_f3-d3-F7"])
 def test_unsupported_orbit_dimension_is_a_cap_error(capsys, argv, d, q):
     code, out = run(capsys, "orbits", _inst(argv[0]), *argv[1:])
     assert code == 2

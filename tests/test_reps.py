@@ -1,5 +1,6 @@
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import prod
 
 import pytest
 
@@ -9,8 +10,9 @@ from detlaw.fields import make_field
 from detlaw.groups import (cyclic, dihedral, direct_product,
                            semidirect_cyclic_squared, symmetric)
 from detlaw.linalg import Mat, gl_order
+from detlaw.moduli import orbit_partition
 from detlaw.reps import (Representation, centralizer_or_full, characters,
-                         conjugate_rep, cyclic_char_polys, direct_sum,
+                         conjugate_rep, direct_sum,
                          enumerate_reps, gl_classes, gl_elements,
                          hom_orbit_reps, intertwiner_basis, invariant_subspace,
                          irreducible_reps, isomorphic, least_conjugate,
@@ -78,10 +80,18 @@ def test_order_candidates_exhaustive_d2(field, m):
 
 @pytest.mark.parametrize("field", [F2, F3, F4, F5, F9], ids=str)
 def test_cyclic_char_polys_match_companion_powers(field):
+    # a non-scalar 2 x 2 matrix is cyclic, so its class is fixed by its
+    # (trace, det) = (s, p), and it has order dividing m iff the companion
+    # matrix of t^2 - s t + p does.  The class representatives at d = 2 are
+    # diag(a, b) with a < b and those companion matrices
     for m in range(1, 13):
-        want = tuple((s, p) for s in range(field.q) for p in range(1, field.q)
-                     if (reps._companion2(field, s, p) ** m).is_identity())
-        assert cyclic_char_polys(field, m) == want, m
+        want = [(s, p) for s in range(field.q) for p in range(1, field.q)
+                if (Mat(field, 2, 2, (0, field.neg(p), 1, s)) ** m).is_identity()]
+        classes = [R for R in order_class_reps(field, 2, m) if not reps._is_scalar(R)]
+        assert sorted((R.trace(), R.det()) for R in classes) == want, m
+        for R in classes:
+            a, b, c, d = R.data
+            assert b == c == 0 and a < d or R.data == (0, field.neg(R.det()), 1, R.trace())
 
 
 def test_order_class_reps_cover_all_classes():
@@ -100,6 +110,17 @@ def test_order_class_reps_cover_all_classes():
     for i, r in enumerate(reps):
         for s in reps[i + 1:]:
             assert not any((g * r * g.inverse()) == s for g in gl)
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+def test_d3_candidates_are_the_gl_filter(field, m):
+    # the classes at d = 3, grown from their representatives, are disjoint
+    # and give exactly the M with M^m = 1, in gl_elements order
+    got = order_candidates(field, 3, m)
+    assert got == tuple(M for M in gl_elements(field, 3) if (M ** m).is_identity())
+    classes = [reps._conjugacy_class(R) for R in order_class_reps(field, 3, m)]
+    assert sum(map(len, classes)) == len(got)
 
 
 def test_enumerate_reps_counts():
@@ -140,6 +161,9 @@ def test_hom_orbit_reps_matches_direct_oracle():
     (F3, 2, (1, 1, 0, 1)), (F3, 2, (0, 2, 1, 0)), (F3, 2, (1, 0, 0, 2)),
     (F4, 2, (1, 0, 0, 2)), (F4, 2, (0, 1, 1, 1)), (F4, 2, (1, 1, 0, 1)),
     (F5, 2, (2, 0, 0, 3)), (F5, 2, (0, 3, 1, 0)), (F5, 2, (1, 1, 0, 1)),
+    (F2, 3, (1, 1, 0, 0, 1, 0, 0, 0, 1)), (F2, 3, (0, 0, 1, 1, 0, 1, 0, 1, 0)),
+    (F3, 3, (1, 0, 0, 0, 1, 0, 0, 0, 2)), (F3, 3, (0, 2, 0, 1, 1, 0, 0, 0, 2)),
+    (F3, 3, (1, 1, 0, 0, 1, 1, 0, 0, 1)), (F3, 3, (0, 0, 1, 1, 0, 2, 0, 1, 0)),
 ], ids=str)
 def test_centralizer_is_the_brute_force_commutant(F, d, data):
     M = Mat(F, d, d, data)
@@ -330,8 +354,8 @@ def test_prefilter_keeps_every_homomorphism_and_orbit(monkeypatch, G, F, dims):
             [r.sort_key() for r in _enumerate_unfiltered(G, d, F)], d
         orbits = hom_orbit_reps.__wrapped__(G, d, F)
         with monkeypatch.context() as m:
-            m.setattr(reps, "conjugation_relations",
-                      lambda group: [()] * len(group.generators))
+            for relations in ("conjugation_relations", "power_relations"):
+                m.setattr(reps, relations, lambda group: [()] * len(group.generators))
             unfiltered = hom_orbit_reps.__wrapped__(G, d, F)
         assert _orbit_keys(orbits) == _orbit_keys(unfiltered), d
         assert sum(size for _rep, size in orbits) == len(got), d
@@ -341,22 +365,26 @@ def test_prefilter_keeps_every_homomorphism_and_orbit(monkeypatch, G, F, dims):
                                direct_product(cyclic(2), cyclic(2))],
                          ids=lambda G: G.name)
 def test_scalar_class_centralizer_keeps_every_orbit_d3(G):
-    # over F_3 there are two scalars, so the descent from gl_classes scans
-    # half of GL_3.  The orbits must be those of the descent under every
-    # element of GL_3, and the sizes, read off the leaf stabilizer as one
-    # pair per scalar class, must count every homomorphism
+    # over F_3 there are two scalars, so the class descent scans half of
+    # each centralizer, and the least-point scan (gl_classes) half of GL_3.
+    # The orbits must be those of the descent under every element of GL_3,
+    # compared by least point since the representatives differ, and the
+    # sizes, read off the leaf stabilizer as one pair per scalar class,
+    # must count every homomorphism
     classes = gl_classes(F3, 3)
     assert len(classes) * 2 == len(gl_elements(F3, 3)) == gl_order(3, 3)
     assert all(next(filter(None, g.data)) == 1 for g, _ in classes)
     orbits = hom_orbit_reps.__wrapped__(G, 3, F3)
     assert sum(size for _rep, size in orbits) == \
         len(enumerate_reps(G, 3, F3)) == {"S3": 7724, "C2xC2": 7024}[G.name]
-    every = sorted(rep.sort_key()
-                   for rep, _ in reps._descend(G, 3, F3, _gl_pairs(F3, 3)))
-    assert [rep.sort_key() for rep, _size in orbits] == every
+    every = reps._descend(G, 3, F3, _gl_pairs(F3, 3))
+    want = sorted((least_conjugate(rep)[0].sort_key(), gl_order(3, 3) // len(stab))
+                  for rep, stab in every)
+    assert sorted((least_conjugate(rep)[0].sort_key(), size)
+                  for rep, size in orbits) == want
 
 
-@pytest.mark.parametrize("G, d, F", [(symmetric(3), 3, F4), (cyclic(3), 4, F3),
+@pytest.mark.parametrize("G, d, F", [(symmetric(3), 3, F7), (cyclic(3), 4, F3),
                                      (cyclic(2), 4, F2), (symmetric(1), 4, F3),
                                      (symmetric(1), 10 ** 5, F3)], ids=str)
 def test_unsupported_dimension_fails_before_gl_is_built(monkeypatch, G, d, F):
@@ -394,11 +422,9 @@ def test_conjugation_relations_from_the_table():
     assert reps.conjugation_relations(cyclic(5)) == [()]
 
 
-def test_prefilter_leaves_no_rejected_extension_on_d4(monkeypatch):
-    # D4 = <r, f | r^4, f^2, f r f^-1 = r^-1>: the candidate orders give the
-    # first two relations and the pre-filter the third, so every candidate
-    # that reaches _extend_images extends (the unfiltered search rejects
-    # 5,124 of 5,900)
+def _extension_outcomes(monkeypatch, G, F):
+    """The homomorphisms G -> GL_2(F) and, per _extend_images call the
+    enumeration made, whether it extended."""
     calls = []
     extend = reps._extend_images
 
@@ -408,8 +434,30 @@ def test_prefilter_leaves_no_rejected_extension_on_d4(monkeypatch):
         return out
 
     monkeypatch.setattr(reps, "_extend_images", counting)
-    assert len(enumerate_reps(dihedral(4), 2, F7)) == 676
+    return enumerate_reps(G, 2, F), calls
+
+
+def test_prefilter_leaves_no_rejected_extension_on_d4(monkeypatch):
+    # D4 = <r, f | r^4, f^2, f r f^-1 = r^-1>: the candidate orders give the
+    # first two relations and the pre-filter the third, so every candidate
+    # that reaches _extend_images extends (the unfiltered search rejects
+    # 5,124 of 5,900)
+    points, calls = _extension_outcomes(monkeypatch, dihedral(4), F7)
+    assert len(points) == 676
     assert calls and all(calls)
+
+
+def test_prefilter_leaves_no_rejected_extension_on_s3(monkeypatch):
+    # S3 = <s, c | s^2, c^3, s^-1 c s = c^2>: the last is a power relation
+    # of c, not a conjugation relation of s, so only the power pre-filter
+    # drops the dead candidates (without it 9,524 of 9,976 calls reject)
+    S3 = symmetric(3)
+    s, _c = S3.generators
+    assert reps.power_relations(S3) == [(), ((s, 2),)]
+    want = [r.sort_key() for r in _enumerate_unfiltered(S3, 2, F7)]
+    points, calls = _extension_outcomes(monkeypatch, S3, F7)
+    assert [r.sort_key() for r in points] == want
+    assert len(calls) == 452 and all(calls)
 
 
 def _least_conjugate_scan(rep):
@@ -464,3 +512,51 @@ def test_least_point_at_d3_scans_gl3():
         want_point, want_stab = _least_conjugate_scan(rep)
         assert (point.sort_key(), stab) == (want_point.sort_key(), want_stab)
         assert size * stab == gl_order(2, 3)
+
+
+# --- d = 3 by classes for q <= 5, against Maschke and Schur ---
+
+def _maschke_orbit_sizes(G, F):
+    """The orbit sizes of Hom(G, GL_3(F)), p not dividing |G|, from the
+    irreducibles of dimension <= 2 alone: by Maschke and Schur the orbits
+    are the multisets sum m_i V_i of dimension 3, and the stabilizer of one
+    is prod |GL_(m_i)(End_G V_i)|, each End_G V_i a field."""
+    irr = irreducible_reps(G, F, 2)
+    ends = [F.q ** len(intertwiner_basis(F, V.images, V.images, V.dim)) for V in irr]
+    sizes = []
+    for r in (1, 2, 3):
+        for combo in combinations_with_replacement(range(len(irr)), r):
+            if sum(irr[i].dim for i in combo) == 3:
+                stab = prod(gl_order(ends[i], combo.count(i)) for i in set(combo))
+                sizes.append(gl_order(F.q, 3) // stab)
+    return sorted(sizes)
+
+
+def _no_gl(field, dim):
+    raise AssertionError(f"built GL_{dim}(F_{field.q})")
+
+
+@pytest.mark.parametrize("G, F, orbits, points", [
+    (symmetric(3), F5, 6, 187552), (cyclic(3), F4, 10, 8739),
+    (cyclic(3), F5, 2, 15501), (dihedral(4), F5, 24, 474304),
+], ids=lambda x: str(getattr(x, "name", x)))
+def test_d3_orbits_match_maschke_without_gl3(monkeypatch, G, F, orbits, points):
+    # End_G V = F_25 for the 2-dimensional irreducible of C3 over F_5
+    want = _maschke_orbit_sizes(G, F)
+    monkeypatch.setattr(reps, "gl_elements", _no_gl)
+    hom_orbit_reps.cache_clear()
+    report = orbit_partition(G, 3, F)
+    assert sorted(o.size for o in report.orbits) == want
+    assert (len(want), sum(want)) == (orbits, points)
+    assert all(o.is_closed for o in report.orbits)
+
+
+def test_d3_orbits_of_s3_over_f4(monkeypatch):
+    # 2 divides |S3|: the sign and trivial characters agree over F_4, and
+    # the orbit of a non-split extension of the trivial character by itself,
+    # plus a trivial summand, is not closed
+    monkeypatch.setattr(reps, "gl_elements", _no_gl)
+    hom_orbit_reps.cache_clear()
+    report = orbit_partition(symmetric(3), 3, F4)
+    assert [(o.size, o.is_closed) for o in report.orbits] == \
+        [(20160, True), (315, False), (1, True)]
