@@ -23,7 +23,7 @@ from .moduli import (degeneration_lands_in_closed_orbit, degeneration_limit,
 from .ordinary import (OrdinaryInstance, certify_points, is_ordinary,
                        ordinary_ideal)
 from .poly import MPoly
-from .pseudo import (CharPoly, PseudoRep, ch_ideal, ch_quotient, det_law,
+from .pseudo import (PseudoRep, ch_ideal, ch_quotient, det_law,
                      is_cayley_hamilton, kernel, matrix_algebra,
                      nilpotency_index, split_search, tautological_rep)
 from .reps import (Representation, characters, conjugate_rep, direct_sum,

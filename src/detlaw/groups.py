@@ -89,9 +89,6 @@ class FiniteGroup:
             self.table[a][b] in elems for a in elems for b in elems
         )
 
-    def mul(self, a, b):
-        return self.table[a][b]
-
     def inverse(self, a):
         return self.table[a].index(self.identity)
 
@@ -122,12 +119,11 @@ def cyclic(n):
     return FiniteGroup(table, generators=[1 % n], name=f"C{n}")
 
 
-def _from_elements(elems, op, generators, name, inertia_elems=None):
+def _from_elements(elems, op, generators, name):
     index = {e: i for i, e in enumerate(elems)}
     table = [[index[op(a, b)] for b in elems] for a in elems]
     gens = [index[g] for g in generators]
-    inertia = [index[e] for e in inertia_elems] if inertia_elems is not None else None
-    return FiniteGroup(table, generators=gens, inertia=inertia, name=name)
+    return FiniteGroup(table, generators=gens, name=name)
 
 
 def dihedral(n):

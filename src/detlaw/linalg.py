@@ -36,11 +36,6 @@ class Mat:
     def identity(cls, field, n):
         return cls(field, n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zero(cls, field, n, m=None):
-        m = n if m is None else m
-        return cls(field, n, m, [0] * (n * m))
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i * self.ncols + j]

@@ -4,8 +4,9 @@ closed-orbit detection, fibers, and trace-of-word invariants.
 Orbits of Hom(G, GL_d(F)) under conjugation are computed by centralizer
 descent through conjugacy-class representatives (reps.hom_orbit_reps), the
 only production orbit path.  While |GL_d(F)| <= LEAST_POINT_GL, each orbit
-is reported by its least point (reps.least_conjugate), so the report does
-not depend on which representative the descent happened to pick.
+is reported by its least point (reps.least_conjugate), found without a
+list of GL_d, so the report does not depend on which representative the
+descent happened to pick.
 """
 
 from .errors import InvariantViolation, UnknownPseudoRep
@@ -16,7 +17,9 @@ from .reps import (Representation, conjugate_rep, enumerate_reps, gl_elements,
                    hom_orbit_reps, intertwiner_basis, isomorphic,
                    least_conjugate, semisimplify)
 
-# Largest |GL_d(F)| for which orbits are reported by their least point.
+# Largest |GL_d(F)| for which orbits are reported by their least point.  It
+# keeps printed orbits stable, as no GL_d scan bounds it: above it (F_25 and
+# F_49 at d = 2, d = 3 at q >= 4) recorded reports hold class representatives.
 LEAST_POINT_GL = 30000
 
 

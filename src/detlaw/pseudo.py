@@ -29,32 +29,6 @@ def generic_vars(n):
     return tuple(f"x{i}" for i in range(n))
 
 
-class CharPoly:
-    """chi(r, t) = t^d + sum_{i=1}^d (-1)^i L_i t^{d-i}, stored by (L_1..L_d)."""
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = tuple(coeffs)
-        self.d = len(self.coeffs)
-
-    def evaluate(self, t_code):
-        F = self.field
-        acc = F.pow(t_code, self.d)
-        sign = 1
-        for i, L in enumerate(self.coeffs, start=1):
-            sign = -sign
-            term = F.mul(L, F.pow(t_code, self.d - i))
-            acc = F.add(acc, term if sign > 0 else F.neg(term))
-        return acc
-
-    def __eq__(self, other):
-        return (isinstance(other, CharPoly) and self.field == other.field
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return f"CharPoly(d={self.d}, L={self.coeffs})"
-
-
 class PseudoRep:
     """A degree-d determinant law on a finite-dimensional algebra."""
 

@@ -5,9 +5,11 @@ by elementary divisors, and the candidates of a generator are their union.
 One descent serves enumeration and orbit classification under
 GL_d-conjugation: it descends through class representatives and the units
 of their commutants, and reads each orbit's size off the stabilizer it
-reaches.  Least orbit points descend the same way at d = 2; only at d = 3
-(q <= 3) do they scan GL_3.  Candidates that break a conjugation or power
-relation of the group are dropped before their image table.
+reaches.  Least orbit points descend alike at every d: the first moving
+image goes to the least member of its class, grown by conjugation, and
+only the units of that member's commutant are scanned.  Candidates that
+break a conjugation or power relation of the group are dropped before
+their image table.
 """
 
 from functools import lru_cache
@@ -180,20 +182,38 @@ def order_class_reps(field, d, m):
                  for fs in multisets)
 
 
+@lru_cache(maxsize=None)
 def _conjugacy_class(R):
-    """The class of R in GL_3(F), as a set: the closure of {R} under
-    conjugation by I + E_ij, i != j, and diag(z, 1, 1) for a generator z of
-    F^x, which generate GL_3(F)."""
-    F = R.field
+    """The class of R in GL_d(F): the closure of {R} under conjugation by
+    I + E_ij, i != j, and diag(z, 1, ..., 1) for a generator z of F^x,
+    which generate GL_d(F).  Each member M maps to (N, g) with
+    M = g N g^-1 and N reached before M, and R maps to None."""
+    F, d = R.field, R.nrows
     z = next(z for z in range(1, F.q) if len({F.pow(z, e) for e in range(1, F.q)}) == F.q - 1)
-    gens = [Mat(F, 3, 3, [int(x % 4 == 0) + (x == y) for x in range(9)])
-            for y in range(9) if y % 4]
-    pairs = [(g, g.inverse()) for g in gens + [Mat(F, 3, 3, (z, 0, 0, 0, 1, 0, 0, 0, 1))]]
-    out, frontier = {R}, {R}
+    gens = [Mat(F, d, d, [int(x % (d + 1) == 0) + (x == y) for x in range(d * d)])
+            for y in range(d * d) if y % (d + 1)]
+    gens.append(Mat(F, d, d, [z if x == 0 else int(x % (d + 1) == 0) for x in range(d * d)]))
+    pairs = [(g, g.inverse()) for g in gens]
+    out, frontier = {R: None}, [R]
     while frontier:
-        frontier = {g * M * ginv for M in frontier for g, ginv in pairs} - out
-        out |= frontier
+        nxt = []
+        for M in frontier:
+            for g, ginv in pairs:
+                N = g * M * ginv
+                if N not in out:
+                    out[N] = (M, g)
+                    nxt.append(N)
+        frontier = nxt
     return out
+
+
+def _conjugator(cls, M):
+    """A g with g R g^-1 = M, R the root of the class cls (_conjugacy_class)."""
+    g = Mat.identity(M.field, M.nrows)
+    while cls[M]:
+        M, h = cls[M]
+        g = g * h
+    return g
 
 
 def _fiber_elements(field, s, p):
@@ -249,15 +269,6 @@ def gl_elements(field, d):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def gl_classes(field, d):
-    """(g, g^-1) for one g per scalar class of GL_d(F), the g whose first
-    nonzero entry is 1, in gl_elements order.  g and its multiples conjugate
-    alike, so these give the orbits and stabilizers of all of GL_d."""
-    return tuple((g, g.inverse()) for g in gl_elements(field, d)
-                 if next(filter(None, g.data)) == 1)
-
-
 def commutant_units(field, X):
     """X's centralizer in GL_d(F) modulo scalars, for a non-scalar X: the
     (T, T^-1) with T = sum v_i B_i invertible, over a basis B of X's
@@ -297,39 +308,36 @@ def _least_conjugator(pairs, mats):
 
 def least_conjugate(rep):
     """The least point of rep's GL_d-orbit under sort_key, and the order of
-    rep's stabilizer.
+    rep's stabilizer, for a group rep.
 
     Conjugation fixes scalar images, so only the others, the moving ones,
     are compared, image by image in element order.  With none, rep is its
     own least point and all of GL_d fixes it.
 
-    At d = 2 the first moving image X is non-scalar, so cyclic, and its
-    class is every non-scalar matrix with its trace and determinant.  The
-    least of them is L = (0, 1, -det X, tr X): a = 0 is reached, then
-    bc = -det X != 0 (the images are invertible) makes b = 1 least, and
-    b fixes c and d.  g0 = (r; r X), for a row r that is no eigenvector of
-    X, takes X to L, and the conjugators that do so are the coset C(L) g0,
-    C(L) being the units of F[L].  Scalars conjugate trivially, so one unit
-    per scalar class is scanned (commutant_units), on the later moving
-    images; each class u that fixes them all adds q - 1 to the stabilizer,
-    since g0^-1 u g0 and its multiples then fix rep.  At d >= 3 the scan
-    runs over GL_d, one element per scalar class (gl_classes), and each
-    class that fixes rep adds q - 1 alike.
+    The first moving image X goes to L, the least member of its class.
+    The class is found among the class representatives of the order of
+    X's element, and g0, which takes X to L, is read off the class's
+    conjugation pointers (_conjugator).  The conjugators that take X to L
+    are the coset C(L) g0, so one unit of L's commutant per scalar class
+    is scanned (commutant_units), on the later moving images; each class u
+    that fixes them all adds q - 1 to the stabilizer, since g0^-1 u g0 and
+    its multiples then fix rep.  The least point is unique, so it does not
+    depend on which g0 the pointers give.
     """
     F, d, images = rep.field, rep.dim, rep.images
-    moving = [m for m in images if not _is_scalar(m)]
+    moving = [x for x, m in enumerate(images) if not _is_scalar(m)]
     if not moving:
         return rep, gl_order(F.q, d)
-    if d > 2:
-        best, classes = _least_conjugator(gl_classes(F, d), moving)
-        return conjugate_rep(rep, best[0]), classes * (F.q - 1)
-    X = moving[0]
-    a, b, c, e = X.data
-    # r = e1, e2 or e1 + e2, whichever X does not send into its own line
-    g0 = Mat(F, 2, 2, (1, 0, a, b) if b else (0, 1, c, e) if c else (1, 1, a, e))
+    X = images[moving[0]]
+    chi = X.char_poly_coeffs()
+    chi_classes = (_conjugacy_class(R) for R in
+                   order_class_reps(F, d, rep.source.element_order(moving[0]))
+                   if R.char_poly_coeffs() == chi)
+    cls = next(c for c in chi_classes if X in c)
+    L = min(cls, key=lambda M: M.data)
+    g0 = _conjugator(cls, L) * _conjugator(cls, X).inverse()
     g0inv = g0.inverse()
-    L = Mat(F, 2, 2, (0, 1, F.neg(X.det()), X.trace()))
-    rest = [g0 * M * g0inv for M in moving[1:]]
+    rest = [g0 * images[x] * g0inv for x in moving[1:]]
     best, classes = _least_conjugator(commutant_units(F, L), rest)
     return conjugate_rep(rep, best[0] * g0), classes * (F.q - 1)
 

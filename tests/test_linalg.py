@@ -76,7 +76,7 @@ def test_char_poly_cayley_hamilton_3x3():
     c1, c2, c3 = A.char_poly_coeffs()
     I = Mat.identity(F5, 3)
     Z = A ** 3 - c1 * (A ** 2) + c2 * A - c3 * I
-    assert Z == Mat.zero(F5, 3)
+    assert Z == Mat(F5, 3, 3, [0] * 9)
 
 
 def test_shape_mismatch():

@@ -13,7 +13,7 @@ from detlaw.linalg import Mat, gl_order
 from detlaw.moduli import orbit_partition
 from detlaw.reps import (Representation, centralizer_or_full, characters,
                          conjugate_rep, direct_sum,
-                         enumerate_reps, gl_classes, gl_elements,
+                         enumerate_reps, gl_elements,
                          hom_orbit_reps, intertwiner_basis, invariant_subspace,
                          irreducible_reps, isomorphic, least_conjugate,
                          order_candidates, order_class_reps, semisimplify,
@@ -366,14 +366,11 @@ def test_prefilter_keeps_every_homomorphism_and_orbit(monkeypatch, G, F, dims):
                          ids=lambda G: G.name)
 def test_scalar_class_centralizer_keeps_every_orbit_d3(G):
     # over F_3 there are two scalars, so the class descent scans half of
-    # each centralizer, and the least-point scan (gl_classes) half of GL_3.
+    # each centralizer, and the least-point descent half of each commutant.
     # The orbits must be those of the descent under every element of GL_3,
     # compared by least point since the representatives differ, and the
     # sizes, read off the leaf stabilizer as one pair per scalar class,
     # must count every homomorphism
-    classes = gl_classes(F3, 3)
-    assert len(classes) * 2 == len(gl_elements(F3, 3)) == gl_order(3, 3)
-    assert all(next(filter(None, g.data)) == 1 for g, _ in classes)
     orbits = hom_orbit_reps.__wrapped__(G, 3, F3)
     assert sum(size for _rep, size in orbits) == \
         len(enumerate_reps(G, 3, F3)) == {"S3": 7724, "C2xC2": 7024}[G.name]
@@ -506,12 +503,34 @@ def test_least_point_by_descent_matches_the_full_scan():
     assert samples == 291 and scalar > 0
 
 
-def test_least_point_at_d3_scans_gl3():
-    for rep, size in hom_orbit_reps(symmetric(3), 3, F2):
-        point, stab = least_conjugate(rep)
-        want_point, want_stab = _least_conjugate_scan(rep)
-        assert (point.sort_key(), stab) == (want_point.sort_key(), want_stab)
-        assert size * stab == gl_order(2, 3)
+@pytest.mark.parametrize("G", [symmetric(3), cyclic(3),
+                               direct_product(cyclic(2), cyclic(2))],
+                         ids=lambda G: G.name)
+@pytest.mark.parametrize("F", [F2, F3], ids=str)
+def test_least_point_by_descent_matches_the_full_scan_d3(G, F):
+    # every orbit at d = 3, at its class representative and at two
+    # conjugates of it: the descent from the class's least member and its
+    # commutant coset agrees with the scan over all of GL_3
+    gl = gl_elements(F, 3)
+    conjugators = [gl[len(gl) // 3], gl[2 * len(gl) // 3]]
+    for rep, size in hom_orbit_reps(G, 3, F):
+        for c in [rep] + [conjugate_rep(rep, g) for g in conjugators]:
+            point, stab = least_conjugate(c)
+            want_point, want_stab = _least_conjugate_scan(c)
+            assert (point.sort_key(), stab) == (want_point.sort_key(), want_stab), c
+        assert size * stab == gl_order(F.q, 3)
+
+
+@pytest.mark.parametrize("G, d, F", [(dihedral(4), 2, F7), (symmetric(3), 3, F3)],
+                         ids=["D4-d2-F_7", "S3-d3-F_3"])
+def test_least_points_build_no_gl(monkeypatch, G, d, F):
+    # least points come from the class closure and a commutant coset, so
+    # orbit_partition reports them with no list of GL_d
+    want = [(o.rep.sort_key(), o.size) for o in orbit_partition(G, d, F).orbits]
+    monkeypatch.setattr(reps, "gl_elements", _no_gl)
+    hom_orbit_reps.cache_clear()
+    reps._conjugacy_class.cache_clear()
+    assert [(o.rep.sort_key(), o.size) for o in orbit_partition(G, d, F).orbits] == want
 
 
 # --- d = 3 by classes for q <= 5, against Maschke and Schur ---
