@@ -289,8 +289,8 @@ def _cmd_adapted_points(args):
     inst = _load(args)
     data, _law, names = _build_gma(inst, args)
     scheme = adapted_scheme(data)
-    points, _reps = adapted_points(scheme, inst.field, cap=args.cap)
-    orbits = torus_orbits(scheme, inst.field, points)
+    points, _reps = adapted_points(scheme, cap=args.cap)
+    orbits = torus_orbits(scheme, points)
     return {
         "characters": names,
         "variables": list(scheme.vars),

@@ -16,7 +16,7 @@ from .errors import (GmaAxiomFailure, HypothesisViolation, InvariantViolation,
                      PointCapExceeded, ShapeMismatch)
 from .linalg import Mat, rref, in_span, _cycles
 from .poly import MPoly, _add_into, symbolic_det
-from .pseudo import PseudoRep, algebra_base_change, ch_quotient, generic_vars
+from .pseudo import PseudoRep, ch_quotient, generic_vars
 from .reps import Representation, direct_sum
 
 
@@ -446,39 +446,37 @@ def adapted_scheme(data):
     return scheme
 
 
-def adapted_points(scheme, field, cap=200000):
-    """All field points of the adapted scheme, assembled into representations.
+def adapted_points(scheme, cap=200000):
+    """All points of the adapted scheme over its own field, assembled into
+    representations.
 
     Returns (points, reps): parallel lists, where each point is a tuple of
     variable values and each rep is the evaluated universal representation.
     """
     data = scheme.data
-    F0 = data.field
+    field = data.field
     nv = len(scheme.vars)
     if field.q ** nv > cap:
         raise PointCapExceeded(f"{field.q ** nv} candidate points exceed cap {cap}")
-    parent = (data.parent if field == F0
-              else algebra_base_change(data.parent, field))
-    rels = [r.map_field(field) for r in scheme.relations]
-    univ = [[cell.map_field(field) for cell in row] for row in scheme.universal]
+    univ = scheme.universal
     d = data.d
     points = []
     reps = []
     for values in product(range(field.q), repeat=nv):
         pt = dict(zip(scheme.vars, values))
-        if any(r.evaluate(pt) for r in rels):
+        if any(r.evaluate(pt) for r in scheme.relations):
             continue
         images = []
         for bidx in range(data.parent.n):
             m = Mat(field, d, d, [univ[bidx][t].evaluate(pt) for t in range(d * d)])
             images.append(m)
-        rep = Representation(parent, field, d, images, check_now=False)
+        rep = Representation(data.parent, field, d, images, check_now=False)
         points.append(tuple(values))
         reps.append(rep)
     return points, reps
 
 
-def torus_orbits(scheme, field, points):
+def torus_orbits(scheme, points):
     """Orbits of the Z(E)(F) = (F^*)^r block-scalar torus on adapted points.
 
     z = (z_1..z_r) conjugates the universal matrix by the block-scalar
@@ -486,7 +484,7 @@ def torus_orbits(scheme, field, points):
     apart from the orbit search of ``reps._descend``: it scales coordinate
     tuples of points by z_i / z_j and never conjugates matrices.
     """
-    r = scheme.data.r
+    field, r = scheme.data.field, scheme.data.r
     on_scheme = set(points)
     seen = set()
     orbits = []

@@ -8,7 +8,7 @@ tuples of codes so algebra modules can share them for ideal computations.
 """
 
 from bisect import bisect
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from .errors import ShapeMismatch
 
@@ -141,13 +141,6 @@ class Mat:
                 return r
             b = b * b
 
-    def trace(self):
-        F = self.field
-        acc = 0
-        for i in range(self.nrows):
-            acc = F.add(acc, self[i, i])
-        return acc
-
     def det(self):
         self._require_square("determinant")
         F = self.field
@@ -156,18 +149,6 @@ class Mat:
             q, mul = F.q, F._mul
             a, b, c, d = self.data
             return F._add[mul[a * q + d] * q + F._neg[mul[b * q + c]]]
-        if n <= 3:
-            acc = 0
-            for perm in permutations(range(n)):
-                t = 1
-                for i, j in enumerate(perm):
-                    t = F.mul(t, self[i, j])
-                    if not t:
-                        break
-                if t:
-                    t = t if _perm_sign(perm) > 0 else F.neg(t)
-                    acc = F.add(acc, t)
-            return acc
         rows = [list(r) for r in self.rows()]
         det = 1
         for col in range(n):

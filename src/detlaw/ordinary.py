@@ -15,6 +15,9 @@ from .linalg import Mat, in_span, intersect_spans, rref
 from .poly import MPoly
 from .reps import Representation, stable_subspaces, sub_quotient_reps
 
+# the degree at which the two branch ideals are intersected
+MAX_DEGREE = 4
+
 
 class OrdinaryInstance:
     """Characters (psi unramified, chi) on a group with inertia, together
@@ -69,7 +72,7 @@ class OrdinaryInstance:
         """The group representation assembled at an adapted point.
 
         ``point`` is a tuple of values parallel to scheme.vars (as returned
-        by adapted_points over the base field).
+        by adapted_points).
         """
         F = self.field
         env = dict(zip(self.scheme.vars, point))
@@ -110,7 +113,7 @@ class OrdinaryIdeal:
         return f"OrdinaryIdeal({len(self.gens)} generators, {kind})"
 
 
-def ordinary_ideal(instance, max_degree=4):
+def ordinary_ideal(instance):
     """The ideal cutting out ordinary adapted points.
 
     Branch one demands a stable line with quotient psi: the entries below
@@ -148,10 +151,10 @@ def ordinary_ideal(instance, max_degree=4):
             witness=units[0])
     if any(g.degree() == 0 for g in branch_chi):
         return OrdinaryIdeal(instance, branch_psi, branch_psi, None, True,
-                             max_degree)
-    gens = _intersect_truncated(sch, branch_psi, branch_chi, max_degree)
+                             MAX_DEGREE)
+    gens = _intersect_truncated(sch, branch_psi, branch_chi)
     return OrdinaryIdeal(instance, gens, branch_psi, tuple(branch_chi), False,
-                         max_degree)
+                         MAX_DEGREE)
 
 
 def _monomials_up_to(nv, deg):
@@ -173,20 +176,20 @@ def _row(scheme, poly, index):
     return row
 
 
-def _intersect_truncated(scheme, gens1, gens2, max_degree):
-    """Polynomials spanning the intersection of two ideals up to a degree.
+def _intersect_truncated(scheme, gens1, gens2):
+    """Polynomials spanning the intersection of two ideals up to MAX_DEGREE.
 
-    Exact whenever the intersection is generated in degree <= max_degree,
+    Exact whenever the intersection is generated in degree <= MAX_DEGREE,
     which the point-level certification below checks in practice.
     """
     F = scheme.data.field
-    monomials = _monomials_up_to(len(scheme.vars), max_degree)
+    monomials = _monomials_up_to(len(scheme.vars), MAX_DEGREE)
     index = {m: i for i, m in enumerate(monomials)}
 
     def multiples(g):
-        """Rows of g * m for every monomial m with deg(g m) <= max_degree."""
+        """Rows of g * m for every monomial m with deg(g m) <= MAX_DEGREE."""
         return [_row(scheme, g * MPoly(F, scheme.vars, {m: 1}), index)
-                for m in monomials if sum(m) + g.degree() <= max_degree]
+                for m in monomials if sum(m) + g.degree() <= MAX_DEGREE]
 
     meet = intersect_spans(F, [row for g in gens1 for row in multiples(g)],
                            [row for g in gens2 for row in multiples(g)],
@@ -227,7 +230,7 @@ def certify_points(instance, ideal, cap=200000):
     """
     from .gma import adapted_points
 
-    points, _reps = adapted_points(instance.scheme, instance.field, cap=cap)
+    points, _reps = adapted_points(instance.scheme, cap=cap)
     good, bad = [], []
     for pt in points:
         rep = instance.rep_at_point(pt)

@@ -10,6 +10,7 @@ so identities checked here hold after arbitrary base change.
 
 from collections import Counter
 from itertools import chain, combinations_with_replacement, product, repeat
+from math import lcm
 
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
 from .errors import (InvariantViolation, NotFoundWithinBound, SchemaError,
@@ -378,13 +379,17 @@ def split_search(D):
     """Find the smallest-degree extension carrying a semisimple representation
     that induces D, together with that representation.
 
-    Scans degrees 1..d (the separable-case bound), enumerating direct sums of
-    irreducible representations over each extension; the Jordan-Hoelder
-    multiset of the answer must be the same for all matches at the
-    successful degree (InvariantViolation otherwise).
+    D splits over F_{q^e} iff e is a multiple of the lcm of the sizes of the
+    Frobenius orbits on its absolutely irreducible factors.  Those sizes sum
+    to at most d, so the degrees scanned are the divisors of lcm(1..d) in
+    increasing order, enumerating direct sums of irreducible representations
+    over each extension; the Jordan-Hoelder multiset of the answer must be
+    the same for all matches at the successful degree (InvariantViolation
+    otherwise).
     """
     F = D.field
-    for e in range(1, D.d + 1):
+    bound = lcm(*range(1, D.d + 1))
+    for e in (e for e in range(1, bound + 1) if bound % e == 0):
         target = make_field(F.p, F.k * e)
         De = D.base_change(target)
         irs = _irreducible_modules(De.source, D, target)
@@ -401,7 +406,8 @@ def split_search(D):
                     witness=sorted(keys))
             return target, matches[0][1]
     raise NotFoundWithinBound(
-        f"no semisimple representation inducing the law within degree {D.d}")
+        f"no semisimple representation inducing the law over an extension of degree "
+        f"dividing lcm(1..{D.d}) = {bound}")
 
 
 def _dim_multisets(irs, d):

@@ -216,38 +216,12 @@ def _conjugator(cls, M):
     return g
 
 
-def _fiber_elements(field, s, p):
-    """All 2x2 matrices with trace s and determinant p (p may be 0)."""
-    F = field
-    out = []
-    for alpha in range(F.q):
-        delta = F.sub(s, alpha)
-        v = F.sub(F.mul(alpha, delta), p)
-        if v:
-            for beta in range(1, F.q):
-                gamma = F.mul(v, F.inv(beta))
-                out.append(Mat(F, 2, 2, (alpha, beta, gamma, delta)))
-        else:
-            for gamma in range(F.q):
-                out.append(Mat(F, 2, 2, (alpha, 0, gamma, delta)))
-            for beta in range(1, F.q):
-                out.append(Mat(F, 2, 2, (alpha, beta, 0, delta)))
-    return out
-
-
 @lru_cache(maxsize=None)
 def order_candidates(field, d, m):
-    """All M in GL_d(F) with M^m = 1, in a deterministic order: at d <= 2
-    the scalars, then the other M by (trace, det) fibre in code order; at
-    d = 3 the union of the classes in entry order, the order of gl_elements."""
-    F = field
-    classes = order_class_reps(F, d, m)
-    if d == 3:
-        return tuple(sorted((M for R in classes for M in _conjugacy_class(R)),
-                            key=lambda M: M.data))
-    fibers = sorted((R.trace(), R.det()) for R in classes if not _is_scalar(R))
-    return tuple([R for R in classes if _is_scalar(R)] +
-                 [M for s, p in fibers for M in _fiber_elements(F, s, p) if not _is_scalar(M)])
+    """All M in GL_d(F) with M^m = 1 in entry order, the order of
+    gl_elements: the union of the classes of order_class_reps(F, d, m)."""
+    return tuple(sorted((M for R in order_class_reps(field, d, m) for M in _conjugacy_class(R)),
+                        key=lambda M: M.data))
 
 
 def _is_scalar(M):

@@ -170,8 +170,8 @@ def test_criterion_6_adapted_points_bijection():
         other = next(c for c in cs if c is not triv)
         data, _law, _project = gma_from_characters(G, [triv, other], F)
         scheme = adapted_scheme(data)
-        points, _reps = adapted_points(scheme, F)
-        orbits = torus_orbits(scheme, F, points)
+        points, _reps = adapted_points(scheme)
+        orbits = torus_orbits(scheme, points)
         report = orbit_partition(G, 2, F)
         fib = psi_fiber(report, PseudoRep.induce(direct_sum(triv, other)))
         if len(orbits) != len(fib.orbit_indices):

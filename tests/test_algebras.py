@@ -98,7 +98,7 @@ def test_trace_form_radical_detects_nonsemisimple():
 
 
 def _regular_trace(A):
-    return [A.left_mult_matrix(A.basis[i]).trace() for i in range(A.n)]
+    return [A.left_mult_matrix(A.basis[i]).char_poly_coeffs()[0] for i in range(A.n)]
 
 
 # --- table-backed products and closure by generator translations ---

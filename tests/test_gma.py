@@ -141,9 +141,9 @@ def test_adapted_scheme_m2_split():
         F5, scheme.vars, [((2, 2), 1), ((0, 0), 4)])).is_zero()
     assert scheme.reduce(MPoly.from_terms(
         F5, scheme.vars + ("x",), [((2, 2, 1), 1), ((0, 0, 1), 4)])).is_zero()
-    points, reps = adapted_points(scheme, F5)
+    points, reps = adapted_points(scheme)
     assert len(points) == 4  # b free in F*, c = 1/b
-    orbits = torus_orbits(scheme, F5, points)
+    orbits = torus_orbits(scheme, points)
     assert len(orbits) == 1
     for rep in reps:
         assert PseudoRep.induce(rep).equals(det_law(F5, 2))
@@ -154,9 +154,9 @@ def test_adapted_scheme_s3():
     scheme = adapted_scheme(data)
     assert scheme.universal_is_homomorphism()[0]
     assert [scheme.image(e) for e in data.parent.basis] == list(map(list, scheme.universal))
-    points, reps = adapted_points(scheme, F3)
+    points, reps = adapted_points(scheme)
     assert len(points) == 5  # bc = 0: two lines through the origin
-    orbits = torus_orbits(scheme, F3, points)
+    orbits = torus_orbits(scheme, points)
     assert len(orbits) == 3
     for rep in reps:
         assert PseudoRep.induce(rep).equals(law)
@@ -207,9 +207,9 @@ def test_three_block_adapted_scheme_a4():
     assert len(scheme.relations) == 9
     assert scheme.universal_is_homomorphism() == (True, None)
     assert _reduced_universal_det(scheme) == canonical_det(data).poly
-    points, reps = adapted_points(scheme, F4)
+    points, reps = adapted_points(scheme)
     assert len(points) == 73
-    assert len(torus_orbits(scheme, F4, points)) == 13
+    assert len(torus_orbits(scheme, points)) == 13
     for rep in reps:
         assert PseudoRep.induce(rep).equals(law)
 

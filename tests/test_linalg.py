@@ -67,8 +67,8 @@ def test_inverse():
 
 def test_char_poly_coeffs_trace_and_det():
     A = Mat.from_rows(F5, [[2, 1], [0, 3]])
-    c = A.char_poly_coeffs()
-    assert c == (A.trace(), A.det())
+    # c_1 = 2 + 3 and c_2 = 2 * 3 - 1 * 0, both mod 5
+    assert A.char_poly_coeffs() == (0, 1) == (F5.add(A[0, 0], A[1, 1]), A.det())
 
 
 def test_char_poly_cayley_hamilton_3x3():

@@ -122,6 +122,18 @@ def test_psi_fiber_c3_f3():
     assert report.orbits[closed].is_closed
 
 
+def test_psi_fiber_base_changes_orbits_to_the_split_field():
+    # law 0 of C3 over F_2 at d = 2 is the 2-dimensional irreducible, which
+    # splits only over F_4 into the two characters t -> w, t -> w^2: the
+    # orbit is base-changed before its Jordan-Hoelder key is compared
+    report = orbit_partition(cyclic(3), 2, F2)
+    fib = psi_fiber(report, report.pseudoreps[0])
+    assert fib.orbit_indices == [0] and fib.closed_index == 0
+    assert [dim for dim, _ in fib.jh_key] == [1, 1]
+    # the images of the three elements lie in F_4^x = {1, 2, 3}, not in F_2
+    assert {c for _, images in fib.jh_key for (c,) in images} == {1, 2, 3}
+
+
 def test_psi_fiber_unknown_law():
     report = orbit_partition(cyclic(3), 2, F3)
     with pytest.raises(UnknownPseudoRep):

@@ -103,7 +103,7 @@ def test_certify_points_rejects_a_wrong_ideal():
     empty = OrdinaryIdeal(inst, (), J.branch_psi, None, True, J.truncation)
     with pytest.raises(InvariantViolation) as exc:
         certify_points(inst, empty)
-    points, _reps = adapted_points(inst.scheme, inst.field)
+    points, _reps = adapted_points(inst.scheme)
     pt = exc.value.witness
     assert pt in points
     assert not is_ordinary(inst.rep_at_point(pt), inst.group.inertia)
@@ -126,12 +126,12 @@ def test_intersect_truncated_drops_generated_elements():
         ([b * b + c], [b], [b ** 3]),
     ]
     for gens1, gens2, want in cases:
-        assert _intersect_truncated(sch, gens1, gens2, 4) == want
+        assert _intersect_truncated(sch, gens1, gens2) == want
 
 
 def test_rep_at_point_matches_adapted_rep():
     inst = _s3_unramified_instance()
-    points, reps = adapted_points(inst.scheme, inst.field)
+    points, reps = adapted_points(inst.scheme)
     for pt, arep in zip(points, reps):
         grep = inst.rep_at_point(pt)
         assert grep.check()

@@ -193,6 +193,37 @@ def test_split_search_on_a_matrix_algebra(p):
     assert PseudoRep.induce(rep).equals(D)
 
 
+def _field_product_algebra(base, *fields):
+    """E_1 x ... x E_r as a base-algebra, each E_i = base[t]/(m_i) on the
+    basis 1, t, ..., t^(k_i - 1) of its codes p^0, ..., p^(k_i - 1)."""
+    p, offsets = base.p, [0]
+    for E in fields:
+        offsets.append(offsets[-1] + E.k)
+    n = offsets[-1]
+    sc = [[()] * n for _ in range(n)]
+    for E, off in zip(fields, offsets):
+        for i in range(E.k):
+            for j in range(E.k):
+                c = E.mul(p ** i, p ** j)
+                sc[off + i][off + j] = tuple((off + b, c // p ** b % p) for b in range(E.k)
+                                             if c // p ** b % p)
+    unit = [int(x in offsets[:-1]) for x in range(n)]
+    return FinAlgebra(base, [f"e{x}" for x in range(n)], sc, unit)
+
+
+def test_split_search_scans_divisors_of_lcm_1_to_d():
+    # the regular law of F_4 x F_8 over F_2 has d = 5 and absolutely
+    # irreducible factors in Frobenius orbits of sizes 2 and 3: it splits
+    # first over F_2^6, a degree beyond 1..d
+    F2 = make_field(2)
+    A = _field_product_algebra(F2, make_field(2, 2), make_field(2, 3))
+    D = PseudoRep.induce(Representation(A, F2, 5, [A.left_mult_matrix(e) for e in A.basis]))
+    assert D.check_axioms()
+    field, rep = split_search(D)
+    assert field == make_field(2, 6)
+    assert rep.dim == 5 and PseudoRep.induce(rep).equals(D.base_change(field))
+
+
 def test_split_search_rejects_two_factor_multisets(monkeypatch):
     # every match is found twice and every multiset key differs
     keys = iter(range(1000))

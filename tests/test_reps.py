@@ -88,10 +88,11 @@ def test_cyclic_char_polys_match_companion_powers(field):
         want = [(s, p) for s in range(field.q) for p in range(1, field.q)
                 if (Mat(field, 2, 2, (0, field.neg(p), 1, s)) ** m).is_identity()]
         classes = [R for R in order_class_reps(field, 2, m) if not reps._is_scalar(R)]
-        assert sorted((R.trace(), R.det()) for R in classes) == want, m
+        assert sorted(R.char_poly_coeffs() for R in classes) == want, m
         for R in classes:
             a, b, c, d = R.data
-            assert b == c == 0 and a < d or R.data == (0, field.neg(R.det()), 1, R.trace())
+            s, p = R.char_poly_coeffs()
+            assert b == c == 0 and a < d or R.data == (0, field.neg(p), 1, s)
 
 
 def test_order_class_reps_cover_all_classes():
@@ -115,12 +116,14 @@ def test_order_class_reps_cover_all_classes():
 @pytest.mark.parametrize("field", [F2, F3], ids=str)
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
 def test_d3_candidates_are_the_gl_filter(field, m):
-    # the classes at d = 3, grown from their representatives, are disjoint
-    # and give exactly the M with M^m = 1, in gl_elements order
-    got = order_candidates(field, 3, m)
-    assert got == tuple(M for M in gl_elements(field, 3) if (M ** m).is_identity())
-    classes = [reps._conjugacy_class(R) for R in order_class_reps(field, 3, m)]
-    assert sum(map(len, classes)) == len(got)
+    # at d = 2 and d = 3 alike, the classes grown from their
+    # representatives are disjoint and give exactly the M with M^m = 1, in
+    # gl_elements order
+    for d in (2, 3):
+        got = order_candidates(field, d, m)
+        assert got == tuple(M for M in gl_elements(field, d) if (M ** m).is_identity()), d
+        classes = [reps._conjugacy_class(R) for R in order_class_reps(field, d, m)]
+        assert sum(map(len, classes)) == len(got), d
 
 
 def test_enumerate_reps_counts():
@@ -290,6 +293,20 @@ def test_isomorphic_iff_conjugate_exhaustive():
         assert isomorphic(r, r)
 
 
+@pytest.mark.parametrize("G, d, F", [
+    (symmetric(3), 2, F2), (cyclic(3), 2, F2), (dihedral(4), 2, F2),
+    (symmetric(3), 3, F3)], ids=["S3-d2-F_2", "C3-d2-F_2", "D4-d2-F_2", "S3-d3-F_3"])
+def test_isomorphic_scans_the_intertwiners_when_d_reaches_q(G, d, F):
+    # d >= q, so a nonzero det(sum x_i T_i) does not yet give an invertible
+    # intertwiner and isomorphic enumerates the q^m combinations
+    orbit_reps = [r for r, _ in hom_orbit_reps(G, d, F)]
+    g = Mat(F, d, d, [int(x % (d + 1) == 0 or x == 1) for x in range(d * d)])
+    for i, r in enumerate(orbit_reps):
+        assert isomorphic(r, conjugate_rep(r, g))
+        for s in orbit_reps[i + 1:]:
+            assert not isomorphic(r, s)
+
+
 def test_intertwiner_basis_schur():
     S3 = symmetric(3)
     irr = next(r for r, _ in hom_orbit_reps(S3, 2, F5)
@@ -408,6 +425,20 @@ def test_orbit_sizes_at_d2_solve_no_intertwiner_system(monkeypatch, G, F):
 
     monkeypatch.setattr(reps, "intertwiner_basis", no_system)
     assert _orbit_keys(hom_orbit_reps.__wrapped__(G, 2, F)) == want
+
+
+def _classes_reversed(field, d, m):
+    return tuple(M for R in reversed(order_class_reps(field, d, m))
+                 for M in sorted(reps._conjugacy_class(R), key=lambda M: M.data))
+
+
+def test_orbit_reps_do_not_depend_on_the_order_of_classes(monkeypatch):
+    # the descent keeps the first candidate of each orbit of the centralizer
+    # pairs; such an orbit lies in one class, whose members come in entry
+    # order either way, so listing the classes backwards changes nothing
+    want = _orbit_keys(hom_orbit_reps.__wrapped__(dihedral(4), 2, F25))
+    monkeypatch.setattr(reps, "order_candidates", _classes_reversed)
+    assert _orbit_keys(hom_orbit_reps.__wrapped__(dihedral(4), 2, F25)) == want
 
 
 def test_conjugation_relations_from_the_table():
