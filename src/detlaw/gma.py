@@ -8,7 +8,7 @@ data (primitive idempotents E^l, the coordinate modules A^{l,m}, scalar
 extractions) is computed from these lifts.
 """
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import permutations, product
 from operator import add, le, sub
 
@@ -78,17 +78,6 @@ class GmaData:
         c = F.mul(vec[idx], F.inv(E[idx]))
         if tuple(F.mul(c, x) for x in E) != tuple(vec):
             raise GmaAxiomFailure(f"element not a scalar multiple of E^{l}")
-        return c
-
-    def scalar_poly_of(self, l, vec, zero):
-        """phi^l for a vector with polynomial coordinates."""
-        F = self.field
-        E = self.E[l]
-        idx = next(i for i, c in enumerate(E) if c)
-        c = vec[idx].scale(F.inv(E[idx]))
-        for i, u in enumerate(E):
-            if vec[i] != c.scale(u):
-                raise GmaAxiomFailure(f"element not a scalar multiple of E^{l}")
         return c
 
 
@@ -226,6 +215,13 @@ def canonical_det(data, start="min"):
     """The canonical determinant law D_E by the signed cycle-sum formula, on
     a verified GMA.
 
+    At the generic x, E^l x E^m = sum_t f_t(x) w_t over the RREF basis w_t
+    of A^{l,m}, where the linear form f_t reads pivot t of E^l e_b E^m off
+    each basis element e_b.  A cycle's scalar phi(E^l x E^m ... x E^l) is
+    then the sum, over one w_t per factor, of phi(product of the w_t) times
+    the product of their forms, so every product in R is one of code
+    vectors.
+
     ``start`` picks the initial element of each cycle ("min" or "max");
     the result is independent of the choice, which callers may verify by
     comparing both.
@@ -236,13 +232,13 @@ def canonical_det(data, start="min"):
     F = data.field
     d = data.d
     xs = generic_vars(A.n)
-    zero = MPoly.zero(F, xs)
-    xi = tuple(MPoly.var(F, xs, v) for v in xs)
-    consts = {l: tuple(MPoly.const(F, xs, c) for c in data.E[l]) for l in range(d)}
-    # X[l][m] = E^l x E^m on the generic element
-    X = [[A.mul_poly(consts[l], A.mul_poly(xi, consts[m], zero), zero)
-          for m in range(d)] for l in range(d)]
-    acc = zero
+    X = {}
+    for l, m in product(range(d), repeat=2):
+        images = [A.mul(data.E[l], A.mul(b, data.E[m])) for b in A.basis]
+        basis, pivots = rref(F, images)
+        X[l, m] = [(w, MPoly.linear(F, xs, [v[p] for v in images]))
+                   for w, p in zip(basis, pivots)]
+    acc = MPoly.zero(F, xs)
     pick = min if start == "min" else max
     for perm in permutations(range(d)):
         term = MPoly.const(F, xs, 1)
@@ -250,10 +246,12 @@ def canonical_det(data, start="min"):
         for cycle in cycles:
             j = cycle.index(pick(cycle))
             seq = cycle[j:] + cycle[:j]
-            prod = X[seq[0]][perm[seq[0]]]
-            for l in seq[1:]:
-                prod = A.mul_poly(prod, X[l][perm[l]], zero)
-            term = term * data.scalar_poly_of(seq[0], prod, zero)
+            value = MPoly.zero(F, xs)
+            for factors in product(*(X[l, perm[l]] for l in seq)):
+                s = data.scalar_of(seq[0], reduce(A.mul, (w for w, _f in factors)))
+                if s:
+                    value = value + reduce(MPoly.__mul__, (f for _w, f in factors)).scale(s)
+            term = term * value
             if term.is_zero():
                 break
         if (d - len(cycles)) % 2:

@@ -95,14 +95,12 @@ class OrdinaryIdeal:
     """Generators of the ordinary ideal in the adapted coordinate ring,
     together with the two branch ideals it intersects."""
 
-    def __init__(self, instance, gens, branch_psi, branch_chi, single_branch,
-                 truncation):
+    def __init__(self, instance, gens, branch_psi, branch_chi, single_branch):
         self.instance = instance
         self.gens = tuple(gens)
         self.branch_psi = tuple(branch_psi)
         self.branch_chi = branch_chi  # tuple, or None when the branch is unit
         self.single_branch = single_branch
-        self.truncation = truncation
 
     def vanishes_at(self, point):
         env = dict(zip(self.instance.scheme.vars, point))
@@ -150,11 +148,9 @@ def ordinary_ideal(instance):
             "psi branch contains a unit despite the unramified hypothesis",
             witness=units[0])
     if any(g.degree() == 0 for g in branch_chi):
-        return OrdinaryIdeal(instance, branch_psi, branch_psi, None, True,
-                             MAX_DEGREE)
+        return OrdinaryIdeal(instance, branch_psi, branch_psi, None, True)
     gens = _intersect_truncated(sch, branch_psi, branch_chi)
-    return OrdinaryIdeal(instance, gens, branch_psi, tuple(branch_chi), False,
-                         MAX_DEGREE)
+    return OrdinaryIdeal(instance, gens, branch_psi, tuple(branch_chi), False)
 
 
 def _monomials_up_to(nv, deg):

@@ -191,15 +191,11 @@ class MPoly:
         return cls(field, variables, {(0,) * nv: code})
 
     @classmethod
-    def var(cls, field, variables, name, coeff=1):
+    def var(cls, field, variables, name):
         variables = tuple(variables)
-        i = variables.index(name)
         e = [0] * len(variables)
-        e[i] = 1
-        code = field.coerce(coeff)
-        if code == 0:
-            return cls(field, variables, {})
-        return cls(field, variables, {tuple(e): code})
+        e[variables.index(name)] = 1
+        return cls(field, variables, {tuple(e): 1})
 
     @classmethod
     def linear(cls, field, variables, coeffs):

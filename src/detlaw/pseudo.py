@@ -10,7 +10,7 @@ so identities checked here hold after arbitrary base change.
 
 from collections import Counter
 from itertools import chain, combinations_with_replacement, product, repeat
-from math import lcm
+from math import comb, lcm
 
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
 from .errors import (InvariantViolation, NotFoundWithinBound, SchemaError,
@@ -18,12 +18,13 @@ from .errors import (InvariantViolation, NotFoundWithinBound, SchemaError,
 from .fields import make_field
 from .linalg import (Mat, combine, proj_point_count, projective_points, rref,
                      span_closure)
-from .poly import MPoly, _pack, _substitute_terms, symbolic_det
+from .poly import MPoly, _add_into, _pack, _substitute_terms, symbolic_det
 from .reps import (JHDecomposition, Representation, direct_sum,
                    intertwiner_basis, invariant_subspace, irreducible_reps,
                    isomorphic, sub_quotient_reps)
 
-T_VAR = "t"
+# the largest power of an ideal nilpotency_index computes
+MAX_NILPOTENCY = 64
 
 
 def generic_vars(n):
@@ -66,26 +67,32 @@ class PseudoRep:
         return self.poly.evaluate({xs[i]: c for i, c in enumerate(vec)})
 
     def lambda_polys(self):
-        """The coefficient laws L_1..L_d of chi(x, t), as polynomials in the
-        generic coordinates."""
+        """The coefficient laws L_1..L_d of chi(x, t) = D(t - x), as
+        polynomials in the generic coordinates.
+
+        D(x + s u) = sum_k s^k H^k D(x), where H^k is the order-k Hasse
+        derivative along the unit u, so L_i = H^(d-i) D in every
+        characteristic.  H^k sends x^a to sum_b prod_j binom(a_j, b_j)
+        u_j^(b_j) x^(a-b) over b <= a with |b| = k and support in u's."""
         if self._lambdas is None:
-            F = self.field
+            F, d = self.field, self.d
+            unit = [(j, u) for j, u in enumerate(self.source.unit) if u]
+            hasse = [{} for _ in range(d)]  # hasse[k] = H^k D for 0 < k < d
+            for e, c in self.poly.terms.items():
+                steps = [(j, e[j], u) for j, u in unit if e[j]]
+                for b in product(*(range(a + 1) for _j, a, _u in steps)):
+                    k = sum(b)
+                    if not 0 < k < d:
+                        continue
+                    key, coeff = list(e), c
+                    for (j, a, u), bj in zip(steps, b):
+                        key[j] = a - bj
+                        coeff = F.mul(coeff, F.mul(comb(a, bj) % F.p, F.pow(u, bj)))
+                    if coeff:
+                        _add_into(F, hasse[k], ((tuple(key), coeff),))
             xs = self.poly.vars
-            ext = xs + (T_VAR,)
-            t = MPoly.var(F, ext, T_VAR)
-            images = {}
-            for i, u in enumerate(self.source.unit):
-                img = t.scale(u) if u else MPoly.zero(F, ext)
-                images[xs[i]] = img - MPoly.var(F, ext, xs[i])
-            chi = self.poly.substitute(images)
-            out = []
-            sign = 1
-            for i in range(1, self.d + 1):
-                sign = -sign
-                c = chi.coefficient(T_VAR, self.d - i)
-                c = _drop_var(c, T_VAR)
-                out.append(c if sign > 0 else c.scale(F.neg(1)))
-            self._lambdas = tuple(out)
+            self._lambdas = tuple(MPoly(F, xs, hasse[d - i])
+                                  for i in range(1, d)) + (self.poly,)
         return self._lambdas
 
     def trace_form(self):
@@ -157,16 +164,6 @@ class PseudoRep:
         return f"PseudoRep(d={self.d} on {self.source.name} over {self.field})"
 
 
-def _drop_var(poly, name):
-    i = poly.vars.index(name)
-    left = [e for e in poly.terms if e[i]]
-    if left:
-        raise InvariantViolation(f"polynomial still depends on {name}", witness=left[0])
-    newvars = poly.vars[:i] + poly.vars[i + 1:]
-    terms = {e[:i] + e[i + 1:]: c for e, c in poly.terms.items()}
-    return MPoly(poly.field, newvars, terms)
-
-
 def algebra_base_change(A, target):
     """The same algebra with coefficients embedded into an extension field."""
     if isinstance(A, GroupAlgebra):
@@ -214,12 +211,6 @@ def det_law(field, d):
 
 
 # --- Cayley-Hamilton condition, ideal, quotient ---
-
-def _generic_element(A):
-    F = A.field
-    xs = generic_vars(A.n)
-    return tuple(MPoly.var(F, xs, v) for v in xs)
-
 
 def is_cayley_hamilton(D):
     """True iff the generic element satisfies its characteristic polynomial."""
@@ -335,34 +326,34 @@ def kernel(D, cap=200000):
         if npts > cap:
             raise SearchCapExceeded(f"{npts} candidate lines exceed kernel search cap")
         lambdas = DQ.lambda_polys()
-        xi = _generic_element(Q)
-        zero = MPoly.zero(F, DQ.poly.vars)
         for coeffs in projective_points(F.q, m):
             r = combine(F, coeffs, null)
-            if _kernel_member(DQ, lambdas, r, xi, zero):
+            if _kernel_member(DQ, lambdas, r):
                 rows.append(lift(r))
     return Ideal(A, rows, check=True)
 
 
-def _kernel_member(D, lambdas, r, xi, zero):
-    A = D.source
-    F = A.field
-    const = tuple(MPoly.const(F, D.poly.vars, c) for c in r)
-    rx = A.mul_poly(const, xi, zero)
-    images = {D.poly.vars[i]: rx[i] for i in range(A.n)}
+def _kernel_member(D, lambdas, r):
+    """True iff every L_i vanishes on r x at the generic x; coordinate k of
+    r x is the linear form read off row k of r's left multiplication."""
+    F = D.field
+    xs = D.poly.vars
+    rows = D.source.left_mult_matrix(r).rows()
+    images = {x: MPoly.linear(F, xs, row) for x, row in zip(xs, rows)}
     return all(L.substitute(images).is_zero() for L in lambdas)
 
 
-def nilpotency_index(ideal, cap=64):
-    """Smallest k with I^k = 0 by iterated span multiplication; None if the
-    power series stabilizes at a nonzero subspace."""
+def nilpotency_index(ideal):
+    """Smallest k <= MAX_NILPOTENCY with I^k = 0 by iterated span
+    multiplication; None if the power series stabilizes at a nonzero
+    subspace."""
     A = ideal.parent
     F = A.field
     base = list(ideal.basis)
     if not base:
         return 1
     cur = base
-    for k in range(1, cap + 1):
+    for k in range(1, MAX_NILPOTENCY + 1):
         if not cur:
             return k
         prods = [A.mul(v, w) for v in cur for w in base]

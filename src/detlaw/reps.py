@@ -23,6 +23,9 @@ from .linalg import (Mat, all_subspaces, block_matrix, combine, gl_order,
                      rref)
 from .poly import MPoly, symbolic_det
 
+# the most intertwiner combinations isomorphic enumerates when d >= q
+INTERTWINER_POINT_CAP = 200000
+
 
 class Representation:
     """Images of either all group elements (group source) or all basis
@@ -594,13 +597,13 @@ def semisimplify(rep):
     return JHDecomposition(semisimplify(sub).factors + semisimplify(quo).factors)
 
 
-def isomorphic(rep1, rep2, cap=200000):
+def isomorphic(rep1, rep2):
     """Exact isomorphism test via the intertwiner space.
 
     An invertible intertwiner exists iff det(sum x_i T_i) is a nonzero
     polynomial; for deg < q a witness is found by deterministic
     variable-by-variable substitution, otherwise the solution space is
-    enumerated (guarded by cap).
+    enumerated (at most INTERTWINER_POINT_CAP points).
     """
     if rep1.source is not rep2.source or rep1.field != rep2.field or rep1.dim != rep2.dim:
         return False
@@ -620,7 +623,7 @@ def isomorphic(rep1, rep2, cap=200000):
         return False
     if d < F.q:
         return True
-    if F.q ** m > cap:
+    if F.q ** m > INTERTWINER_POINT_CAP:
         raise SearchCapExceeded("intertwiner space too large to certify invertibility")
     for coeffs in product(range(F.q), repeat=m):
         if detp.evaluate(dict(zip(names, coeffs))):

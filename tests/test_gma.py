@@ -222,3 +222,61 @@ def test_gma_det_job_verifies_the_gma_once(monkeypatch, capsys):
     assert main(["gma-det", inst]) == 0
     assert '"start_invariant": true' in capsys.readouterr().out
     assert len(runs) == 1
+
+
+def _canonical_det_oracle(data, start):
+    """The cycle-sum formula with E^l x E^m expanded through mul_poly on the
+    generic element and each cycle's scalar read off a polynomial vector."""
+    A = data.parent
+    F = data.field
+    d = data.d
+    xs = tuple(f"x{i}" for i in range(A.n))
+    zero = MPoly.zero(F, xs)
+    xi = tuple(MPoly.var(F, xs, v) for v in xs)
+    consts = [tuple(MPoly.const(F, xs, c) for c in E) for E in data.E]
+    X = [[A.mul_poly(consts[l], A.mul_poly(xi, consts[m], zero), zero)
+          for m in range(d)] for l in range(d)]
+    acc = zero
+    pick = min if start == "min" else max
+    for perm in permutations(range(d)):
+        term = MPoly.const(F, xs, 1)
+        for cycle in gma_mod._cycles(perm):
+            j = cycle.index(pick(cycle))
+            seq = cycle[j:] + cycle[:j]
+            prod = X[seq[0]][perm[seq[0]]]
+            for l in seq[1:]:
+                prod = A.mul_poly(prod, X[l][perm[l]], zero)
+            E = data.E[seq[0]]
+            i = next(i for i, c in enumerate(E) if c)
+            scalar = prod[i].scale(F.inv(E[i]))
+            assert all(prod[k] == scalar.scale(u) for k, u in enumerate(E))
+            term = term * scalar
+        if (d - len(gma_mod._cycles(perm))) % 2:
+            term = term.scale(F.neg(1))
+        acc = acc + term
+    return acc
+
+
+def _canonical_det_cases():
+    out = [(f"M{d}-F5", gma_full(F5, d)) for d in (1, 2, 3)]
+    out.append(("M2-F5-split", _m2_split_gma(F5)))
+    for group, field, count in [(symmetric(3), F3, 2), (dihedral(4), F5, 3),
+                                (dihedral(6), make_field(7), 4), (cyclic(4), F5, 4),
+                                (_alternating_group_4(), make_field(2, 2), 3)]:
+        cs = characters(group, field)
+        data = gma_from_characters(group, cs[:count], field)[0]
+        out.append((f"{group.name}-F{field.q}-{count}", data))
+    return out
+
+
+@pytest.mark.parametrize("data", [pytest.param(data, id=name)
+                                  for name, data in _canonical_det_cases()])
+def test_canonical_det_matches_the_mul_poly_expansion(monkeypatch, data):
+    want = {start: _canonical_det_oracle(data, start) for start in ("min", "max")}
+
+    def no_mul_poly(self, x, y, zero):
+        raise AssertionError("mul_poly called")
+
+    monkeypatch.setattr(type(data.parent), "mul_poly", no_mul_poly)
+    for start in ("min", "max"):
+        assert canonical_det(data, start=start).poly == want[start]

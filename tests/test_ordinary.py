@@ -100,7 +100,7 @@ def test_certify_points_rejects_a_wrong_ideal():
     # non-ordinary point is misclassified and comes back as the witness
     inst = _d5_instance(whole_group=True)
     J = ordinary_ideal(inst)
-    empty = OrdinaryIdeal(inst, (), J.branch_psi, None, True, J.truncation)
+    empty = OrdinaryIdeal(inst, (), J.branch_psi, None, True)
     with pytest.raises(InvariantViolation) as exc:
         certify_points(inst, empty)
     points, _reps = adapted_points(inst.scheme)

@@ -86,7 +86,7 @@ def test_extension_scalar_codes_survive():
     # codes above p must not be reduced mod p by constructors
     E = make_field(5, 2)
     v = ("x",)
-    p = MPoly.var(E, v, "x", coeff=7)
+    p = MPoly.var(E, v, "x").scale(7)
     assert p.terms == {(1,): 7}
     assert MPoly.const(E, v, 13).constant_code() == 13
 
@@ -185,7 +185,7 @@ def _count_kernel_calls(monkeypatch):
 
 @pytest.mark.parametrize("F", [F5, F25, F257], ids=str)
 def test_pow_matches_repeated_product(F):
-    p = MPoly.var(F, XY, "x", 2) + MPoly.var(F, XY, "y", 3) + 1
+    p = MPoly.var(F, XY, "x").scale(2) + MPoly.var(F, XY, "y").scale(3) + 1
     want = MPoly.const(F, XY, 1)
     for n in range(10):
         assert p ** n == want
@@ -301,7 +301,7 @@ def test_symbolic_det_packs_below_the_byte_limit(monkeypatch, top, packed):
 
 
 def test_symbolic_det_untabled_field_takes_the_tuple_path(monkeypatch):
-    entries = [MPoly.var(F257, XY, "x", c) + c for c in (3, 256, 1, 200)]
+    entries = [MPoly.var(F257, XY, "x").scale(c) + c for c in (3, 256, 1, 200)]
     calls = _count_kernel_calls(monkeypatch)
     got = symbolic_det(F257, XY, entries, 2)
     assert {p for _same, p in calls} == {False}

@@ -271,13 +271,6 @@ def test_ch_quotient_rejects_the_augmentation_ideal(monkeypatch):
         ch_quotient(D)
 
 
-def test_drop_var_rejects_a_polynomial_that_uses_it():
-    poly = MPoly.var(F5, ("x0", "t"), "x0") * MPoly.var(F5, ("x0", "t"), "t")
-    with pytest.raises(InvariantViolation) as info:
-        pseudo_mod._drop_var(poly, "t")
-    assert info.value.witness == (1, 1)
-
-
 def test_tautological_rep_induces_det():
     for d in (1, 2):
         D = det_law(F3, d)
@@ -304,6 +297,12 @@ def test_group_rep_views_reject_an_algebra_source():
 
 # --- the Cayley-Hamilton ideal and the kernel against their oracles ---
 
+def _generic(D):
+    """The generic element x = sum x_i e_i, as a vector of variables."""
+    xs = D.poly.vars
+    return tuple(MPoly.var(D.field, xs, x) for x in xs)
+
+
 def _ch_element(D):
     """chi(x, x) at the generic element, expanded symbolically: the oracle
     for ch_ideal's polarized coefficients."""
@@ -311,7 +310,7 @@ def _ch_element(D):
     F = A.field
     xs = D.poly.vars
     zero = MPoly.zero(F, xs)
-    xi = pseudo_mod._generic_element(A)
+    xi = _generic(D)
     lambdas = D.lambda_polys()
     powers = [tuple(MPoly.const(F, xs, u) for u in A.unit)]
     for _ in range(D.d):
@@ -340,12 +339,20 @@ def _kernel_oracle(D):
     if not null:
         return Ideal(A, [], check=False)
     lambdas = D.lambda_polys()
-    xi = pseudo_mod._generic_element(A)
-    zero = MPoly.zero(F, D.poly.vars)
     members = [r for r in (combine(F, c, null)
                            for c in projective_points(F.q, len(null)))
-               if pseudo_mod._kernel_member(D, lambdas, r, xi, zero)]
+               if pseudo_mod._kernel_member(D, lambdas, r)]
     return Ideal(A, members, check=True)
+
+
+def _kernel_member_oracle(D, r):
+    """Every L_i vanishes on r x, with r x expanded through mul_poly."""
+    F = D.field
+    xs = D.poly.vars
+    zero = MPoly.zero(F, xs)
+    rx = D.source.mul_poly(tuple(MPoly.const(F, xs, c) for c in r), _generic(D), zero)
+    images = dict(zip(xs, rx))
+    return all(L.substitute(images).is_zero() for L in D.lambda_polys())
 
 
 def _dual_numbers_law():
@@ -428,6 +435,32 @@ def _kernel_cases():
 @pytest.mark.parametrize("D", [pytest.param(D, id=name) for name, D in _kernel_cases()])
 def test_kernel_matches_the_direct_enumeration(D):
     assert kernel(D) == _kernel_oracle(D)
+
+
+@pytest.mark.parametrize("D", [pytest.param(D, id=name) for name, D in _kernel_cases()])
+def test_kernel_member_matches_the_expanded_product(D):
+    # r x from the rows of r's left multiplication against r x expanded
+    # through mul_poly, on every basis element and every sum of two
+    A = D.source
+    lambdas = D.lambda_polys()
+    tests = list(A.basis) + [A.add(a, b) for i, a in enumerate(A.basis)
+                             for b in A.basis[i + 1:]]
+    assert [pseudo_mod._kernel_member(D, lambdas, r) for r in tests] == \
+        [_kernel_member_oracle(D, r) for r in tests]
+
+
+def test_kernel_makes_no_mul_poly_call(monkeypatch):
+    def no_mul_poly(self, x, y, zero):
+        raise AssertionError("mul_poly called")
+
+    D = dict(_kernel_cases())["C3-F3-unipotent"]
+    want = kernel(D)
+    member = pseudo_mod._kernel_member
+    lines = []
+    monkeypatch.setattr(pseudo_mod, "_kernel_member",
+                        lambda *args: lines.append(args[2]) or member(*args))
+    monkeypatch.setattr(FinAlgebra, "mul_poly", no_mul_poly)
+    assert kernel(D) == want and lines
 
 
 @pytest.mark.parametrize("group, field", [(dihedral(5), F5), (dihedral(6), F3)],
@@ -563,3 +596,105 @@ def test_is_multiplicative_holds_no_expanded_product(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2 ** 20
+
+
+# --- Lambda_i against the substitution in n + 1 variables ---
+
+def _lambda_oracle(D):
+    """L_1..L_d read off chi(x, t) = D(t - x): substitute x_i -> t u_i - x_i
+    in the generic coordinates and t, and take the t-coefficients."""
+    F = D.field
+    xs = D.poly.vars
+    ext = xs + ("t",)
+    t = MPoly.var(F, ext, "t")
+    chi = D.poly.substitute({x: t.scale(u) - MPoly.var(F, ext, x)
+                             for x, u in zip(xs, D.source.unit)})
+    out = []
+    for i in range(1, D.d + 1):
+        c = chi.coefficient("t", D.d - i)
+        L = MPoly(F, xs, {e[:-1]: v for e, v in c.terms.items()})
+        out.append(L if i % 2 == 0 else -L)
+    return tuple(out)
+
+
+def _lambda_laws():
+    """Laws on group algebras at d = 2 and 3, the determinant on M_1..M_3
+    over F_2..F_5, Cayley-Hamilton quotients whose unit has two or three
+    nonzero coordinates, and laws over the untabled F_17^2, F_7^3, F_5^4."""
+    F2, F4 = make_field(2), make_field(2, 2)
+    out = []
+    for G, F in ((cyclic(3), F4), (cyclic(3), F7), (symmetric(3), F5),
+                 (dihedral(4), F3), (direct_product(cyclic(3), symmetric(3)), F7)):
+        cs = characters(G, F)
+        for k in (2, 3):
+            out.append((f"{G.name}-F{F.q}-{k}", _sum_law([cs[i % len(cs)] for i in range(k)])))
+    for G, F in ((symmetric(3), F5), (dihedral(4), F3)):
+        two = next(r for r in irreducible_reps(G, F, 2) if r.dim == 2)
+        out.append((f"{G.name}-F{F.q}-2dim", _sum_law([two])))
+        out.append((f"{G.name}-F{F.q}-2dim+1", _sum_law([two, characters(G, F)[-1]])))
+    u = Mat.from_rows(F3, [[1, 1], [0, 1]])
+    out.append(("C3-F3-unipotent", PseudoRep.induce(
+        Representation(cyclic(3), F3, 2, [Mat.identity(F3, 2), u, u * u]))))
+    out += [(f"M{d}-F{F.q}", det_law(F, d)) for F in (F2, F3, F4, F5) for d in (1, 2, 3)]
+    for G, F, k in ((cyclic(3), F7, 2), (symmetric(3), F3, 2), (cyclic(4), F5, 3),
+                    (dihedral(4), F5, 3), (cyclic(4), F4, 3), (dihedral(4), F4, 3)):
+        cs = characters(G, F)
+        out.append((f"{G.name}-F{F.q}-{k}-quotient",
+                    ch_quotient(_sum_law([cs[i % len(cs)] for i in range(k)]))[1]))
+    laws = dict(out)
+    c4 = characters(cyclic(4), make_field(17))  # taken over F_17^2 only
+    laws["C4-F17-2"] = _sum_law(c4[1:3])
+    laws["C4-F17-3-quotient"] = ch_quotient(_sum_law(c4[:3]))[1]
+    for (p, k), names in (((17, 2), ("C4-F17-2", "C4-F17-3-quotient")),
+                          ((7, 3), ("C3-F7-2", "C3-F7-3", "C3-F7-2-quotient")),
+                          ((5, 4), ("S3-F5-2dim", "C4-F5-3-quotient"))):
+        E = make_field(p, k)
+        out += [(f"{name}-over-F{E.q}", laws[name].base_change(E)) for name in names]
+        out.append((f"M2-F{E.q}", det_law(E, 2)))
+    out.append(("M3-F343", det_law(make_field(7, 3), 3)))
+    return out
+
+
+_LAMBDA_LAWS = _lambda_laws()
+
+
+@pytest.mark.parametrize("D", [pytest.param(D, id=name) for name, D in _LAMBDA_LAWS])
+def test_lambda_polys_match_the_substitution(D):
+    assert D.lambda_polys() == _lambda_oracle(D)
+
+
+@pytest.mark.parametrize("D", [pytest.param(D, id=name) for name, D in _LAMBDA_LAWS
+                               if D.field.p > D.d])
+def test_lambda_polys_satisfy_newtons_identities(D):
+    # i L_i = sum_{k=1..i} (-1)^(k-1) L_{i-k} L_1(x^k), with L_0 = 1, as
+    # polynomials in the generic coordinates; i is invertible since p > d
+    A = D.source
+    F = D.field
+    xs = D.poly.vars
+    zero = MPoly.zero(F, xs)
+    tr = D.trace_form()
+    lambdas = (MPoly.const(F, xs, 1),) + D.lambda_polys()
+    power = tuple(MPoly.const(F, xs, u) for u in A.unit)
+    traces = [None]
+    for _ in range(D.d):
+        power = A.mul_poly(power, _generic(D), zero)
+        traces.append(sum((c.scale(t) for c, t in zip(power, tr) if t), zero))
+    for i in range(1, D.d + 1):
+        rhs = zero
+        for k in range(1, i + 1):
+            term = lambdas[i - k] * traces[k]
+            rhs = rhs + (term if k % 2 else -term)
+        assert lambdas[i] * i == rhs, i
+
+
+def test_lambda_polys_substitute_nothing(monkeypatch):
+    # every L_i comes term by term from D, with no substitution of t - x
+    def no_substitute(*args):
+        raise AssertionError("substitution called")
+
+    laws = [dict(_LAMBDA_LAWS)[name] for name in ("S3-F5-3", "M3-F5", "C4-F5-3-quotient")]
+    want = [_lambda_oracle(D) for D in laws]
+    monkeypatch.setattr(MPoly, "substitute", no_substitute)
+    monkeypatch.setattr(poly_mod, "_substitute_terms", no_substitute)
+    monkeypatch.setattr(pseudo_mod, "_substitute_terms", no_substitute)
+    assert [PseudoRep(D.source, D.d, D.poly).lambda_polys() for D in laws] == want

@@ -378,9 +378,9 @@ def test_prefilter_keeps_every_homomorphism_and_orbit(monkeypatch, G, F, dims):
         assert sum(size for _rep, size in orbits) == len(got), d
 
 
-@pytest.mark.parametrize("G", [symmetric(3),
-                               direct_product(cyclic(2), cyclic(2))],
-                         ids=lambda G: G.name)
+@pytest.mark.parametrize("G", [
+    pytest.param(symmetric(3), id="S3", marks=pytest.mark.slow),  # about 9 s
+    pytest.param(direct_product(cyclic(2), cyclic(2)), id="C2xC2")])
 def test_scalar_class_centralizer_keeps_every_orbit_d3(G):
     # over F_3 there are two scalars, so the class descent scans half of
     # each centralizer, and the least-point descent half of each commutant.
@@ -534,10 +534,15 @@ def test_least_point_by_descent_matches_the_full_scan():
     assert samples == 291 and scalar > 0
 
 
-@pytest.mark.parametrize("G", [symmetric(3), cyclic(3),
-                               direct_product(cyclic(2), cyclic(2))],
-                         ids=lambda G: G.name)
-@pytest.mark.parametrize("F", [F2, F3], ids=str)
+# the two slowest cases: about 12 and 5 s
+_D3_SCAN_SLOW = {("C2xC2", "F_3"), ("S3", "F_3")}
+
+
+@pytest.mark.parametrize("G, F", [
+    pytest.param(G, F, id=f"{F}-{G.name}",
+                 marks=[pytest.mark.slow] if (G.name, str(F)) in _D3_SCAN_SLOW else [])
+    for F in (F2, F3)
+    for G in (symmetric(3), cyclic(3), direct_product(cyclic(2), cyclic(2)))])
 def test_least_point_by_descent_matches_the_full_scan_d3(G, F):
     # every orbit at d = 3, at its class representative and at two
     # conjugates of it: the descent from the class's least member and its

@@ -27,7 +27,7 @@ def test_field_round_trip():
 
 def test_poly_round_trip():
     xs = ("x", "y")
-    p = (MPoly.var(F25, xs, "x", coeff=7) + MPoly.var(F25, xs, "y")) ** 2 + 3
+    p = (MPoly.var(F25, xs, "x").scale(7) + MPoly.var(F25, xs, "y")) ** 2 + 3
     obj = json.loads(json.dumps(poly_to_json(p)))
     assert poly_from_json(obj) == p
 
