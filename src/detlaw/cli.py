@@ -16,8 +16,10 @@ from itertools import islice
 
 from .cohomology import ext1, fiber_stratify
 from .errors import DetlawError, InvariantViolation, SchemaError
+from .fields import make_field
 from .gma import (adapted_points, adapted_scheme, canonical_det,
                   gma_from_characters, torus_orbits, verify_gma)
+from .groups import cyclic, symmetric
 from .moduli import orbit_partition, psi_fiber
 from .ordinary import OrdinaryInstance, certify_points, ordinary_ideal
 from .pseudo import PseudoRep, ch_quotient, kernel
@@ -389,9 +391,6 @@ def _cmd_ordinary(args):
 
 
 def _cmd_selftest(args):
-    from .fields import make_field
-    from .groups import cyclic, symmetric
-
     F3, F5 = make_field(3), make_field(5)
     checks = []
 

@@ -6,6 +6,7 @@ projective spaces of extensions around the semisimple point.
 from .errors import InvariantViolation, NotMultiplicityFree, ShapeMismatch
 from .linalg import (Mat, block_matrix, combine, nullspace, proj_point_count,
                      projective_points, reduce_vector, rref)
+from .moduli import psi_fiber
 from .pseudo import PseudoRep
 from .reps import (Representation, direct_sum, invariant_subspace,
                    sub_quotient_reps)
@@ -161,8 +162,6 @@ def fiber_stratify(group, chi, psi, field, orbit_report=None):
     down = ext1(group, psi, chi)
     strata = None
     if orbit_report is not None:
-        from .moduli import psi_fiber
-
         D = PseudoRep.induce(direct_sum(chi, psi))
         fiber = psi_fiber(orbit_report, D)
         ss, ups, downs = [], [], []

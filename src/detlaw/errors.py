@@ -1,86 +1,85 @@
 """Domain errors.
 
-Every error carries a machine-readable ``code`` so the CLI can emit
-structured JSON failures.
+The CLI reports each as a structured JSON failure whose ``code`` is the
+error's class name.
 """
 
 
 class DetlawError(Exception):
-    code = "Error"
+    pass
 
 
 class NotPrime(DetlawError):
-    code = "NotPrime"
+    pass
 
 
 class SizeCapExceeded(DetlawError):
-    code = "SizeCapExceeded"
+    pass
 
 
 class NoEmbedding(DetlawError):
-    code = "NoEmbedding"
+    pass
 
 
 class VariableMismatch(DetlawError):
-    code = "VariableMismatch"
+    pass
 
 
 class BadGroupTable(DetlawError):
-    code = "BadGroupTable"
+    pass
 
 
 class NotAnIdeal(DetlawError):
-    code = "NotAnIdeal"
+    pass
 
 
 class ShapeMismatch(DetlawError):
-    code = "ShapeMismatch"
+    pass
 
 
 class EnumerationCapExceeded(DetlawError):
-    code = "EnumerationCapExceeded"
+    pass
 
 
 class SearchCapExceeded(DetlawError):
-    code = "SearchCapExceeded"
+    pass
 
 
 class NotFoundWithinBound(DetlawError):
-    code = "NotFoundWithinBound"
+    pass
 
 
 class GmaAxiomFailure(DetlawError):
-    code = "GmaAxiomFailure"
+    pass
 
 
 class PointCapExceeded(DetlawError):
-    code = "PointCapExceeded"
+    pass
 
 
 class UnknownPseudoRep(DetlawError):
-    code = "UnknownPseudoRep"
+    pass
 
 
 class NotMultiplicityFree(DetlawError):
-    code = "NotMultiplicityFree"
+    pass
 
 
 class HypothesisViolation(DetlawError):
-    code = "HypothesisViolation"
+    pass
 
 
 class DimensionUnsupported(DetlawError):
-    code = "DimensionUnsupported"
+    pass
 
 
 class SchemaError(DetlawError):
-    code = "SchemaError"
+    pass
 
 
 class InvariantViolation(DetlawError):
     """A checked mathematical claim failed; ``witness`` holds the data that
     shows it."""
-    code = "InvariantViolation"
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -5,7 +5,8 @@ A GMA structure on an algebra R is given by matrix-unit lifts: for each
 block i a family w[i][j][k] of elements multiplying like the matrix units
 of M_{d_i}, with the block idempotent e_i = sum_j w[i][j][j].  All derived
 data (primitive idempotents E^l, the coordinate modules A^{l,m}, scalar
-extractions) is computed from these lifts.
+extractions) is computed from these lifts; each A^{l,m} is built once, in
+``GmaData.corners``.
 """
 
 from functools import cached_property, reduce
@@ -14,9 +15,9 @@ from operator import add, le, sub
 
 from .errors import (GmaAxiomFailure, HypothesisViolation, InvariantViolation,
                      PointCapExceeded, ShapeMismatch)
-from .linalg import Mat, rref, in_span, _cycles
+from .linalg import Mat, rref, in_span, solve, _cycles
 from .poly import MPoly, _add_into, symbolic_det
-from .pseudo import PseudoRep, ch_quotient, generic_vars
+from .pseudo import PseudoRep, ch_quotient, generic_vars, matrix_algebra
 from .reps import Representation, direct_sum
 
 
@@ -42,8 +43,6 @@ class GmaData:
             for j in range(di):
                 flat.append(self.units[i][j][j])
         self.E = tuple(flat)
-        self.block_of = tuple(i for i, di in enumerate(self.type) for _ in range(di))
-        self.inner_of = tuple(j for di in self.type for j in range(di))
 
     def _block_sum(self, i):
         A = self.parent
@@ -57,18 +56,17 @@ class GmaData:
         """The GmaReport of verify_gma, computed once: the data is fixed."""
         return verify_gma(self)
 
-    def module_basis(self, l, m):
-        """Canonical basis of A^{l,m} = E^l R E^m."""
+    @cached_property
+    def corners(self):
+        """The coordinate modules A^{l,m} = E^l R E^m, computed once: for
+        every (l, m) the images E^l e_b E^m of the parent basis, the RREF
+        basis of their span and its pivots."""
         A = self.parent
-        rows = [A.mul(self.E[l], A.mul(b, self.E[m])) for b in A.basis]
-        basis, _ = rref(A.field, rows)
-        return list(basis)
-
-    def block_module_basis(self, i, j):
-        """Canonical basis of A_{i,j} = E_i^1 R E_j^1."""
-        l = sum(self.type[:i])
-        m = sum(self.type[:j])
-        return self.module_basis(l, m)
+        out = {}
+        for l, m in product(range(self.d), repeat=2):
+            images = [A.mul(self.E[l], A.mul(b, self.E[m])) for b in A.basis]
+            out[l, m] = (images, *rref(self.field, images))
+        return out
 
     def scalar_of(self, l, vec):
         """phi^l: the scalar c with vec = c * E^l (vec in A^{l,l})."""
@@ -83,8 +81,6 @@ class GmaData:
 
 def gma_full(field, d):
     """M_d(F) as a GMA with one block: the tautological matrix units."""
-    from .pseudo import matrix_algebra
-
     A = matrix_algebra(field, d)
     units = [[[A.basis[j * d + k] for k in range(d)] for j in range(d)]]
     return GmaData(A, (d,), units)
@@ -116,7 +112,7 @@ def verify_gma(data):
     mul = A.mul
     d = data.d
     pairs = list(product(range(d), repeat=2))
-    mods = {(l, m): data.module_basis(l, m) for l, m in pairs}
+    mods = {lm: basis for lm, (_images, basis, _pivots) in data.corners.items()}
 
     def matrix_units():
         # w[i][j][k] w[i'][l][m] = delta delta w[i][j][m]
@@ -232,12 +228,9 @@ def canonical_det(data, start="min"):
     F = data.field
     d = data.d
     xs = generic_vars(A.n)
-    X = {}
-    for l, m in product(range(d), repeat=2):
-        images = [A.mul(data.E[l], A.mul(b, data.E[m])) for b in A.basis]
-        basis, pivots = rref(F, images)
-        X[l, m] = [(w, MPoly.linear(F, xs, [v[p] for v in images]))
-                   for w, p in zip(basis, pivots)]
+    X = {lm: [(w, MPoly.linear(F, xs, [v[p] for v in images]))
+              for w, p in zip(basis, pivots)]
+         for lm, (images, basis, pivots) in data.corners.items()}
     acc = MPoly.zero(F, xs)
     pick = min if start == "min" else max
     for perm in permutations(range(d)):
@@ -263,29 +256,30 @@ def canonical_det(data, start="min"):
 # --- adapted representations ---
 
 class AdaptedScheme:
-    """The coordinate presentation of adapted representations.
+    """The coordinate presentation of adapted representations of a GMA of
+    type (1, ..., 1), whose block modules A_{i,j} are the coordinate modules
+    A^{i,j} of ``GmaData.corners``.
 
-    One commutative variable per basis element of each off-diagonal block
-    module A_{i,j}; the relation ideal identifies products of composable
-    variables with their value under multiplication in R.  Each relation is
-    monic in its one quadratic term, its leading exponent.
+    One commutative variable per basis element of each off-diagonal A_{i,j};
+    the relation ideal identifies products of composable variables with
+    their value under multiplication in R.  Each relation is monic in its
+    one quadratic term, its leading exponent.
     """
 
     def __init__(self, data):
+        if any(di != 1 for di in data.type):
+            raise HypothesisViolation(
+                f"adapted schemes are built for GMAs of type (1, ..., 1), not {data.type}")
         self.data = data
-        F = data.field
-        self.off_bases = {}  # (i, j) -> (RREF basis of A_{i,j}, pivots)
         self.var_blocks = []  # (i, j) of each variable
         self._var_index = {}
         names = []
-        for i in range(data.r):
-            for j in range(data.r):
-                if i != j:
-                    self.off_bases[(i, j)] = rref(F, data.block_module_basis(i, j))
-                    for t in range(len(self.off_bases[(i, j)][0])):
-                        self._var_index[(i, j, t)] = len(names)
-                        names.append(f"a{i}{j}_{t}")
-                        self.var_blocks.append((i, j))
+        for i, j in product(range(data.r), repeat=2):
+            if i != j:
+                for t in range(len(data.corners[i, j][1])):
+                    self._var_index[(i, j, t)] = len(names)
+                    names.append(f"a{i}{j}_{t}")
+                    self.var_blocks.append((i, j))
         self.vars = tuple(names)
         self.relations = self._build_relations()
         self._by_lead = {_lead(rel): rel for rel in self.relations}
@@ -296,9 +290,13 @@ class AdaptedScheme:
         return MPoly.var(F, self.vars, self.vars[self._var_index[(i, j, t)]])
 
     def _linear_form(self, i, j, vec):
-        """sum_t c_t a{i}{j}_t for vec = sum_t c_t b_t in A_{i,j} = <b_t>."""
-        F = self.data.field
-        basis, pivots = self.off_bases[(i, j)]
+        """The entry of vec in A_{i,j} = <b_t>: the constant phi^i(vec) when
+        i = j, else sum_t c_t a{i}{j}_t for vec = sum_t c_t b_t."""
+        data = self.data
+        F = data.field
+        if i == j:
+            return MPoly.const(F, self.vars, data.scalar_of(i, vec))
+        _images, basis, pivots = data.corners[i, j]
         if not in_span(F, vec, basis, pivots):
             raise InvariantViolation(f"vector outside A_{i}{j}", witness=(i, j, vec))
         coeffs = [0] * len(self.vars)
@@ -310,51 +308,26 @@ class AdaptedScheme:
         """b*c - phi(b (x) c) for all composable off-diagonal basis pairs."""
         data = self.data
         A = data.parent
-        F = data.field
         rels = []
-        for i in range(data.r):
-            for j in range(data.r):
-                if i == j:
-                    continue
-                for k in range(data.r):
-                    if j == k:
-                        continue
-                    for tb, b in enumerate(self.off_bases[(i, j)][0]):
-                        for tc, c in enumerate(self.off_bases[(j, k)][0]):
-                            prod = A.mul(b, c)
-                            if i == k:
-                                s = data.scalar_of(sum(data.type[:i]), prod)
-                                value = MPoly.const(F, self.vars, s)
-                            else:
-                                value = self._linear_form(i, k, prod)
-                            rel = self.var(i, j, tb) * self.var(j, k, tc) - value
-                            if rel not in rels:
-                                rels.append(rel)
+        for i, j, k in product(range(data.r), repeat=3):
+            if i == j or j == k:
+                continue
+            for tb, b in enumerate(data.corners[i, j][1]):
+                for tc, c in enumerate(data.corners[j, k][1]):
+                    value = self._linear_form(i, k, A.mul(b, c))
+                    rel = self.var(i, j, tb) * self.var(j, k, tc) - value
+                    if rel not in rels:
+                        rels.append(rel)
         return tuple(rels)
 
     def _build_universal(self):
-        """Images of the parent basis in M_d over the polynomial ring."""
-        data = self.data
-        A = data.parent
-        F = data.field
-        d = data.d
-        out = []
-        for b in A.basis:
-            entries = []
-            for l in range(d):
-                for m in range(d):
-                    v = A.mul(data.E[l], A.mul(b, data.E[m]))
-                    i, j = data.block_of[l], data.block_of[m]
-                    jl, jm = data.inner_of[l], data.inner_of[m]
-                    # transport A^{l,m} to A_{i,j} through the matrix units
-                    w = A.mul(data.units[i][0][jl], A.mul(v, data.units[j][jm][0]))
-                    if i == j:
-                        s = data.scalar_of(sum(data.type[:i]), w)
-                        entries.append(MPoly.const(F, self.vars, s))
-                    else:
-                        entries.append(self._linear_form(i, j, w))
-            out.append(entries)
-        return tuple(out)
+        """Images of the parent basis in M_d over the polynomial ring: entry
+        (i, j) of e_b's image is the entry of E^i e_b E^j in A_{i,j}."""
+        corners = self.data.corners
+        d = self.data.d
+        return tuple([self._linear_form(i, j, corners[i, j][0][b])
+                      for i, j in product(range(d), repeat=2)]
+                     for b in range(self.data.parent.n))
 
     def reduce(self, poly):
         """Rewrite modulo the relations until no term is divisible by a
@@ -555,8 +528,6 @@ def _idempotent_preimage(Q, qrep, target):
         for j in range(d):
             rows.append(tuple(qrep.images[k][i, j] for k in range(Q.n)))
             rhs.append(target[i, j])
-    from .linalg import solve
-
     a = solve(F, rows, Q.n, rhs)
     if a is None:
         raise GmaAxiomFailure("projector has no preimage in the quotient algebra")

@@ -1,5 +1,7 @@
 """Finite groups given by multiplication tables, plus standard constructors."""
 
+from itertools import permutations
+
 from .errors import BadGroupTable, SchemaError, SizeCapExceeded
 
 ORDER_CAP = 1000  # largest order the constructors build (C_1000: about 0.5 s)
@@ -142,8 +144,6 @@ def dihedral(n):
 
 
 def symmetric(n):
-    from itertools import permutations
-
     if n > 4:
         raise SizeCapExceeded(f"symmetric groups are built up to S4, got S{n}")
     elems = sorted(permutations(range(n)))

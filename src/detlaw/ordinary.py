@@ -10,7 +10,7 @@ vanish and that the corresponding diagonal character be trivial on I.
 """
 
 from .errors import DimensionUnsupported, HypothesisViolation, InvariantViolation
-from .gma import _lead, adapted_scheme, gma_from_characters
+from .gma import _lead, adapted_points, adapted_scheme, gma_from_characters
 from .linalg import Mat, in_span, intersect_spans, rref
 from .poly import MPoly
 from .reps import Representation, stable_subspaces, sub_quotient_reps
@@ -224,8 +224,6 @@ def certify_points(instance, ideal, cap=200000):
     representation; vanishing of the ideal must coincide with ordinarity.
     Returns (ordinary points, non-ordinary points).
     """
-    from .gma import adapted_points
-
     points, _reps = adapted_points(instance.scheme, cap=cap)
     good, bad = [], []
     for pt in points:

@@ -15,13 +15,13 @@ from math import comb, lcm
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
 from .errors import (InvariantViolation, NotFoundWithinBound, SchemaError,
                      SearchCapExceeded, VariableMismatch)
-from .fields import make_field
+from .fields import embed_code, make_field
 from .linalg import (Mat, combine, proj_point_count, projective_points, rref,
                      span_closure)
 from .poly import MPoly, _add_into, _pack, _substitute_terms, symbolic_det
 from .reps import (JHDecomposition, Representation, direct_sum,
-                   intertwiner_basis, invariant_subspace, irreducible_reps,
-                   isomorphic, sub_quotient_reps)
+                   intertwiner_basis, irreducible_reps, semisimplify,
+                   sub_quotient_reps)
 
 # the largest power of an ideal nilpotency_index computes
 MAX_NILPOTENCY = 64
@@ -168,8 +168,6 @@ def algebra_base_change(A, target):
     """The same algebra with coefficients embedded into an extension field."""
     if isinstance(A, GroupAlgebra):
         return GroupAlgebra(A.group, target)
-    from .fields import embed_code
-
     sc = [[tuple((k, embed_code(A.field, target, c)) for k, c in pairs)
            for pairs in row] for row in A.sc]
     unit = [embed_code(A.field, target, c) for c in A.unit]
@@ -431,12 +429,14 @@ def _irreducible_modules(A, D, field):
         A, field, A.n,
         [A.left_mult_matrix(e) for e in A.basis],
         check_now=False)
-    factors = _module_factors(regular)
     out = []
-    for f in factors:
+    for f in _module_factors(regular):
         if f.dim > D.d or not _absolutely_irreducible(f):
             continue
-        if not any(g.dim == f.dim and isomorphic(f, g) for g in out):
+        # Schur: absolutely irreducible factors of one dimension are
+        # isomorphic iff some nonzero map intertwines them
+        if not any(g.dim == f.dim and intertwiner_basis(f.field, f.images, g.images, f.dim)
+                   for g in out):
             out.append(f)
     out.sort(key=lambda r: r.sort_key())
     return out
@@ -447,14 +447,10 @@ def _absolutely_irreducible(rep):
 
 
 def _module_factors(rep):
-    """Composition factors of a module: exhaustive subspace search at small
-    dimension, cyclic-submodule spinning above it."""
+    """Composition factors of a module: ``semisimplify``'s exhaustive
+    subspace search at small dimension, cyclic-submodule spinning above it."""
     if rep.dim <= 3:
-        rows = invariant_subspace(rep)
-        if rows is None:
-            return [rep]
-        sub, quo = sub_quotient_reps(rep, rows)
-        return _module_factors(sub) + _module_factors(quo)
+        return semisimplify(rep).factors
     F = rep.field
     n = rep.dim
     pool = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]

@@ -5,6 +5,7 @@ a reader's integer width.  Polynomial terms are listed in descending
 graded-lex order, matching MPoly.sorted_terms.
 """
 
+from .algebras import GroupAlgebra
 from .errors import SchemaError
 from .fields import make_field
 from .groups import (FiniteGroup, cyclic, dihedral, direct_product,
@@ -164,6 +165,4 @@ def instance_from_json(obj):
 
 def law_with_group_source(group, field, obj):
     """Parse a law whose source is the group algebra of the given group."""
-    from .algebras import GroupAlgebra
-
     return pseudorep_from_json(GroupAlgebra(group, field), obj)

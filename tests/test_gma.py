@@ -162,6 +162,30 @@ def test_adapted_scheme_s3():
         assert PseudoRep.induce(rep).equals(law)
 
 
+def test_adapted_scheme_rejects_a_block_of_size_two():
+    # A_{i,j} is A^{i,j} only when every block has size 1
+    with pytest.raises(HypothesisViolation, match="type"):
+        adapted_scheme(gma_full(F5, 2))
+
+
+@pytest.mark.parametrize("group, field, count", [(symmetric(3), F3, 2), (cyclic(4), F5, 4)],
+                         ids=["S3-F3-2", "C4-F5-4"])
+def test_gma_readers_take_the_coordinate_modules_from_the_data(monkeypatch, group, field,
+                                                               count):
+    # GmaData.corners is the one place A^{l,m} is row-reduced: once it and
+    # the axiom report are built, the determinant and the adapted scheme
+    # read them and never call rref
+    data = gma_from_characters(group, characters(group, field)[:count], field)[0]
+    assert data.corners and data.report.ok
+
+    def no_rref(field, rows):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(gma_mod, "rref", no_rref)
+    assert canonical_det(data, "min").poly == canonical_det(data, "max").poly
+    assert adapted_scheme(data).universal_is_homomorphism() == (True, None)
+
+
 def _reduced_universal_det(scheme):
     """universal_det() in the generic coordinates alone: after reduction no
     scheme variable may survive, since the law is constant on the adapted

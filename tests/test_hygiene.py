@@ -1,5 +1,5 @@
-"""Source hygiene of src/detlaw: no unused imports, few bare asserts, no
-function without a caller.
+"""Source hygiene of src/detlaw: no unused imports, no import inside a
+function, few bare asserts, no function without a caller.
 
 A bare ``assert`` vanishes under ``python -O``; checked claims should raise
 a typed error instead, so the count may only go down.
@@ -65,6 +65,15 @@ def test_no_unused_imports():
     # __init__.py imports only to re-export
     found = [f"{name}:{line} {imp}" for name, tree in _trees() if name != "__init__.py"
              for line, imp in _unused_imports(tree)]
+    assert found == []
+
+
+def test_no_function_level_imports():
+    # every import sits at the top of its module, where a reader finds a
+    # module's dependencies in one place
+    found = [f"{name}:{node.lineno}" for name, tree in _trees()
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             and node not in tree.body]
     assert found == []
 
 

@@ -47,7 +47,7 @@ def test_orbit_size_check_raises_with_witness(monkeypatch):
     with pytest.raises(InvariantViolation) as info:
         orbit_partition(cyclic(3), 2, F3)
     reps.hom_orbit_reps.cache_clear()
-    assert info.value.code == "InvariantViolation"
+    assert type(info.value) is InvariantViolation
     witness = info.value.witness
     assert witness["stabilizer"] > 1
     assert witness["size"] * witness["stabilizer"] * 2 == 48
