@@ -170,7 +170,7 @@ def _chars_of(inst, args):
     """The characters named by --chars, by default triv and the first
     other one, with their names."""
     table = _named_characters(inst)
-    if args.chars:
+    if args.chars is not None:
         names = [n.strip() for n in args.chars.split(",")]
     else:
         names = sorted(table)[:2]
@@ -334,7 +334,7 @@ def _cmd_fiber(args):
 
 def _two_chars(inst, args):
     table = _named_characters(inst)
-    return _pick_char(table, args.v1 or "triv"), _pick_char(table, args.v2 or "triv")
+    return tuple(_pick_char(table, "triv" if v is None else v) for v in (args.v1, args.v2))
 
 
 def _cmd_ext1(args):
@@ -368,12 +368,12 @@ def _cmd_stratify(args):
 def _cmd_ordinary(args):
     inst = _load(args)
     table = _named_characters(inst)
-    psi_name = args.psi or "triv"
+    psi_name = "triv" if args.psi is None else args.psi
     others = sorted(n for n in table if n != psi_name)
-    if not args.chi and not others:
+    if args.chi is None and not others:
         raise SchemaError(f"no character other than {psi_name!r} to serve as "
                           f"chi; have {sorted(table)}")
-    chi_name = args.chi or others[0]
+    chi_name = others[0] if args.chi is None else args.chi
     oi = OrdinaryInstance(inst.group, _pick_char(table, psi_name),
                           _pick_char(table, chi_name))
     J = ordinary_ideal(oi)

@@ -495,11 +495,9 @@ def gma_from_characters(group, chars, field):
                     f"{values} on the generators); a GMA needs pairwise "
                     f"distinct characters")
     rho = direct_sum(*chars)
-    Q, DQ, project, lift = ch_quotient(PseudoRep.induce(rho))
+    Q, DQ, project, _lift = ch_quotient(PseudoRep.induce(rho))
     d = len(chars)
-    # the residual rep factors through Q; images of the Q basis
-    qrep = Representation(Q, field, d, [rho.image_of(lift(e)) for e in Q.basis],
-                          check_now=False)
+    qrep = DQ.rep  # the residual rep through Q
     es = []
     partial = Q.zero_vec()
     for i in range(d - 1):

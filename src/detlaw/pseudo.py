@@ -13,8 +13,8 @@ from itertools import chain, combinations_with_replacement, product, repeat
 from math import comb, lcm
 
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
-from .errors import (InvariantViolation, NotFoundWithinBound, SchemaError,
-                     SearchCapExceeded, VariableMismatch)
+from .errors import (HypothesisViolation, InvariantViolation, NotFoundWithinBound,
+                     SchemaError, SearchCapExceeded, VariableMismatch)
 from .fields import embed_code, make_field
 from .linalg import (Mat, combine, proj_point_count, projective_points, rref,
                      span_closure)
@@ -39,6 +39,7 @@ class PseudoRep:
         self.field = source.field
         self.d = d
         self.poly = poly
+        self.rep = None  # the representation a law is induced from
         if poly.vars != generic_vars(source.n) or poly.field != source.field:
             raise VariableMismatch("generic value must live in x0..x{n-1} over the source field")
         self._lambdas = None
@@ -50,14 +51,17 @@ class PseudoRep:
     @classmethod
     def induce(cls, rep):
         """The law det(rho(-)) of an algebra representation, or of a group
-        representation on its group algebra (psi on points)."""
+        representation on its group algebra (psi on points), with rho kept
+        as ``rep``."""
         A = GroupAlgebra(rep.source, rep.field) if rep.is_group_rep else rep.source
         F = rep.field
         xs = generic_vars(A.n)
         d = rep.dim
         entries = [MPoly.linear(F, xs, [M.data[c] for M in rep.images])
                    for c in range(d * d)]
-        return cls(A, d, symbolic_det(F, xs, entries, d))
+        law = cls(A, d, symbolic_det(F, xs, entries, d))
+        law.rep = rep
+        return law
 
     # --- evaluation ---
 
@@ -281,25 +285,23 @@ def ch_ideal(D):
 
 def ch_quotient(D):
     """(Q, D_Q, project, lift): the universal Cayley-Hamilton quotient and the
-    factored law.  Factoring is verified exactly: D(x) = D_Q(project(x)) at
-    the generic x.  Since x - lift(project(x)) lies in the ideal, this holds
-    iff D(x + s) = D(x) for every s in the ideal."""
-    A = D.source
-    F = A.field
-    Q, project, lift = quotient(A, ch_ideal(D))
-    xs = D.poly.vars
-    ys = generic_vars(Q.n)
-    lifts = [lift(e) for e in Q.basis]
-    DQ = PseudoRep(Q, D.d, D.poly.substitute(
-        {x: MPoly.linear(F, ys, [v[i] for v in lifts]) for i, x in enumerate(xs)}))
-    cols = [project(e) for e in A.basis]
-    back = (DQ.poly.substitute({y: MPoly.linear(F, xs, [c[j] for c in cols])
-                                for j, y in enumerate(ys)})
-            if ys else MPoly.const(F, xs, DQ.poly.constant_code()))
-    if back != D.poly:
-        raise InvariantViolation("law does not factor through the quotient",
-                                 witness=(D.poly - back).sorted_terms()[0])
-    return Q, DQ, project, lift
+    factored law of a law induced from a representation rho.
+
+    Each rho(x) satisfies its own characteristic polynomial, so rho kills
+    the Cayley-Hamilton ideal; that is checked exactly on the ideal's basis.
+    Then rho = rho_Q o project with rho_Q = rho o lift, and D_Q is the law
+    induced from rho_Q, so D = D_Q o project."""
+    rho = D.rep
+    if rho is None:
+        raise HypothesisViolation("ch_quotient needs a law induced from a representation")
+    ideal = ch_ideal(D)
+    for a in ideal.basis:
+        if any(rho.image_of(a).data):
+            raise InvariantViolation("rho does not kill the Cayley-Hamilton ideal", witness=a)
+    Q, project, lift = quotient(D.source, ideal)
+    rho_Q = Representation(Q, D.field, D.d, [rho.image_of(lift(e)) for e in Q.basis],
+                           check_now=False)
+    return Q, PseudoRep.induce(rho_Q), project, lift
 
 
 # --- kernel and nilpotency ---
@@ -307,11 +309,11 @@ def ch_quotient(D):
 def kernel(D, cap=200000):
     """ker(D) = {r : chi(r r', t) = t^d for the generic r'}, as a verified ideal.
 
-    D = D_Q o project on the Cayley-Hamilton quotient Q, and project is onto,
-    so ker(D) = CH(D) + lift(ker(D_Q)).  In Q the linear constraints from L_1
-    cut the candidate space down first; the remaining conditions (all L_i
-    vanish on r x identically in x) are checked on projective
-    representatives of that subspace.
+    D, induced from a representation, is D_Q o project on its Cayley-Hamilton
+    quotient Q, and project is onto, so ker(D) = CH(D) + lift(ker(D_Q)).  In
+    Q the linear constraints from L_1 cut the candidate space down first; the
+    remaining conditions (all L_i vanish on r x identically in x) are checked
+    on projective representatives of that subspace.
     """
     A = D.source
     F = A.field

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from itertools import permutations
 
 import pytest
@@ -11,7 +12,8 @@ from detlaw.fields import make_field
 from detlaw.gma import (GmaData, adapted_points, adapted_scheme, canonical_det,
                         gma_from_characters, gma_full, torus_orbits,
                         trace_form, verify_gma)
-from detlaw.groups import FiniteGroup, cyclic, dihedral, symmetric, with_inertia
+from detlaw.groups import (FiniteGroup, cyclic, dihedral, semidirect_cyclic_squared,
+                           symmetric, with_inertia)
 from detlaw.poly import MPoly
 from detlaw.pseudo import PseudoRep, det_law, matrix_algebra
 from detlaw.reps import Representation, characters, direct_sum
@@ -100,6 +102,20 @@ def test_gma_from_characters_s3():
     total = A.add(data.e[0], data.e[1])
     assert total == A.unit
     assert canonical_det(data).equals(law)
+
+
+@pytest.mark.slow
+def test_three_block_gma_of_order_100():
+    # (C5xC5):C4 over F_5 with three characters: the quotient law is induced
+    # from the quotient representation, so the 3 x 3 determinant in
+    # dim Q = 10 variables is built directly (about 5 s)
+    G = semidirect_cyclic_squared(5, 4, 2)
+    cs = characters(G, F5)
+    t0 = time.perf_counter()
+    data, law, _project = gma_from_characters(G, cs[:3], F5)
+    assert time.perf_counter() - t0 < 30
+    assert data.type == (1, 1, 1) and verify_gma(data).ok
+    assert canonical_det(data, "min").equals(law)
 
 
 def test_gma_from_no_characters_is_rejected():

@@ -5,8 +5,8 @@ import pytest
 
 import detlaw.poly as poly_mod
 import detlaw.pseudo as pseudo_mod
-from detlaw.algebras import FinAlgebra, Ideal, group_algebra, ideal_generated
-from detlaw.errors import InvariantViolation, ShapeMismatch
+from detlaw.algebras import FinAlgebra, Ideal, group_algebra, ideal_generated, quotient
+from detlaw.errors import HypothesisViolation, InvariantViolation, ShapeMismatch
 from detlaw.fields import make_field
 from detlaw.groups import cyclic, dihedral, direct_product, symmetric
 from detlaw.linalg import Mat, combine, projective_points
@@ -88,11 +88,9 @@ def test_det_law_kernel_zero():
 
 def test_dual_numbers_law():
     # F5[e]/(e^2), D(a + b e) = a^2: kernel is (e), nilpotency index 2
-    A = FinAlgebra(F5, ("1", "e"), [[((0, 1),), ((1, 1),)], [((1, 1),), ()]], (1, 0))
-    xs = ("x0", "x1")
-    poly = MPoly.var(F5, xs, "x0") ** 2
-    D = PseudoRep(A, 2, poly, check=True)
-    assert is_cayley_hamilton(D)
+    D = _dual_numbers_law()
+    assert D.poly == MPoly.var(F5, ("x0", "x1"), "x0") ** 2
+    assert D.check_axioms() and is_cayley_hamilton(D)
     ker = kernel(D)
     assert ker.basis == ((0, 1),)
     assert nilpotency_index(ker) == 2
@@ -254,8 +252,8 @@ def test_ch_quotient_rejects_a_law_that_does_not_factor(monkeypatch):
     D = PseudoRep.induce(direct_sum(cs[0], cs[1]))
     with pytest.raises(InvariantViolation) as info:
         ch_quotient(D)
-    exps, code = info.value.witness
-    assert len(exps) == 3 and code
+    witness = info.value.witness
+    assert witness in D.source.basis and any(D.rep.image_of(witness).data)
 
 
 def test_ch_quotient_rejects_the_augmentation_ideal(monkeypatch):
@@ -269,6 +267,54 @@ def test_ch_quotient_rejects_the_augmentation_ideal(monkeypatch):
     monkeypatch.setattr(pseudo_mod, "ch_ideal", lambda D: aug)
     with pytest.raises(InvariantViolation):
         ch_quotient(D)
+
+
+def _substituted_quotient_law(D):
+    """D o lift on the Cayley-Hamilton quotient, by substituting the lifted
+    generic element of Q into D: the oracle for ch_quotient's induced law."""
+    F = D.field
+    Q, _project, lift = quotient(D.source, ch_ideal(D))
+    ys = pseudo_mod.generic_vars(Q.n)
+    lifts = [lift(e) for e in Q.basis]
+    return D.poly.substitute({x: MPoly.linear(F, ys, [v[i] for v in lifts])
+                              for i, x in enumerate(D.poly.vars)})
+
+
+def _quotient_law_cases():
+    s3_f3 = characters(symmetric(3), F3)
+    two = next(r for r in irreducible_reps(symmetric(3), F5, 2) if r.dim == 2)
+    return [("S3-F3-triv+sgn", PseudoRep.induce(direct_sum(s3_f3[0], s3_f3[1]))),
+            ("C4-F5-4", PseudoRep.induce(direct_sum(*characters(cyclic(4), F5)))),
+            ("S3-F5-2dim", PseudoRep.induce(two))]
+
+
+@pytest.mark.parametrize("D", [pytest.param(D, id=name) for name, D in _quotient_law_cases()])
+def test_ch_quotient_law_is_induced_with_no_substitution(monkeypatch, D):
+    want = _substituted_quotient_law(D)
+
+    def no_substitute(self, images):
+        raise AssertionError("MPoly.substitute called")
+
+    monkeypatch.setattr(MPoly, "substitute", no_substitute)
+    Q, DQ, project, lift = ch_quotient(D)
+    assert DQ.poly == want and DQ.source is Q and DQ.d == D.d
+    assert DQ.rep.source is Q
+
+
+def test_ch_quotient_needs_an_induced_law():
+    D = PseudoRep(group_algebra(cyclic(2), F3), 2,
+                  MPoly.var(F3, ("x0", "x1"), "x0") ** 2 - MPoly.var(F3, ("x0", "x1"), "x1") ** 2,
+                  check=True)
+    assert D.rep is None
+    with pytest.raises(HypothesisViolation):
+        ch_quotient(D)
+
+
+def test_induce_keeps_its_representation():
+    rep = direct_sum(*characters(symmetric(3), F5))
+    assert PseudoRep.induce(rep).rep is rep
+    taut = tautological_rep(F3, 2)
+    assert PseudoRep.induce(taut).rep is taut
 
 
 def test_tautological_rep_induces_det():
@@ -356,9 +402,9 @@ def _kernel_member_oracle(D, r):
 
 
 def _dual_numbers_law():
-    # F5[e]/(e^2) with D(a + b e) = a^2
+    # F5[e]/(e^2) with D(a + b e) = a^2, induced from a + b e -> a I_2
     A = FinAlgebra(F5, ("1", "e"), [[((0, 1),), ((1, 1),)], [((1, 1),), ()]], (1, 0))
-    return PseudoRep(A, 2, MPoly.var(F5, ("x0", "x1"), "x0") ** 2, check=True)
+    return PseudoRep.induce(Representation(A, F5, 2, [Mat.identity(F5, 2), Mat(F5, 2, 2, [0] * 4)]))
 
 
 def _sum_law(reps):
