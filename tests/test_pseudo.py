@@ -296,15 +296,15 @@ def test_ch_quotient_law_is_induced_with_no_substitution(monkeypatch, D):
         raise AssertionError("MPoly.substitute called")
 
     monkeypatch.setattr(MPoly, "substitute", no_substitute)
-    Q, DQ, project, lift = ch_quotient(D)
+    Q, DQ, _project, _lift = ch_quotient(D)
     assert DQ.poly == want and DQ.source is Q and DQ.d == D.d
     assert DQ.rep.source is Q
 
 
 def test_ch_quotient_needs_an_induced_law():
-    D = PseudoRep(group_algebra(cyclic(2), F3), 2,
-                  MPoly.var(F3, ("x0", "x1"), "x0") ** 2 - MPoly.var(F3, ("x0", "x1"), "x1") ** 2,
-                  check=True)
+    # the law of triv + sgn on F_3[C2], given by its polynomial
+    x0, x1 = (MPoly.var(F3, ("x0", "x1"), x) for x in ("x0", "x1"))
+    D = PseudoRep(group_algebra(cyclic(2), F3), 2, x0 * x0 - x1 * x1, check=True)
     assert D.rep is None
     with pytest.raises(HypothesisViolation):
         ch_quotient(D)
