@@ -14,18 +14,9 @@ import os
 import sys
 from itertools import islice
 
-from .cohomology import ext1, fiber_stratify
+from . import (cohomology, fields, gma, groups, moduli, ordinary, pseudo, reps,
+               serialize)
 from .errors import DetlawError, InvariantViolation, SchemaError
-from .fields import make_field
-from .gma import (adapted_points, adapted_scheme, canonical_det,
-                  gma_from_characters, torus_orbits, verify_gma)
-from .groups import cyclic, symmetric
-from .moduli import orbit_partition, psi_fiber
-from .ordinary import OrdinaryInstance, certify_points, ordinary_ideal
-from .pseudo import PseudoRep, ch_quotient, kernel
-from .reps import characters, direct_sum, enumerate_reps
-from .serialize import (field_from_json, instance_from_json, poly_to_json,
-                        pseudorep_to_json, rep_to_json)
 
 
 JSON_BATCH = 4096  # encoder chunks joined into one write
@@ -122,7 +113,7 @@ def _load(args):
         raise SchemaError(f"cannot read instance file: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"instance file is not JSON: {exc}")
-    inst = instance_from_json(obj)
+    inst = serialize.instance_from_json(obj)
     if args.field:
         inst.field = _parse_field(args.field)
         inst.characters = {}
@@ -137,8 +128,8 @@ def _parse_field(text):
     try:
         if "^" in text:
             p, k = text.split("^")
-            return field_from_json({"p": p, "k": k})
-        return field_from_json({"p": text, "k": "1"})
+            return serialize.field_from_json({"p": p, "k": k})
+        return serialize.field_from_json({"p": text, "k": "1"})
     except ValueError as exc:
         raise SchemaError(f"bad field flag {text!r}") from exc
 
@@ -150,7 +141,7 @@ def _named_characters(inst):
         return dict(inst.characters)
     out = {}
     count = 0
-    for c in characters(inst.group, inst.field):
+    for c in reps.characters(inst.group, inst.field):
         if all(m[0, 0] == 1 for m in c.images):
             out["triv"] = c
         else:
@@ -181,7 +172,7 @@ def _chars_of(inst, args):
 
 def _law_of(inst, args):
     chars, names = _chars_of(inst, args)
-    return PseudoRep.induce(direct_sum(*chars)), names
+    return pseudo.PseudoRep.induce(reps.direct_sum(*chars)), names
 
 
 def _require_d(inst):
@@ -195,11 +186,11 @@ def _require_d(inst):
 def _cmd_enumerate_reps(args):
     inst = _load(args)
     d = _require_d(inst)
-    reps = enumerate_reps(inst.group, d, inst.field, cap=args.cap)
+    homs = reps.enumerate_reps(inst.group, d, inst.field, cap=args.cap)
     return {
-        "count": str(len(reps)),
-        "reps": [rep_to_json(r) for r in reps],
-        "summary": [f"{len(reps)} homomorphisms {inst.group.name} -> "
+        "count": str(len(homs)),
+        "reps": [serialize.rep_to_json(r) for r in homs],
+        "summary": [f"{len(homs)} homomorphisms {inst.group.name} -> "
                     f"GL_{d}({inst.field})"],
     }
 
@@ -209,7 +200,7 @@ def _cmd_pseudorep(args):
     D, names = _law_of(inst, args)
     return {
         "characters": names,
-        "law": pseudorep_to_json(D),
+        "law": serialize.pseudorep_to_json(D),
         "multiplicative": D.is_multiplicative(),
         "unital": D.is_unital(),
         "summary": [f"law of {'+'.join(names)}: {D.poly}"],
@@ -222,7 +213,7 @@ def _cmd_char_poly(args):
     lambdas = D.lambda_polys()
     return {
         "characters": names,
-        "lambda": [poly_to_json(l) for l in lambdas],
+        "lambda": [serialize.poly_to_json(l) for l in lambdas],
         "summary": [f"Lambda_{i + 1} = {l}" for i, l in enumerate(lambdas)],
     }
 
@@ -230,7 +221,7 @@ def _cmd_char_poly(args):
 def _cmd_kernel(args):
     inst = _load(args)
     D, names = _law_of(inst, args)
-    ker = kernel(D, cap=args.cap)
+    ker = pseudo.kernel(D, cap=args.cap)
     return {
         "characters": names,
         "dim": str(len(ker.basis)),
@@ -242,25 +233,25 @@ def _cmd_kernel(args):
 def _cmd_ch_quotient(args):
     inst = _load(args)
     D, names = _law_of(inst, args)
-    Q, DQ, _project, _lift = ch_quotient(D)
+    Q, DQ, _project, _lift = pseudo.ch_quotient(D)
     return {
         "characters": names,
         "dim": str(Q.n),
-        "law": pseudorep_to_json(DQ),
+        "law": serialize.pseudorep_to_json(DQ),
         "summary": [f"Cayley-Hamilton quotient has dimension {Q.n}"],
     }
 
 
 def _build_gma(inst, args):
     chars, names = _chars_of(inst, args)
-    data, law, _project = gma_from_characters(inst.group, chars, inst.field)
+    data, law, _project = gma.gma_from_characters(inst.group, chars, inst.field)
     return data, law, names
 
 
 def _cmd_gma_verify(args):
     inst = _load(args)
     data, _law, names = _build_gma(inst, args)
-    report = verify_gma(data)
+    report = gma.verify_gma(data)
     return {
         "characters": names,
         "ok": report.ok,
@@ -273,13 +264,13 @@ def _cmd_gma_verify(args):
 def _cmd_gma_det(args):
     inst = _load(args)
     data, law, names = _build_gma(inst, args)
-    dmin = canonical_det(data, start="min")
-    dmax = canonical_det(data, start="max")
+    dmin = gma.canonical_det(data, start="min")
+    dmax = gma.canonical_det(data, start="max")
     agree = dmin.poly == dmax.poly
     matches = dmin.equals(law)
     return {
         "characters": names,
-        "law": pseudorep_to_json(dmin),
+        "law": serialize.pseudorep_to_json(dmin),
         "start_invariant": agree,
         "equals_induced_law": matches,
         "summary": [f"canonical det agrees across cycle starts: {agree}; "
@@ -290,9 +281,9 @@ def _cmd_gma_det(args):
 def _cmd_adapted_points(args):
     inst = _load(args)
     data, _law, names = _build_gma(inst, args)
-    scheme = adapted_scheme(data)
-    points, _reps = adapted_points(scheme, cap=args.cap)
-    orbits = torus_orbits(scheme, points)
+    scheme = gma.adapted_scheme(data)
+    points, _reps = gma.adapted_points(scheme, cap=args.cap)
+    orbits = gma.torus_orbits(scheme, points)
     return {
         "characters": names,
         "variables": list(scheme.vars),
@@ -306,7 +297,7 @@ def _cmd_adapted_points(args):
 def _cmd_orbits(args):
     inst = _load(args)
     d = _require_d(inst)
-    report = orbit_partition(inst.group, d, inst.field)
+    report = moduli.orbit_partition(inst.group, d, inst.field)
     return {
         "orbits": [{"size": str(o.size), "closed": o.is_closed,
                     "law": str(o.pseudo_index)} for o in report.orbits],
@@ -321,8 +312,8 @@ def _cmd_orbits(args):
 def _cmd_fiber(args):
     inst = _load(args)
     D, names = _law_of(inst, args)
-    report = orbit_partition(inst.group, D.d, inst.field)
-    fib = psi_fiber(report, D)
+    report = moduli.orbit_partition(inst.group, D.d, inst.field)
+    fib = moduli.psi_fiber(report, D)
     return {
         "characters": names,
         "orbits": [str(i) for i in fib.orbit_indices],
@@ -340,7 +331,7 @@ def _two_chars(inst, args):
 def _cmd_ext1(args):
     inst = _load(args)
     c1, c2 = _two_chars(inst, args)
-    space = ext1(inst.group, c1, c2)
+    space = cohomology.ext1(inst.group, c1, c2)
     return {
         "dim": str(space.dim),
         "cocycle_dim": str(len(space.z_basis)),
@@ -352,7 +343,7 @@ def _cmd_ext1(args):
 def _cmd_stratify(args):
     inst = _load(args)
     chi, psi = _two_chars(inst, args)
-    strat = fiber_stratify(inst.group, chi, psi, inst.field)
+    strat = cohomology.fiber_stratify(inst.group, chi, psi, inst.field)
     up, ss, down = strat.counts()
     return {
         "strata": [
@@ -374,15 +365,15 @@ def _cmd_ordinary(args):
         raise SchemaError(f"no character other than {psi_name!r} to serve as "
                           f"chi; have {sorted(table)}")
     chi_name = others[0] if args.chi is None else args.chi
-    oi = OrdinaryInstance(inst.group, _pick_char(table, psi_name),
-                          _pick_char(table, chi_name))
-    J = ordinary_ideal(oi)
-    good, bad = certify_points(oi, J, cap=args.cap)
+    oi = ordinary.OrdinaryInstance(inst.group, _pick_char(table, psi_name),
+                                   _pick_char(table, chi_name))
+    J = ordinary.ordinary_ideal(oi)
+    good, bad = ordinary.certify_points(oi, J, cap=args.cap)
     return {
         "psi": psi_name,
         "chi": chi_name,
         "single_branch": J.single_branch,
-        "generators": [poly_to_json(g) for g in J.gens],
+        "generators": [serialize.poly_to_json(g) for g in J.gens],
         "ordinary_points": str(len(good)),
         "other_points": str(len(bad)),
         "summary": [f"{len(good)} ordinary of {len(good) + len(bad)} points; "
@@ -391,25 +382,25 @@ def _cmd_ordinary(args):
 
 
 def _cmd_selftest(args):
-    F3, F5 = make_field(3), make_field(5)
+    F3, F5 = fields.make_field(3), fields.make_field(5)
     checks = []
 
     def check(name, fn):
         checks.append((name, bool(fn())))
 
-    C2 = cyclic(2)
-    chars2 = characters(C2, F3)
+    C2 = groups.cyclic(2)
+    chars2 = reps.characters(C2, F3)
     check("c2_has_two_characters", lambda: len(chars2) == 2)
-    D = PseudoRep.induce(direct_sum(chars2[0], chars2[1]))
+    D = pseudo.PseudoRep.induce(reps.direct_sum(chars2[0], chars2[1]))
     check("law_multiplicative", D.is_multiplicative)
     check("law_unital", D.is_unital)
-    Q, DQ, _p, _l = ch_quotient(D)
+    Q, DQ, _p, _l = pseudo.ch_quotient(D)
     check("ch_quotient_faithful_dim", lambda: Q.n == 2)
-    S3 = symmetric(3)
-    cs = characters(S3, F5)
+    S3 = groups.symmetric(3)
+    cs = reps.characters(S3, F5)
     check("s3_two_characters_over_f5", lambda: len(cs) == 2)
     check("ext1_s3_triv_sgn_vanishes",
-          lambda: ext1(S3, cs[0], cs[1]).dim == 0)
+          lambda: cohomology.ext1(S3, cs[0], cs[1]).dim == 0)
     ok = all(flag for _name, flag in checks)
     if not ok:
         raise DetlawError("selftest failed: "

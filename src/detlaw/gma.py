@@ -132,10 +132,14 @@ def verify_gma(data):
             yield total
 
     def block_isomorphism():
-        # phi_i isomorphism: e_i R e_i has dimension d_i^2 and the units span it
+        # phi_i isomorphism: e_i R e_i has dimension d_i^2 and the units span it;
+        # at type (1, ..., 1) e_i is E^i, so e_i R e_i is the corner A^{i,i}
         for i, di in enumerate(data.type):
-            e = data.e[i]
-            basis, pivots = rref(F, [mul(e, mul(b, e)) for b in A.basis])
+            if data.d == data.r:
+                _images, basis, pivots = data.corners[i, i]
+            else:
+                e = data.e[i]
+                basis, pivots = rref(F, [mul(e, mul(b, e)) for b in A.basis])
             if len(basis) != di * di:
                 yield (i, "corner dimension", len(basis))
             for j, k in product(range(di), repeat=2):

@@ -14,7 +14,7 @@ from .fields import embedding_table
 from .linalg import Mat, gl_order
 from .pseudo import PseudoRep, split_search
 from .reps import (Representation, conjugate_rep, enumerate_reps, gl_elements,
-                   hom_orbit_reps, intertwiner_basis, isomorphic,
+                   gl_generators, hom_orbit_reps, intertwiner_basis, isomorphic,
                    least_conjugate, semisimplify)
 
 # Largest |GL_d(F)| for which orbits are reported by their least point.  It
@@ -213,40 +213,22 @@ def word_invariant_vector(rep, maxlen):
 
 
 def word_invariants(report, maxlen=3):
-    """Invariant vectors per orbit, with constancy spot-checked on eight
-    conjugates.
+    """Invariant vectors per orbit, each checked to be the same at the
+    conjugates of its orbit's point by the generators of GL_d
+    (reps.gl_generators).
 
     Returns a list (per orbit) of vectors, parallel to report.orbits.
     """
-    F = report.field
     vectors = []
-    samples = _sample_gl(F, report.dim, 8)
+    gens = gl_generators(report.field, report.dim)
     for o in report.orbits:
         v = word_invariant_vector(o.rep, maxlen)
-        for g in samples:
+        for g in gens:
             if word_invariant_vector(conjugate_rep(o.rep, g), maxlen) != v:
                 raise InvariantViolation("invariant vector varies on an orbit",
                                          witness=(o.rep.images, g))
         vectors.append(v)
     return vectors
-
-
-def _sample_gl(field, dim, count):
-    out = []
-    seen = set()
-    code = 1
-    while len(out) < count and code < field.q ** (dim * dim):
-        data = []
-        c = code
-        for _ in range(dim * dim):
-            data.append(c % field.q)
-            c //= field.q
-        M = Mat(field, dim, dim, data)
-        if M.det() and M.data not in seen:
-            seen.add(M.data)
-            out.append(M)
-        code += 1
-    return out
 
 
 def invariants_separate_laws(report, maxlen=3):

@@ -9,7 +9,7 @@ so identities checked here hold after arbitrary base change.
 """
 
 from collections import Counter
-from itertools import chain, combinations_with_replacement, product, repeat
+from itertools import chain, combinations_with_replacement, compress, product, repeat
 from math import comb, lcm
 
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
@@ -238,7 +238,7 @@ def ch_ideal(D):
     minus_one = F.neg(1)
     lams = [{(): 1}]  # (-1)^i L_i, keyed by the sorted indices of a monomial
     for i, L in enumerate(D.lambda_polys(), start=1):
-        lams.append({tuple(chain.from_iterable(map(repeat, range(n), e))):
+        lams.append({tuple(chain.from_iterable(repeat(j, e[j]) for j in compress(range(n), e))):
                      F.mul(c, minus_one) if i % 2 else c
                      for e, c in L.terms.items()})
     powers = {(): {j: c for j, c in enumerate(A.unit) if c}}

@@ -185,18 +185,22 @@ def order_class_reps(field, d, m):
                  for fs in multisets)
 
 
-@lru_cache(maxsize=None)
-def _conjugacy_class(R):
-    """The class of R in GL_d(F): the closure of {R} under conjugation by
-    I + E_ij, i != j, and diag(z, 1, ..., 1) for a generator z of F^x,
-    which generate GL_d(F).  Each member M maps to (N, g) with
-    M = g N g^-1 and N reached before M, and R maps to None."""
-    F, d = R.field, R.nrows
+def gl_generators(F, d):
+    """I + E_ij, i != j, and diag(z, 1, ..., 1) for a generator z of F^x:
+    d^2 - d + 1 matrices that generate GL_d(F)."""
     z = next(z for z in range(1, F.q) if len({F.pow(z, e) for e in range(1, F.q)}) == F.q - 1)
     gens = [Mat(F, d, d, [int(x % (d + 1) == 0) + (x == y) for x in range(d * d)])
             for y in range(d * d) if y % (d + 1)]
     gens.append(Mat(F, d, d, [z if x == 0 else int(x % (d + 1) == 0) for x in range(d * d)]))
-    pairs = [(g, g.inverse()) for g in gens]
+    return gens
+
+
+@lru_cache(maxsize=None)
+def _conjugacy_class(R):
+    """The class of R in GL_d(F): the closure of {R} under conjugation by
+    gl_generators(F, d).  Each member M maps to (N, g) with M = g N g^-1
+    and N reached before M, and R maps to None."""
+    pairs = [(g, g.inverse()) for g in gl_generators(R.field, R.nrows)]
     out, frontier = {R: None}, [R]
     while frontier:
         nxt = []

@@ -5,15 +5,8 @@ a reader's integer width.  Polynomial terms are listed in descending
 graded-lex order, matching MPoly.sorted_terms.
 """
 
-from .algebras import GroupAlgebra
+from . import algebras, fields, groups, linalg, poly, pseudo, reps
 from .errors import SchemaError
-from .fields import make_field
-from .groups import (FiniteGroup, cyclic, dihedral, direct_product,
-                     semidirect_cyclic_squared, symmetric, with_inertia)
-from .linalg import Mat
-from .poly import MPoly
-from .pseudo import PseudoRep
-from .reps import Representation
 
 
 def field_to_json(field):
@@ -22,7 +15,7 @@ def field_to_json(field):
 
 def field_from_json(obj):
     try:
-        return make_field(int(obj["p"]), int(obj["k"]))
+        return fields.make_field(int(obj["p"]), int(obj["k"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad field spec {obj!r}") from exc
 
@@ -52,7 +45,7 @@ def poly_from_json(obj):
                  for exps, c in obj["terms"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad polynomial: {exc}") from exc
-    return MPoly.from_terms(F, names, pairs)
+    return poly.MPoly.from_terms(F, names, pairs)
 
 
 def mat_to_json(m):
@@ -77,14 +70,14 @@ def pseudorep_from_json(source, obj):
         poly = poly_from_json(obj["poly"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad law: {exc}") from exc
-    return PseudoRep(source, d, poly, check=True)
+    return pseudo.PseudoRep(source, d, poly, check=True)
 
 
 _GROUP_MAKERS = {
-    "cyclic": lambda a: cyclic(int(a[0])),
-    "dihedral": lambda a: dihedral(int(a[0])),
-    "symmetric": lambda a: symmetric(int(a[0])),
-    "semidirect_cyclic_squared": lambda a: semidirect_cyclic_squared(
+    "cyclic": lambda a: groups.cyclic(int(a[0])),
+    "dihedral": lambda a: groups.dihedral(int(a[0])),
+    "symmetric": lambda a: groups.symmetric(int(a[0])),
+    "semidirect_cyclic_squared": lambda a: groups.semidirect_cyclic_squared(
         int(a[0]), int(a[1]), int(a[2])),
 }
 
@@ -95,15 +88,15 @@ def group_from_json(obj):
             table = [[int(x) for x in row] for row in obj["table"]]
             gens = ([int(g) for g in obj["generators"]]
                     if "generators" in obj else None)
-            group = FiniteGroup(table, generators=gens,
-                                name=obj.get("name"))
+            group = groups.FiniteGroup(table, generators=gens,
+                                       name=obj.get("name"))
         elif "type" in obj:
             kind = obj["type"]
             if kind == "product":
                 parts = [group_from_json(p) for p in obj["factors"]]
                 group = parts[0]
                 for p in parts[1:]:
-                    group = direct_product(group, p)
+                    group = groups.direct_product(group, p)
             else:
                 maker = _GROUP_MAKERS.get(kind)
                 if maker is None:
@@ -112,7 +105,7 @@ def group_from_json(obj):
         else:
             raise SchemaError("group needs a table or a type")
         if "inertia" in obj:
-            group = with_inertia(group, [int(g) for g in obj["inertia"]])
+            group = groups.with_inertia(group, [int(g) for g in obj["inertia"]])
         return group
     except SchemaError:
         raise
@@ -158,11 +151,11 @@ def instance_from_json(obj):
         if len(codes) != group.order:
             raise SchemaError(f"character {name!r} has {len(codes)} values "
                               f"for a group of order {group.order}")
-        images = [Mat.from_rows(field, [[v]]) for v in codes]
-        chars[name] = Representation(group, field, 1, images)
+        images = [linalg.Mat.from_rows(field, [[v]]) for v in codes]
+        chars[name] = reps.Representation(group, field, 1, images)
     return Instance(group, field, d=d, characters=chars)
 
 
 def law_with_group_source(group, field, obj):
     """Parse a law whose source is the group algebra of the given group."""
-    return pseudorep_from_json(GroupAlgebra(group, field), obj)
+    return pseudorep_from_json(algebras.GroupAlgebra(group, field), obj)

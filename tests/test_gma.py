@@ -190,7 +190,8 @@ def test_gma_readers_take_the_coordinate_modules_from_the_data(monkeypatch, grou
                                                                count):
     # GmaData.corners is the one place A^{l,m} is row-reduced: once it and
     # the axiom report are built, the determinant and the adapted scheme
-    # read them and never call rref
+    # read them and never call rref, and at type (1, ..., 1) neither does
+    # verify_gma, whose block check reads e_i R e_i = A^{i,i}
     data = gma_from_characters(group, characters(group, field)[:count], field)[0]
     assert data.corners and data.report.ok
 
@@ -198,6 +199,7 @@ def test_gma_readers_take_the_coordinate_modules_from_the_data(monkeypatch, grou
         raise AssertionError("rref called")
 
     monkeypatch.setattr(gma_mod, "rref", no_rref)
+    assert verify_gma(data).ok
     assert canonical_det(data, "min").poly == canonical_det(data, "max").poly
     assert adapted_scheme(data).universal_is_homomorphism() == (True, None)
 

@@ -62,7 +62,7 @@ def _unused_imports(tree):
 
 
 def test_no_unused_imports():
-    # __init__.py imports only to re-export
+    # __init__.py imports errors only to bind it as a package attribute
     found = [f"{name}:{line} {imp}" for name, tree in _trees() if name != "__init__.py"
              for line, imp in _unused_imports(tree)]
     assert found == []
@@ -133,6 +133,14 @@ def _references(tree, classes):
     return out
 
 
+def _export_table(tree):
+    """The name table of __init__.py: each module to the public names that
+    the package serves from it."""
+    node = next(node for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_EXPORTS"])
+    return ast.literal_eval(node.value)
+
+
 def test_every_function_has_a_caller():
     # a def or class counts as called when something outside its own body
     # names it, when __init__.py exports it, or when the benchmark traces
@@ -146,9 +154,9 @@ def test_every_function_has_a_caller():
         defs += more
         classes.update(found)
     refs = [ref for tree in trees.values() for ref in _references(tree, classes)]
-    exported = {f"{node.module}.{alias.asname or alias.name}"
-                for node in ast.walk(trees["__init__.py"])
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = {f"{module}.{name}"
+                for module, names in _export_table(trees["__init__.py"]).items()
+                for name in names}
     layers = json.loads((ROOT / "perfbench" / "layers.json").read_text())["layers"]
     traced = {f for layer in layers for f in layer["functions"]}
     kept = exported | traced | NO_CALLER_ALLOWED.keys()
