@@ -42,8 +42,7 @@ _EXPORTS = {
              "enumerate_reps", "irreducible_reps", "isomorphic", "semisimplify",
              "trivial_rep"),
 }
-_LAZY = ("algebras", "cohomology", "fields", "gma", "groups", "linalg", "moduli",
-         "ordinary", "poly", "pseudo", "reps", "serialize")
+_LAZY = (*_EXPORTS, "serialize")
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_ORIGIN)

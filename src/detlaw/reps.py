@@ -185,9 +185,10 @@ def order_class_reps(field, d, m):
                  for fs in multisets)
 
 
-def gl_generators(F, d):
+def gl_generators(field, d):
     """I + E_ij, i != j, and diag(z, 1, ..., 1) for a generator z of F^x:
     d^2 - d + 1 matrices that generate GL_d(F)."""
+    F = field
     z = next(z for z in range(1, F.q) if len({F.pow(z, e) for e in range(1, F.q)}) == F.q - 1)
     gens = [Mat(F, d, d, [int(x % (d + 1) == 0) + (x == y) for x in range(d * d)])
             for y in range(d * d) if y % (d + 1)]
