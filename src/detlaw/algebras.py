@@ -8,7 +8,7 @@ field codes.  Everything is immutable after construction.
 from functools import cached_property, partial
 
 from .errors import BadGroupTable, NotAnIdeal
-from .linalg import Mat, is_stable, nullspace, reduce_vector, rref, span_closure
+from .linalg import Mat, is_stable, reduce_vector, rref, span_closure
 from .poly import MPoly, _add_into
 
 
@@ -118,21 +118,6 @@ class FinAlgebra:
         cols = [self.mul(x, e) for e in self.basis]
         data = [cols[j][i] for i in range(self.n) for j in range(self.n)]
         return Mat(self.field, self.n, self.n, data)
-
-    def trace_form_radical(self, tr):
-        """Basis of the radical of the bilinear form (x, y) -> tr(x*y), where
-        the linear form tr is given by its values on the basis."""
-        F = self.field
-        gram = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                acc = 0
-                for k, c in self.sc[i][j]:
-                    acc = F.add(acc, F.mul(c, tr[k]))
-                row.append(acc)
-            gram.append(tuple(row))
-        return nullspace(F, gram, self.n)
 
     def __repr__(self):
         return f"{self.name}(dim={self.n} over {self.field})"

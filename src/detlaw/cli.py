@@ -221,7 +221,7 @@ def _cmd_char_poly(args):
 def _cmd_kernel(args):
     inst = _load(args)
     D, names = _law_of(inst, args)
-    ker = pseudo.kernel(D, cap=args.cap)
+    ker = pseudo.kernel(D)
     return {
         "characters": names,
         "dim": str(len(ker.basis)),

@@ -3,11 +3,10 @@ algebra, and the stratification of a multiplicity-free psi-fiber into
 projective spaces of extensions around the semisimple point.
 """
 
+from . import moduli, pseudo
 from .errors import InvariantViolation, NotMultiplicityFree, ShapeMismatch
 from .linalg import (Mat, block_matrix, combine, nullspace, proj_point_count,
                      projective_points, reduce_vector, rref)
-from .moduli import psi_fiber
-from .pseudo import PseudoRep
 from .reps import (Representation, direct_sum, invariant_subspace,
                    sub_quotient_reps)
 
@@ -162,8 +161,8 @@ def fiber_stratify(group, chi, psi, field, orbit_report=None):
     down = ext1(group, psi, chi)
     strata = None
     if orbit_report is not None:
-        D = PseudoRep.induce(direct_sum(chi, psi))
-        fiber = psi_fiber(orbit_report, D)
+        D = pseudo.PseudoRep.induce(direct_sum(chi, psi))
+        fiber = moduli.psi_fiber(orbit_report, D)
         ss, ups, downs = [], [], []
         for idx in fiber.orbit_indices:
             o = orbit_report.orbits[idx]

@@ -305,19 +305,6 @@ class MPoly:
     def is_homogeneous(self, d):
         return all(sum(e) == d for e in self.terms)
 
-    def coefficient(self, var, power):
-        """The coefficient of var**power, as a polynomial in the same variables."""
-        i = self.vars.index(var)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == power:
-                e2 = e[:i] + (0,) + e[i + 1:]
-                out[e2] = c
-        return MPoly(self.field, self.vars, out)
-
-    def constant_code(self):
-        return self.terms.get((0,) * len(self.vars), 0)
-
     def substitute(self, images):
         """Ring-homomorphic substitution.
 

@@ -3,9 +3,11 @@
 A law D on a finite-dimensional algebra R with basis e_0..e_{n-1} is stored
 by its value on the generic element, D(x_0 e_0 + ... + x_{n-1} e_{n-1}),
 a single homogeneous polynomial of degree d.  Every identity (axioms,
-characteristic polynomials, kernels, Cayley-Hamilton obstructions) is then
-an exact polynomial computation: the generic element is a universal point,
-so identities checked here hold after arbitrary base change.
+characteristic polynomials, Cayley-Hamilton obstructions) is then an exact
+polynomial computation: the generic element is a universal point, so
+identities checked here hold after arbitrary base change.  The kernel of a
+law induced from a representation is linear algebra on its Jordan-Hoelder
+factors.
 """
 
 from collections import Counter
@@ -13,18 +15,15 @@ from itertools import chain, combinations_with_replacement, compress, product, r
 from math import comb, lcm
 
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
-from .errors import (HypothesisViolation, InvariantViolation, NotFoundWithinBound,
-                     SchemaError, SearchCapExceeded, VariableMismatch)
+from .errors import (HypothesisViolation, InvariantViolation, NotAnIdeal,
+                     NotFoundWithinBound, SchemaError, SearchCapExceeded,
+                     VariableMismatch)
 from .fields import embed_code, make_field
-from .linalg import (Mat, combine, proj_point_count, projective_points, rref,
-                     span_closure)
+from .linalg import Mat, nullspace, rref, span_closure
 from .poly import MPoly, _add_into, _pack, _substitute_terms, symbolic_det
 from .reps import (JHDecomposition, Representation, direct_sum,
                    intertwiner_basis, irreducible_reps, semisimplify,
                    sub_quotient_reps)
-
-# the largest power of an ideal nilpotency_index computes
-MAX_NILPOTENCY = 64
 
 
 def generic_vars(n):
@@ -98,12 +97,6 @@ class PseudoRep:
             self._lambdas = tuple(MPoly(F, xs, hasse[d - i])
                                   for i in range(1, d)) + (self.poly,)
         return self._lambdas
-
-    def trace_form(self):
-        """L_1 as a linear form: the tuple of values on basis elements."""
-        L1 = self.lambda_polys()[0]
-        xs = self.poly.vars
-        return tuple(L1.coefficient(xs[i], 1).constant_code() for i in range(len(xs)))
 
     # --- axioms ---
 
@@ -306,31 +299,23 @@ def ch_quotient(D):
 
 # --- kernel and nilpotency ---
 
-def kernel(D, cap=200000):
+def kernel(D):
     """ker(D) = {r : chi(r r', t) = t^d for the generic r'}, as a verified ideal.
 
-    D, induced from a representation, is D_Q o project on its Cayley-Hamilton
-    quotient Q, and project is onto, so ker(D) = CH(D) + lift(ker(D_Q)).  In
-    Q the linear constraints from L_1 cut the candidate space down first; the
-    remaining conditions (all L_i vanish on r x identically in x) are checked
-    on projective representatives of that subspace.
+    For D = det o rho over a perfect field, r lies in ker(D) iff
+    rho(r) rho(A) is nil, that is iff rho(r) lies in the radical of rho(A):
+    the elements that act as zero on every Jordan-Hoelder factor of rho
+    (Chenevier, arXiv:0809.0415).  So ker(D) is the nullspace of one linear
+    system, with a row per factor rho_j and matrix entry c holding c's value
+    of rho_j on each basis element of A.
     """
+    rho = D.rep
+    if rho is None:
+        raise HypothesisViolation("kernel needs a law induced from a representation")
     A = D.source
-    F = A.field
-    Q, DQ, project, lift = ch_quotient(D)
-    rows = [A.sub(e, lift(project(e))) for e in A.basis]  # these span CH(D)
-    null = Q.trace_form_radical(DQ.trace_form())
-    m = len(null)
-    if m:
-        npts = proj_point_count(F.q, m)
-        if npts > cap:
-            raise SearchCapExceeded(f"{npts} candidate lines exceed kernel search cap")
-        lambdas = DQ.lambda_polys()
-        for coeffs in projective_points(F.q, m):
-            r = combine(F, coeffs, null)
-            if _kernel_member(DQ, lambdas, r):
-                rows.append(lift(r))
-    return Ideal(A, rows, check=True)
+    rows = [tuple(M.data[c] for M in f.images)
+            for f in semisimplify(rho).factors for c in range(f.dim * f.dim)]
+    return Ideal(A, nullspace(A.field, rows, A.n), check=True)
 
 
 def _kernel_member(D, lambdas, r):
@@ -344,16 +329,17 @@ def _kernel_member(D, lambdas, r):
 
 
 def nilpotency_index(ideal):
-    """Smallest k <= MAX_NILPOTENCY with I^k = 0 by iterated span
-    multiplication; None if the power series stabilizes at a nonzero
-    subspace."""
+    """Smallest k with I^k = 0 by iterated span multiplication; None if the
+    powers stabilize at a nonzero subspace.
+
+    Each I^(k+1) lies in I^k, so the powers shrink strictly until they
+    stop, within dim I + 1 steps; powers that do not are those of a
+    subspace that is not an ideal."""
     A = ideal.parent
     F = A.field
     base = list(ideal.basis)
-    if not base:
-        return 1
     cur = base
-    for k in range(1, MAX_NILPOTENCY + 1):
+    for k in range(1, len(base) + 2):
         if not cur:
             return k
         prods = [A.mul(v, w) for v in cur for w in base]
@@ -361,7 +347,7 @@ def nilpotency_index(ideal):
         if nxt == cur:
             return None
         cur = list(nxt)
-    raise SearchCapExceeded("nilpotency index search cap exceeded")
+    raise NotAnIdeal("powers of the basis do not shrink")
 
 
 # --- splitting over extensions ---

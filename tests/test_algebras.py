@@ -88,19 +88,6 @@ def test_quotient_ring_structure():
         assert project(lift(Q.basis[j])) == Q.basis[j]
 
 
-def test_trace_form_radical_detects_nonsemisimple():
-    # F3[C3] is local non-semisimple (p divides |G|)
-    A = group_algebra(cyclic(3), F3)
-    assert len(A.trace_form_radical(_regular_trace(A))) > 0
-    # F5[C3] is semisimple
-    B = group_algebra(cyclic(3), F5)
-    assert len(B.trace_form_radical(_regular_trace(B))) == 0
-
-
-def _regular_trace(A):
-    return [A.left_mult_matrix(A.basis[i]).char_poly_coeffs()[0] for i in range(A.n)]
-
-
 # --- table-backed products and closure by generator translations ---
 
 def _mul_by_field_methods(A, x, y):

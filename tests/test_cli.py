@@ -596,6 +596,15 @@ def test_corpus_output_is_pinned(capsys, job):
     _assert_pinned(capsys, job)
 
 
+def test_four_character_kernel_on_d5_f5(capsys):
+    # ker(D) of triv + c1 + triv + c1 on D5/F_5 has dimension 8: it is the
+    # whole trace-form radical, whose 97,656 lines no test need scan
+    code, out = run(capsys, "kernel", _inst("d5_f5.json"), "--d", "2",
+                    "--chars", "triv,c1,triv,c1")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        0, "6759171046ff60d2e20d8ce85f5dc398338f8e02c928d80be7f445ea992177c0")
+
+
 @pytest.mark.parametrize("field, orbits, points", [("5", 6, 187552), ("2^2", 3, 20476)],
                          ids=["F5", "F4"])
 def test_d3_orbits_over_f4_and_f5(capsys, field, orbits, points):

@@ -60,7 +60,7 @@ def test_canonical_det_cycle_start_invariance():
 def test_trace_form_matches_lambda1():
     data = gma_full(F5, 2)
     D = canonical_det(data)
-    assert trace_form(data) == D.trace_form()
+    assert MPoly.linear(F5, D.poly.vars, trace_form(data)) == D.lambda_polys()[0]
 
 
 def test_type_1_1_gma_on_m2():
@@ -150,7 +150,7 @@ def test_adapted_scheme_m2_split():
     assert len(scheme.vars) == 2
     assert len(scheme.relations) == 1
     rel = scheme.relations[0]
-    assert rel.degree() == 2 and rel.constant_code() == F5.neg(1)
+    assert rel.degree() == 2 and rel.terms.get((0, 0)) == F5.neg(1)
     # reduction runs from the top degree down, so b^2 c^2 -> bc -> 1, and
     # variables after the scheme's ride along as coefficients
     assert scheme.reduce(MPoly.from_terms(

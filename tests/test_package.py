@@ -13,6 +13,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import detlaw
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -77,12 +79,14 @@ def test_import_of_the_cli_runs_no_domain_module():
 
 def test_every_traced_function_resolves_through_sys_modules():
     # perfbench/tracer.py looks each traced function up in sys.modules
-    # right after import detlaw.cli
+    # right after import detlaw.cli, and patches pseudo._kernel_member, the
+    # one name it reads outside layers.json
     found = _fresh(
         "import json, sys, detlaw.cli\n"
         "layers = json.load(open('perfbench/layers.json'))['layers']\n"
         "found = {}\n"
-        "for name in [f for layer in layers for f in layer['functions']]:\n"
+        "names = [f for layer in layers for f in layer['functions']]\n"
+        "for name in names + ['pseudo._kernel_member']:\n"
         "    mod_name, *path = name.split('.')\n"
         "    owner = sys.modules[f'detlaw.{mod_name}']\n"
         "    for part in path:\n"
@@ -103,4 +107,25 @@ def test_enumerate_reps_loads_no_law_or_gma_module():
         "                        if k.startswith('detlaw.') and type(m) is types.ModuleType)))")
     assert "detlaw.reps" in loaded
     for module in ("algebras", "pseudo", "moduli", "gma", "cohomology", "ordinary"):
+        assert f"detlaw.{module}" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext1", "c3_f3.json", "--v1", "triv", "--v2", "triv"],
+    ["stratify", "s3_f3.json", "--v1", "c1", "--v2", "triv"],
+], ids=["ext1", "stratify"])
+def test_ext1_and_stratify_load_no_law_module(argv):
+    # cohomology reaches moduli and pseudo through the module, and only
+    # fiber_stratify with an orbit report calls them
+    sub, name, *flags = argv
+    inst = os.path.join("tests", "instances", name)
+    loaded = _fresh(
+        "import contextlib, io, json, sys, types\n"
+        "from detlaw.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main([{sub!r}, {inst!r}, *{flags!r}]) == 0\n"
+        "print(json.dumps(sorted(k for k, m in sys.modules.items()\n"
+        "                        if k.startswith('detlaw.') and type(m) is types.ModuleType)))")
+    assert "detlaw.cohomology" in loaded
+    for module in ("algebras", "pseudo", "moduli", "gma", "ordinary"):
         assert f"detlaw.{module}" not in loaded

@@ -6,10 +6,11 @@ import pytest
 import detlaw.poly as poly_mod
 import detlaw.pseudo as pseudo_mod
 from detlaw.algebras import FinAlgebra, Ideal, group_algebra, ideal_generated, quotient
-from detlaw.errors import HypothesisViolation, InvariantViolation, ShapeMismatch
+from detlaw.errors import (HypothesisViolation, InvariantViolation, NotAnIdeal,
+                           ShapeMismatch)
 from detlaw.fields import make_field
 from detlaw.groups import cyclic, dihedral, direct_product, symmetric
-from detlaw.linalg import Mat, combine, projective_points
+from detlaw.linalg import Mat, combine, nullspace, projective_points, rref
 from detlaw.poly import MPoly
 from detlaw.pseudo import (PseudoRep, ch_ideal, ch_quotient, det_law,
                            is_cayley_hamilton, kernel, matrix_algebra,
@@ -65,7 +66,7 @@ def test_lambda_decomposition():
     assert l2 == D.poly
     # Lambda_1 is the trace-like linear form
     assert l1.is_homogeneous(1)
-    tf = D.trace_form()
+    tf = _trace_form(D)
     assert len(tf) == 6
     # trace of the identity is 2
     assert tf[0] == 2
@@ -99,12 +100,13 @@ def test_dual_numbers_law():
 @pytest.mark.parametrize("group, field", [
     (symmetric(3), F3), (symmetric(3), F5), (dihedral(4), F3), (cyclic(3), F7)])
 def test_trace_form_is_symmetric(group, field):
-    # kernel takes the radical of (x, y) -> L_1(xy) on one side only, which
-    # is the whole radical because L_1(xy) = L_1(yx) for a determinant law
+    # the kernel oracles take the radical of (x, y) -> L_1(xy) on one side
+    # only, which is the whole radical because L_1(xy) = L_1(yx) for a
+    # determinant law
     cs = characters(group, field)
     D = PseudoRep.induce(direct_sum(cs[0], cs[-1]))
     A = D.source
-    tr = D.trace_form()
+    tr = _trace_form(D)
 
     def form(i, j):
         prod = A.mul(A.basis[i], A.basis[j])
@@ -121,6 +123,37 @@ def test_nilpotency_index_none_for_idempotent_ideal():
     ideal = ideal_generated(A, [A.unit])
     assert ideal.dim == 2
     assert nilpotency_index(ideal) is None
+
+
+def test_nilpotency_index_of_a_long_truncated_polynomial_ring():
+    # in F_2[x]/(x^66) the powers of (x) lose one dimension a step, so its
+    # index is 66
+    F2 = make_field(2)
+    n = 66
+    sc = [[((i + j, 1),) if i + j < n else () for j in range(n)] for i in range(n)]
+    A = FinAlgebra(F2, [f"x{i}" for i in range(n)], sc, [1] + [0] * (n - 1), check=False)
+    assert nilpotency_index(Ideal(A, A.basis[1:], check=False)) == n
+
+
+def test_nilpotency_index_refuses_a_subspace_that_is_not_an_ideal():
+    # in F_5[C2] the powers of the line through the generator g alternate
+    # between it and the line through 1, and never shrink
+    A = group_algebra(cyclic(2), F5)
+    with pytest.raises(NotAnIdeal):
+        nilpotency_index(Ideal(A, [A.basis[1]], check=False))
+
+
+def test_trace_form_radical_detects_nonsemisimple():
+    # F3[C3] is local non-semisimple (p divides |G|)
+    A = group_algebra(cyclic(3), F3)
+    assert len(_trace_form_radical(A, _regular_trace(A))) > 0
+    # F5[C3] is semisimple
+    B = group_algebra(cyclic(3), F5)
+    assert len(_trace_form_radical(B, _regular_trace(B))) == 0
+
+
+def _regular_trace(A):
+    return [A.left_mult_matrix(A.basis[i]).char_poly_coeffs()[0] for i in range(A.n)]
 
 
 def test_unipotent_kernel_is_augmentation_ideal():
@@ -376,12 +409,34 @@ def _oracle_rows(D):
     return [tuple(c.terms.get(e, 0) for c in vec) for e in exps]
 
 
+def _trace_form(D):
+    """L_1 as a linear form: the tuple of its values on the basis."""
+    L1 = D.lambda_polys()[0]
+    return tuple(L1.evaluate(dict(zip(D.poly.vars, e))) for e in D.source.basis)
+
+
+def _trace_form_radical(A, tr):
+    """Basis of the radical of the bilinear form (x, y) -> tr(x y), where the
+    linear form tr is given by its values on the basis."""
+    F = A.field
+    gram = []
+    for i in range(A.n):
+        row = []
+        for j in range(A.n):
+            acc = 0
+            for k, c in A.sc[i][j]:
+                acc = F.add(acc, F.mul(c, tr[k]))
+            row.append(acc)
+        gram.append(tuple(row))
+    return nullspace(F, gram, A.n)
+
+
 def _kernel_oracle(D):
     """ker(D) by testing every projective line of the trace-form radical of
-    the whole algebra, with no pass through the Cayley-Hamilton quotient."""
+    the whole algebra."""
     A = D.source
     F = A.field
-    null = A.trace_form_radical(D.trace_form())
+    null = _trace_form_radical(A, _trace_form(D))
     if not null:
         return Ideal(A, [], check=False)
     lambdas = D.lambda_polys()
@@ -495,18 +550,41 @@ def test_kernel_member_matches_the_expanded_product(D):
         [_kernel_member_oracle(D, r) for r in tests]
 
 
-def test_kernel_makes_no_mul_poly_call(monkeypatch):
-    def no_mul_poly(self, x, y, zero):
-        raise AssertionError("mul_poly called")
+@pytest.mark.parametrize("D", [pytest.param(D, id=name)
+                               for name, D in dict(_ch_sweep() + _kernel_cases()).items()])
+def test_kernel_meets_its_definition(D):
+    # K within ker(D): each basis vector of K passes the membership test.
+    # ker(D) within K: ker(D) lies in the trace-form radical, and no line
+    # of the radical's vectors reduced against K passes
+    A = D.source
+    F = A.field
+    K = kernel(D)
+    lambdas = D.lambda_polys()
+    assert all(pseudo_mod._kernel_member(D, lambdas, v) for v in K.basis)
+    comp, _ = rref(F, [K.reduce(v) for v in _trace_form_radical(A, _trace_form(D))])
+    assert not any(pseudo_mod._kernel_member(D, lambdas, combine(F, c, comp))
+                   for c in projective_points(F.q, len(comp)))
 
-    D = dict(_kernel_cases())["C3-F3-unipotent"]
-    want = kernel(D)
-    member = pseudo_mod._kernel_member
-    lines = []
-    monkeypatch.setattr(pseudo_mod, "_kernel_member",
-                        lambda *args: lines.append(args[2]) or member(*args))
-    monkeypatch.setattr(FinAlgebra, "mul_poly", no_mul_poly)
-    assert kernel(D) == want and lines
+
+def test_kernel_substitutes_nothing(monkeypatch):
+    # kernel reads the Jordan-Hoelder factors of D.rep: it substitutes no
+    # Lambda_i, tests no line and builds no Cayley-Hamilton ideal
+    def refuse(*args):
+        raise AssertionError("called")
+
+    laws = [D for _name, D in _kernel_cases()]
+    want = [kernel(D) for D in laws]
+    monkeypatch.setattr(MPoly, "substitute", refuse)
+    monkeypatch.setattr(pseudo_mod, "_kernel_member", refuse)
+    monkeypatch.setattr(pseudo_mod, "ch_ideal", refuse)
+    monkeypatch.setattr(FinAlgebra, "mul_poly", refuse)
+    assert [kernel(D) for D in laws] == want
+
+
+def test_kernel_needs_an_induced_law():
+    D = _dual_numbers_law()
+    with pytest.raises(HypothesisViolation):
+        kernel(PseudoRep(D.source, D.d, D.poly))
 
 
 @pytest.mark.parametrize("group, field", [(dihedral(5), F5), (dihedral(6), F3)],
@@ -657,8 +735,7 @@ def _lambda_oracle(D):
                              for x, u in zip(xs, D.source.unit)})
     out = []
     for i in range(1, D.d + 1):
-        c = chi.coefficient("t", D.d - i)
-        L = MPoly(F, xs, {e[:-1]: v for e, v in c.terms.items()})
+        L = MPoly(F, xs, {e[:-1]: v for e, v in chi.terms.items() if e[-1] == D.d - i})
         out.append(L if i % 2 == 0 else -L)
     return tuple(out)
 
@@ -718,7 +795,7 @@ def test_lambda_polys_satisfy_newtons_identities(D):
     F = D.field
     xs = D.poly.vars
     zero = MPoly.zero(F, xs)
-    tr = D.trace_form()
+    tr = _trace_form(D)
     lambdas = (MPoly.const(F, xs, 1),) + D.lambda_polys()
     power = tuple(MPoly.const(F, xs, u) for u in A.unit)
     traces = [None]
