@@ -2,17 +2,20 @@
 
 Reads an instance file (group, field, optional characters and inertia),
 dispatches one computation, and prints a JSON report, or a short human
-summary with --output summary.  Domain errors print a structured error object
-and exit with status 2, or 3 when a checked mathematical claim fails
-(InvariantViolation); all integers in reports are decimal strings.  If stdout
-closes before the output is written, the exit status is 1.
+summary with --output summary.  argv is read by getopt against one flag
+table, and -h prints the usage.  Errors, a bad argv among them, print a
+structured error object and exit with status 2, or 3 when a checked
+mathematical claim fails (InvariantViolation); all integers in reports are
+decimal strings.  If stdout closes before the output is written, the exit
+status is 1.
 """
 
-import argparse
+import getopt
 import json
 import os
 import sys
 from itertools import islice
+from types import SimpleNamespace
 
 from . import (cohomology, fields, gma, groups, moduli, ordinary, pseudo, reps,
                serialize)
@@ -21,21 +24,45 @@ from .errors import DetlawError, InvariantViolation, SchemaError
 
 JSON_BATCH = 4096  # encoder chunks joined into one write
 
+# each flag's type: int, str or its choices; default None unless in DEFAULTS
+FLAGS = {"d": int, "field": str, "cap": int, "chars": str, "v1": str, "v2": str,
+         "psi": str, "chi": str, "output": ("json", "summary")}
+DEFAULTS = {"cap": 200000, "output": "json"}
+
+USAGE = """\
+usage: detlaw SUBCOMMAND [INSTANCE] [--FLAG VALUE ...]
+
+subcommands, each but selftest reading one instance JSON file:
+  enumerate-reps, pseudorep, char-poly, kernel, ch-quotient, gma-verify,
+  gma-det, adapted-points, orbits, fiber, ext1, stratify, ordinary, selftest
+
+flags, taken by every subcommand, also as --flag=value or a unique prefix:
+  --d D, --field FIELD     degree and field (e.g. 7 or 5^2) in place of the file's
+  --cap CAP                search cap (default 200000)
+  --chars CHARS            comma-separated character names for the law
+  --v1 V1, --v2 V2         the two characters of ext1 and stratify
+  --psi PSI, --chi CHI     the two characters of ordinary
+  --output {json,summary}  report format (default json)
+  -h, --help               print this text and exit
+"""
+
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if args is not None:
+            inst = None if args.instance is None else _load(args)
+            report = _COMMANDS[args.command](inst, args)
     except DetlawError as exc:
         err = {"error": {"code": type(exc).__name__, "message": str(exc)}}
         lines = [json.dumps(err, sort_keys=True) + "\n"]
         code = 3 if isinstance(exc, InvariantViolation) else 2
     else:
         code = 0
-        if args.output == "summary":
-            lines = [line + "\n" for line in
-                     report.get("summary", [json.dumps(report, sort_keys=True)])]
+        if args is None:
+            lines = [USAGE]
+        elif args.output == "summary":
+            lines = [line + "\n" for line in report["summary"]]
         else:
             report.pop("summary", None)
             lines = _json_batches(report)
@@ -51,6 +78,35 @@ def main(argv=None):
     return code
 
 
+def _parse_args(argv):
+    """The subcommand, its instance path (None for selftest) and every
+    flag's value, or None for -h or --help; bad argv raises SchemaError."""
+    try:
+        opts, words = getopt.gnu_getopt(argv, "h", ["help", *(f + "=" for f in FLAGS)])
+    except getopt.GetoptError as exc:
+        raise SchemaError(str(exc)) from None
+    if any(opt in ("-h", "--help") for opt, _value in opts):
+        return None
+    args = {**dict.fromkeys(FLAGS), **DEFAULTS}
+    for opt, value in opts:
+        kind = FLAGS[opt[2:]]  # getopt gives the full name for a prefix
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise SchemaError(f"{opt} takes an integer, got {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise SchemaError(f"{opt} takes one of {', '.join(kind)}, got {value!r}")
+        args[opt[2:]] = value
+    command, *paths = words or [None]
+    if command not in _COMMANDS:
+        raise SchemaError(f"the subcommand is one of {sorted(_COMMANDS)}, got {command!r}")
+    want = 0 if command == "selftest" else 1
+    if len(paths) != want:
+        raise SchemaError(f"instance paths for {command}: {len(paths)}, need {want}")
+    return SimpleNamespace(command=command, instance=paths[0] if want else None, **args)
+
+
 def _json_batches(report):
     """The text of json.dumps(report, sort_keys=True, indent=2) and a newline,
     as strings of JSON_BATCH encoder chunks each.  The whole text is never
@@ -59,48 +115,6 @@ def _json_batches(report):
     while batch := list(islice(chunks, JSON_BATCH)):
         yield "".join(batch)
     yield "\n"
-
-
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="detlaw",
-        description="exact determinant-law computations over finite fields")
-    sub = parser.add_subparsers(dest="command", required=True)
-    # every subcommand shares these arguments; build them once
-    instance = argparse.ArgumentParser(add_help=False)
-    instance.add_argument("instance", help="path to an instance JSON file")
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--d", type=int, default=None)
-    flags.add_argument("--field", default=None,
-                       help="override field, e.g. 7 or 5^2")
-    flags.add_argument("--cap", type=int, default=200000)
-    flags.add_argument("--chars", default=None,
-                       help="comma-separated character names for the law")
-    flags.add_argument("--v1", default=None)
-    flags.add_argument("--v2", default=None)
-    flags.add_argument("--psi", default=None)
-    flags.add_argument("--chi", default=None)
-    flags.add_argument("--output", choices=("json", "summary"), default="json")
-
-    def cmd(name, func, needs_instance=True):
-        parents = [instance, flags] if needs_instance else [flags]
-        sub.add_parser(name, parents=parents).set_defaults(func=func)
-
-    cmd("enumerate-reps", _cmd_enumerate_reps)
-    cmd("pseudorep", _cmd_pseudorep)
-    cmd("char-poly", _cmd_char_poly)
-    cmd("kernel", _cmd_kernel)
-    cmd("ch-quotient", _cmd_ch_quotient)
-    cmd("gma-verify", _cmd_gma_verify)
-    cmd("gma-det", _cmd_gma_det)
-    cmd("adapted-points", _cmd_adapted_points)
-    cmd("orbits", _cmd_orbits)
-    cmd("fiber", _cmd_fiber)
-    cmd("ext1", _cmd_ext1)
-    cmd("stratify", _cmd_stratify)
-    cmd("ordinary", _cmd_ordinary)
-    cmd("selftest", _cmd_selftest, needs_instance=False)
-    return parser
 
 
 # --- instance plumbing ---
@@ -152,8 +166,7 @@ def _named_characters(inst):
 
 def _pick_char(table, name):
     if name not in table:
-        raise SchemaError(f"no character named {name!r}; "
-                          f"have {sorted(table)}")
+        raise SchemaError(f"no character named {name!r}; have {sorted(table)}")
     return table[name]
 
 
@@ -183,8 +196,7 @@ def _require_d(inst):
 
 # --- subcommands ---
 
-def _cmd_enumerate_reps(args):
-    inst = _load(args)
+def _cmd_enumerate_reps(inst, args):
     d = _require_d(inst)
     homs = reps.enumerate_reps(inst.group, d, inst.field, cap=args.cap)
     return {
@@ -195,8 +207,7 @@ def _cmd_enumerate_reps(args):
     }
 
 
-def _cmd_pseudorep(args):
-    inst = _load(args)
+def _cmd_pseudorep(inst, args):
     D, names = _law_of(inst, args)
     return {
         "characters": names,
@@ -207,8 +218,7 @@ def _cmd_pseudorep(args):
     }
 
 
-def _cmd_char_poly(args):
-    inst = _load(args)
+def _cmd_char_poly(inst, args):
     D, names = _law_of(inst, args)
     lambdas = D.lambda_polys()
     return {
@@ -218,8 +228,7 @@ def _cmd_char_poly(args):
     }
 
 
-def _cmd_kernel(args):
-    inst = _load(args)
+def _cmd_kernel(inst, args):
     D, names = _law_of(inst, args)
     ker = pseudo.kernel(D)
     return {
@@ -230,8 +239,7 @@ def _cmd_kernel(args):
     }
 
 
-def _cmd_ch_quotient(args):
-    inst = _load(args)
+def _cmd_ch_quotient(inst, args):
     D, names = _law_of(inst, args)
     Q, DQ, _project, _lift = pseudo.ch_quotient(D)
     return {
@@ -248,8 +256,7 @@ def _build_gma(inst, args):
     return data, law, names
 
 
-def _cmd_gma_verify(args):
-    inst = _load(args)
+def _cmd_gma_verify(inst, args):
     data, _law, names = _build_gma(inst, args)
     report = gma.verify_gma(data)
     return {
@@ -261,8 +268,7 @@ def _cmd_gma_verify(args):
     }
 
 
-def _cmd_gma_det(args):
-    inst = _load(args)
+def _cmd_gma_det(inst, args):
     data, law, names = _build_gma(inst, args)
     dmin = gma.canonical_det(data, start="min")
     dmax = gma.canonical_det(data, start="max")
@@ -278,8 +284,7 @@ def _cmd_gma_det(args):
     }
 
 
-def _cmd_adapted_points(args):
-    inst = _load(args)
+def _cmd_adapted_points(inst, args):
     data, _law, names = _build_gma(inst, args)
     scheme = gma.adapted_scheme(data)
     points, _reps = gma.adapted_points(scheme, cap=args.cap)
@@ -294,8 +299,7 @@ def _cmd_adapted_points(args):
     }
 
 
-def _cmd_orbits(args):
-    inst = _load(args)
+def _cmd_orbits(inst, _args):
     d = _require_d(inst)
     report = moduli.orbit_partition(inst.group, d, inst.field)
     return {
@@ -309,8 +313,7 @@ def _cmd_orbits(args):
     }
 
 
-def _cmd_fiber(args):
-    inst = _load(args)
+def _cmd_fiber(inst, args):
     D, names = _law_of(inst, args)
     report = moduli.orbit_partition(inst.group, D.d, inst.field)
     fib = moduli.psi_fiber(report, D)
@@ -328,8 +331,7 @@ def _two_chars(inst, args):
     return tuple(_pick_char(table, "triv" if v is None else v) for v in (args.v1, args.v2))
 
 
-def _cmd_ext1(args):
-    inst = _load(args)
+def _cmd_ext1(inst, args):
     c1, c2 = _two_chars(inst, args)
     space = cohomology.ext1(inst.group, c1, c2)
     return {
@@ -340,8 +342,7 @@ def _cmd_ext1(args):
     }
 
 
-def _cmd_stratify(args):
-    inst = _load(args)
+def _cmd_stratify(inst, args):
     chi, psi = _two_chars(inst, args)
     strat = cohomology.fiber_stratify(inst.group, chi, psi, inst.field)
     up, ss, down = strat.counts()
@@ -356,8 +357,7 @@ def _cmd_stratify(args):
     }
 
 
-def _cmd_ordinary(args):
-    inst = _load(args)
+def _cmd_ordinary(inst, args):
     table = _named_characters(inst)
     psi_name = "triv" if args.psi is None else args.psi
     others = sorted(n for n in table if n != psi_name)
@@ -381,35 +381,37 @@ def _cmd_ordinary(args):
     }
 
 
-def _cmd_selftest(args):
+def _cmd_selftest(_inst, _args):
     F3, F5 = fields.make_field(3), fields.make_field(5)
-    checks = []
-
-    def check(name, fn):
-        checks.append((name, bool(fn())))
-
+    checks = {}
     C2 = groups.cyclic(2)
     chars2 = reps.characters(C2, F3)
-    check("c2_has_two_characters", lambda: len(chars2) == 2)
+    checks["c2_has_two_characters"] = len(chars2) == 2
     D = pseudo.PseudoRep.induce(reps.direct_sum(chars2[0], chars2[1]))
-    check("law_multiplicative", D.is_multiplicative)
-    check("law_unital", D.is_unital)
+    checks["law_multiplicative"] = D.is_multiplicative()
+    checks["law_unital"] = D.is_unital()
     Q, DQ, _p, _l = pseudo.ch_quotient(D)
-    check("ch_quotient_faithful_dim", lambda: Q.n == 2)
+    checks["ch_quotient_faithful_dim"] = Q.n == 2
     S3 = groups.symmetric(3)
     cs = reps.characters(S3, F5)
-    check("s3_two_characters_over_f5", lambda: len(cs) == 2)
-    check("ext1_s3_triv_sgn_vanishes",
-          lambda: cohomology.ext1(S3, cs[0], cs[1]).dim == 0)
-    ok = all(flag for _name, flag in checks)
-    if not ok:
+    checks["s3_two_characters_over_f5"] = len(cs) == 2
+    checks["ext1_s3_triv_sgn_vanishes"] = cohomology.ext1(S3, cs[0], cs[1]).dim == 0
+    if not all(checks.values()):
         raise DetlawError("selftest failed: "
-                          + ", ".join(n for n, f in checks if not f))
+                          + ", ".join(n for n, f in checks.items() if not f))
     return {
         "ok": True,
-        "checks": {n: f for n, f in checks},
-        "summary": [f"{n}: {'ok' if f else 'FAIL'}" for n, f in checks],
+        "checks": checks,
+        "summary": [f"{n}: {'ok' if f else 'FAIL'}" for n, f in checks.items()],
     }
+
+
+_COMMANDS = {"enumerate-reps": _cmd_enumerate_reps, "pseudorep": _cmd_pseudorep,
+             "char-poly": _cmd_char_poly, "kernel": _cmd_kernel, "fiber": _cmd_fiber,
+             "ch-quotient": _cmd_ch_quotient, "gma-verify": _cmd_gma_verify,
+             "gma-det": _cmd_gma_det, "adapted-points": _cmd_adapted_points,
+             "orbits": _cmd_orbits, "ext1": _cmd_ext1, "stratify": _cmd_stratify,
+             "ordinary": _cmd_ordinary, "selftest": _cmd_selftest}
 
 
 if __name__ == "__main__":

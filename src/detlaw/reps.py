@@ -16,12 +16,12 @@ from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product
 from math import prod
 
+from . import poly
 from .errors import (EnumerationCapExceeded, SearchCapExceeded, ShapeMismatch)
 from .groups import FiniteGroup
 from .linalg import (Mat, all_subspaces, block_matrix, combine, gl_order,
                      is_stable, nullspace, projective_points, reduce_vector,
                      rref)
-from .poly import MPoly, symbolic_det
 
 # the most intertwiner combinations isomorphic enumerates when d >= q
 INTERTWINER_POINT_CAP = 200000
@@ -621,9 +621,9 @@ def isomorphic(rep1, rep2):
         return False
     m = len(basis)
     names = tuple(f"x{i}" for i in range(m))
-    entries = [MPoly.linear(F, names, [B.data[c] for B in basis])
+    entries = [poly.MPoly.linear(F, names, [B.data[c] for B in basis])
                for c in range(d * d)]
-    detp = symbolic_det(F, names, entries, d)
+    detp = poly.symbolic_det(F, names, entries, d)
     if detp.is_zero():
         return False
     if d < F.q:

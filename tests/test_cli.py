@@ -273,53 +273,30 @@ def test_a_long_report_is_written_in_batches(monkeypatch):
     assert len(out.writes) - 1 == -(-len(chunks) // cli.JSON_BATCH)
 
 
-HELP = {
-    "kernel": (
-        "usage: detlaw kernel [-h] [--d D] [--field FIELD] [--cap CAP] [--chars CHARS]\n"
-        "                     [--v1 V1] [--v2 V2] [--psi PSI] [--chi CHI]\n"
-        "                     [--output {json,summary}]\n"
-        "                     instance\n"
-        "\n"
-        "positional arguments:\n"
-        "  instance              path to an instance JSON file\n"
-        "\n"
-        "options:\n"
-        "  -h, --help            show this help message and exit\n"
-        "  --d D\n"
-        "  --field FIELD         override field, e.g. 7 or 5^2\n"
-        "  --cap CAP\n"
-        "  --chars CHARS         comma-separated character names for the law\n"
-        "  --v1 V1\n"
-        "  --v2 V2\n"
-        "  --psi PSI\n"
-        "  --chi CHI\n"
-        "  --output {json,summary}\n"),
-    "selftest": (
-        "usage: detlaw selftest [-h] [--d D] [--field FIELD] [--cap CAP]\n"
-        "                       [--chars CHARS] [--v1 V1] [--v2 V2] [--psi PSI]\n"
-        "                       [--chi CHI] [--output {json,summary}]\n"
-        "\n"
-        "options:\n"
-        "  -h, --help            show this help message and exit\n"
-        "  --d D\n"
-        "  --field FIELD         override field, e.g. 7 or 5^2\n"
-        "  --cap CAP\n"
-        "  --chars CHARS         comma-separated character names for the law\n"
-        "  --v1 V1\n"
-        "  --v2 V2\n"
-        "  --psi PSI\n"
-        "  --chi CHI\n"
-        "  --output {json,summary}\n"),
-}
+USAGE = (
+    "usage: detlaw SUBCOMMAND [INSTANCE] [--FLAG VALUE ...]\n"
+    "\n"
+    "subcommands, each but selftest reading one instance JSON file:\n"
+    "  enumerate-reps, pseudorep, char-poly, kernel, ch-quotient, gma-verify,\n"
+    "  gma-det, adapted-points, orbits, fiber, ext1, stratify, ordinary, selftest\n"
+    "\n"
+    "flags, taken by every subcommand, also as --flag=value or a unique prefix:\n"
+    "  --d D, --field FIELD     degree and field (e.g. 7 or 5^2) in place of the file's\n"
+    "  --cap CAP                search cap (default 200000)\n"
+    "  --chars CHARS            comma-separated character names for the law\n"
+    "  --v1 V1, --v2 V2         the two characters of ext1 and stratify\n"
+    "  --psi PSI, --chi CHI     the two characters of ordinary\n"
+    "  --output {json,summary}  report format (default json)\n"
+    "  -h, --help               print this text and exit\n")
 
 
-@pytest.mark.parametrize("sub", sorted(HELP))
-def test_subcommand_help_text(capsys, monkeypatch, sub):
-    monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exc:
-        main([sub, "-h"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out == HELP[sub]
+@pytest.mark.parametrize("argv", [["-h"], ["kernel", "-h"], ["selftest", "--help"]],
+                         ids=["detlaw", "kernel", "selftest"])
+def test_subcommand_help_text(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (USAGE, "")
+    assert all(sub in USAGE for sub in cli._COMMANDS)
 
 
 def test_every_subcommand_parses_every_flag():
@@ -330,14 +307,40 @@ def test_every_subcommand_parses_every_flag():
                "v2": "b", "psi": "c", "chi": "e", "output": "summary"}
     defaults = {"d": None, "field": None, "cap": 200000, "chars": None, "v1": None,
                 "v2": None, "psi": None, "chi": None, "output": "json"}
-    parser = cli._build_parser()
+    # the --flag=value and unique-prefix forms, and flags before the words
+    spelled = [["--output=summary"], ["--out", "summary"], ["--o=summary"]]
+    assert sorted(cli._COMMANDS) == sorted(SUBCOMMANDS + ("selftest",))
     for sub in SUBCOMMANDS + ("selftest",):
-        func = getattr(cli, "_cmd_" + sub.replace("-", "_"))
+        assert cli._COMMANDS[sub] is getattr(cli, "_cmd_" + sub.replace("-", "_"))
         head = [sub] if sub == "selftest" else [sub, "inst.json"]
-        place = {} if sub == "selftest" else {"instance": "inst.json"}
-        for argv, want in ((head, defaults), (head + flags, set_all)):
-            got = vars(parser.parse_args(argv))
-            assert got == {"command": sub, "func": func, **place, **want}
+        place = {"instance": None if sub == "selftest" else "inst.json"}
+        cases = [(head, defaults), (head + flags, set_all), (flags + head, set_all)]
+        cases += [(head + form, {**defaults, "output": "summary"}) for form in spelled]
+        for argv, want in cases:
+            got = vars(cli._parse_args(argv))
+            assert got == {"command": sub, **place, **want}
+
+
+S3_F3 = _inst("s3_f3.json")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate"], ["kernel"], ["kernel", S3_F3, S3_F3], ["selftest", S3_F3],
+    ["--bogus", "1"], ["kernel", S3_F3, "--bogus", "1"], ["kernel", S3_F3, "--c", "x"],
+    ["kernel", S3_F3, "--chars"], ["orbits", S3_F3, "--d", "two"],
+    ["enumerate-reps", S3_F3, "--cap", "1.5"], ["kernel", S3_F3, "--output", "xml"],
+    ["kernel", S3_F3, "--output=xml"],
+], ids=["empty", "unknown_subcommand", "no_instance", "two_instances",
+        "selftest_with_instance", "bogus_flag_alone", "bogus_flag", "ambiguous_prefix",
+        "flag_without_value", "d_not_an_int", "cap_not_an_int", "output_choice",
+        "output_choice_with_equals"])
+def test_argv_errors_are_structured(capfd, argv):
+    # the instance file is a good one, so the argv is the only fault
+    assert main(argv) == 2
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["error"]["code"] == "SchemaError"
 
 
 # --- pinned stdout: the sha256 and exit code of each job ---
