@@ -2,7 +2,7 @@
 
 Reads an instance file (group, field, optional characters and inertia),
 dispatches one computation, and prints a JSON report, or a short human
-summary with --output summary.  argv is read by getopt against one flag
+summary with --output summary.  argv is read by one loop over one flag
 table, and -h prints the usage.  Errors, a bad argv among them, print a
 structured error object and exit with status 2, or 3 when a checked
 mathematical claim fails (InvariantViolation); all integers in reports are
@@ -10,7 +10,6 @@ decimal strings.  If stdout closes before the output is written, the exit
 status is 1.
 """
 
-import getopt
 import json
 import os
 import sys
@@ -80,24 +79,46 @@ def main(argv=None):
 
 def _parse_args(argv):
     """The subcommand, its instance path (None for selftest) and every
-    flag's value, or None for -h or --help; bad argv raises SchemaError."""
-    try:
-        opts, words = getopt.gnu_getopt(argv, "h", ["help", *(f + "=" for f in FLAGS)])
-    except getopt.GetoptError as exc:
-        raise SchemaError(str(exc)) from None
-    if any(opt in ("-h", "--help") for opt, _value in opts):
+    flag's value, or None for -h or --help; bad argv raises SchemaError.
+
+    A flag is --name value, --name=value, or either with a unique prefix of
+    the name, anywhere among the words."""
+    names = (*FLAGS, "help")
+    given, words = [], []
+    rest = iter(argv)
+    for word in rest:
+        word = "--help" if word == "-h" else word
+        if not word.startswith("--"):
+            if word.startswith("-") and word != "-":
+                raise SchemaError(f"option {word} not recognized")
+            words.append(word)
+            continue
+        typed, eq, value = word[2:].partition("=")
+        found = [typed] if typed in names else [n for n in names if n.startswith(typed)]
+        if len(found) != 1:
+            raise SchemaError(f"option --{typed} "
+                              f"{'not a unique prefix' if found else 'not recognized'}")
+        [name] = found
+        if name == "help" and eq:
+            raise SchemaError("option --help must not have an argument")
+        if name != "help" and not eq:
+            value = next(rest, None)
+            if value is None:
+                raise SchemaError(f"option --{name} requires argument")
+        given.append((name, value))
+    if any(name == "help" for name, _value in given):
         return None
     args = {**dict.fromkeys(FLAGS), **DEFAULTS}
-    for opt, value in opts:
-        kind = FLAGS[opt[2:]]  # getopt gives the full name for a prefix
+    for name, value in given:
+        kind = FLAGS[name]
         if kind is int:
             try:
                 value = int(value)
             except ValueError:
-                raise SchemaError(f"{opt} takes an integer, got {value!r}") from None
+                raise SchemaError(f"--{name} takes an integer, got {value!r}") from None
         elif kind is not str and value not in kind:
-            raise SchemaError(f"{opt} takes one of {', '.join(kind)}, got {value!r}")
-        args[opt[2:]] = value
+            raise SchemaError(f"--{name} takes one of {', '.join(kind)}, got {value!r}")
+        args[name] = value
     command, *paths = words or [None]
     if command not in _COMMANDS:
         raise SchemaError(f"the subcommand is one of {sorted(_COMMANDS)}, got {command!r}")

@@ -6,7 +6,11 @@ error's class name.
 
 
 class DetlawError(Exception):
-    pass
+    """A detlaw failure; ``witness``, when given, holds the data that shows it."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotPrime(DetlawError):
@@ -78,9 +82,4 @@ class SchemaError(DetlawError):
 
 
 class InvariantViolation(DetlawError):
-    """A checked mathematical claim failed; ``witness`` holds the data that
-    shows it."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """A checked mathematical claim failed."""

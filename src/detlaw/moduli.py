@@ -13,8 +13,8 @@ from .errors import InvariantViolation, UnknownPseudoRep
 from .fields import embedding_table
 from .linalg import Mat, gl_order
 from .pseudo import PseudoRep, split_search
-from .reps import (Representation, conjugate_rep, enumerate_reps, gl_elements,
-                   gl_generators, hom_orbit_reps, intertwiner_basis, isomorphic,
+from .reps import (Representation, conjugate_rep, direct_sum, enumerate_reps,
+                   gl_elements, gl_generators, hom_orbit_reps, is_semisimple, isomorphic,
                    least_conjugate, semisimplify)
 
 # Largest |GL_d(F)| for which orbits are reported by their least point.  It
@@ -39,15 +39,19 @@ class Orbit:
 
 
 class OrbitReport:
-    """Conjugation orbits of Hom(G, GL_d(F)) with their induced laws."""
+    """Conjugation orbits of Hom(G, GL_d(F)) with their induced laws.
 
-    def __init__(self, group, dim, field, orbits, pseudoreps, fiber_map):
+    The laws share their source, d and field, so law_index finds a law's
+    index in pseudoreps by its polynomial."""
+
+    def __init__(self, group, dim, field, orbits, pseudoreps, fiber_map, law_index):
         self.group = group
         self.dim = dim
         self.field = field
         self.orbits = orbits
         self.pseudoreps = pseudoreps
         self.fiber_map = fiber_map
+        self.law_index = law_index
 
     @property
     def total_points(self):
@@ -88,17 +92,16 @@ def _report(group, dim, field, pairs):
     orbits = []
     pseudoreps = []
     fiber_map = {}
+    law_index = {}
     for rep, size in pairs:
         D = PseudoRep.induce(rep)
-        idx = next((i for i, E in enumerate(pseudoreps) if E.equals(D)), None)
-        if idx is None:
-            idx = len(pseudoreps)
+        idx = law_index.setdefault(D.poly, len(pseudoreps))
+        if idx == len(pseudoreps):
             pseudoreps.append(D)
         jh = semisimplify(rep)
-        closed = _is_closed(rep, jh)
-        orbits.append(Orbit(rep, size, closed, jh, idx))
+        orbits.append(Orbit(rep, size, is_semisimple(rep, jh), jh, idx))
         fiber_map.setdefault(idx, []).append(len(orbits) - 1)
-    return OrbitReport(group, dim, field, orbits, pseudoreps, fiber_map)
+    return OrbitReport(group, dim, field, orbits, pseudoreps, fiber_map, law_index)
 
 
 def _orbits_direct(group, dim, field):
@@ -125,28 +128,13 @@ def _orbits_direct(group, dim, field):
     return out
 
 
-def _is_closed(rep, jh):
-    """An orbit is closed iff its representative is semisimple; jh is its
-    Jordan-Hoelder decomposition.
-
-    rep is semisimple iff dim End_G(rep) = dim End_G(rep^ss): otherwise the
-    orbit of rep^ss lies in the boundary of rep's orbit, which has lower
-    dimension, so rep^ss has the larger stabilizer."""
-    if rep.dim == 1 or len(jh.factors) == 1:
-        return True
-    dims = [len(intertwiner_basis(r.field, r.generator_images(), r.generator_images(), r.dim))
-            for r in (rep, jh.direct_sum_rep())]
-    return dims[0] == dims[1]
-
-
 class FiberReport:
-    __slots__ = ("pseudo_index", "orbit_indices", "closed_index", "jh_key")
+    __slots__ = ("pseudo_index", "orbit_indices", "closed_index")
 
-    def __init__(self, pseudo_index, orbit_indices, closed_index, jh_key):
+    def __init__(self, pseudo_index, orbit_indices, closed_index):
         self.pseudo_index = pseudo_index
         self.orbit_indices = orbit_indices
         self.closed_index = closed_index
-        self.jh_key = jh_key
 
     def __repr__(self):
         return (f"Fiber(D#{self.pseudo_index}: {len(self.orbit_indices)} orbits, "
@@ -156,11 +144,13 @@ class FiberReport:
 def psi_fiber(report, D):
     """The fiber of psi over D: its orbits, with the closed one singled out.
 
-    Verifies that every orbit in the fiber has the same Jordan-Hoelder
-    multiset (after base change) as the semisimple representation found by
-    split_search, and that exactly one orbit is closed.
+    Verifies that exactly one orbit is closed, and that the
+    semisimplification of every orbit, base-changed to the split field, is
+    isomorphic to the semisimple representation found by split_search
+    (Brauer-Nesbitt).  That representation lives on D's group algebra,
+    whose acting matrices are all images, so it is compared on the group.
     """
-    idx = next((i for i, E in enumerate(report.pseudoreps) if E.equals(D)), None)
+    idx = report.law_index.get(D.poly)
     if idx is None:
         raise UnknownPseudoRep("law does not occur in the orbit report")
     members = report.fiber_map[idx]
@@ -169,14 +159,15 @@ def psi_fiber(report, D):
         raise InvariantViolation(f"fiber has {len(closed)} closed orbits",
                                  witness={"law": idx, "closed": closed})
     ext_field, split_rep = split_search(D)
-    key = semisimplify(_to_field(split_rep, ext_field)).multiset_key()
+    split_rep = Representation(report.group, ext_field, split_rep.dim, split_rep.images,
+                               check_now=False)
     for i in members:
-        got = semisimplify(_to_field(report.orbits[i].rep, ext_field)).multiset_key()
-        if got != key:
+        ss = _to_field(direct_sum(*report.orbits[i].jh), ext_field)
+        if not isomorphic(ss, split_rep):
             raise InvariantViolation(
-                "orbit leaves the Jordan-Hoelder class of its fiber",
-                witness={"orbit": i, "key": got, "fiber_key": key})
-    return FiberReport(idx, members, closed[0], key)
+                "orbit's semisimplification is not the split representation of its fiber",
+                witness={"orbit": i, "law": idx})
+    return FiberReport(idx, members, closed[0])
 
 
 def _to_field(rep, target):
@@ -251,7 +242,7 @@ def degeneration_limit(rep):
     """The one-parameter limit of a non-closed orbit, rep's semisimplification:
     along a full stable flag, conjugation by diag(s, 1, ...) discards the
     strictly upper blocks as s -> 0, leaving the Jordan-Hoelder factors."""
-    return semisimplify(rep).direct_sum_rep()
+    return direct_sum(*semisimplify(rep))
 
 
 def degeneration_lands_in_closed_orbit(report, orbit_index):

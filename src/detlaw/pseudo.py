@@ -21,9 +21,8 @@ from .errors import (HypothesisViolation, InvariantViolation, NotAnIdeal,
 from .fields import embed_code, make_field
 from .linalg import Mat, nullspace, rref, span_closure
 from .poly import MPoly, _add_into, _pack, _substitute_terms, symbolic_det
-from .reps import (JHDecomposition, Representation, direct_sum,
-                   intertwiner_basis, irreducible_reps, semisimplify,
-                   sub_quotient_reps)
+from .reps import (Representation, _hom_dim, direct_sum, irreducible_reps, isomorphic,
+                   semisimplify, sub_quotient_reps)
 
 
 def generic_vars(n):
@@ -314,7 +313,7 @@ def kernel(D):
         raise HypothesisViolation("kernel needs a law induced from a representation")
     A = D.source
     rows = [tuple(M.data[c] for M in f.images)
-            for f in semisimplify(rho).factors for c in range(f.dim * f.dim)]
+            for f in semisimplify(rho) for c in range(f.dim * f.dim)]
     return Ideal(A, nullspace(A.field, rows, A.n), check=True)
 
 
@@ -360,9 +359,8 @@ def split_search(D):
     Frobenius orbits on its absolutely irreducible factors.  Those sizes sum
     to at most d, so the degrees scanned are the divisors of lcm(1..d) in
     increasing order, enumerating direct sums of irreducible representations
-    over each extension; the Jordan-Hoelder multiset of the answer must be
-    the same for all matches at the successful degree (InvariantViolation
-    otherwise).
+    over each extension; every match at the successful degree must be
+    isomorphic to the first (InvariantViolation otherwise).
     """
     F = D.field
     bound = lcm(*range(1, D.d + 1))
@@ -370,18 +368,16 @@ def split_search(D):
         target = make_field(F.p, F.k * e)
         De = D.base_change(target)
         irs = _irreducible_modules(De.source, D, target)
-        matches = []
-        for multiset in _dim_multisets(irs, D.d):
-            rep = direct_sum(*multiset)
-            if PseudoRep.induce(rep).equals(De):
-                matches.append((multiset, rep))
+        sums = (direct_sum(*multiset) for multiset in _dim_multisets(irs, D.d))
+        matches = [rep for rep in sums if PseudoRep.induce(rep).equals(De)]
         if matches:
-            keys = {JHDecomposition(ms).multiset_key() for ms, _ in matches}
-            if len(keys) != 1:
-                raise InvariantViolation(
-                    "matching semisimple factor multiset not unique",
-                    witness=sorted(keys))
-            return target, matches[0][1]
+            first, *rest = matches
+            for rep in rest:
+                if not isomorphic(rep, first):
+                    raise InvariantViolation(
+                        "semisimple representations inducing the law are not isomorphic",
+                        witness=(first, rep))
+            return target, first
     raise NotFoundWithinBound(
         f"no semisimple representation inducing the law over an extension of degree "
         f"dividing lcm(1..{D.d}) = {bound}")
@@ -423,22 +419,21 @@ def _irreducible_modules(A, D, field):
             continue
         # Schur: absolutely irreducible factors of one dimension are
         # isomorphic iff some nonzero map intertwines them
-        if not any(g.dim == f.dim and intertwiner_basis(f.field, f.images, g.images, f.dim)
-                   for g in out):
+        if not any(g.dim == f.dim and _hom_dim(f, g) for g in out):
             out.append(f)
     out.sort(key=lambda r: r.sort_key())
     return out
 
 
 def _absolutely_irreducible(rep):
-    return len(intertwiner_basis(rep.field, rep.images, rep.images, rep.dim)) == 1
+    return _hom_dim(rep, rep) == 1
 
 
 def _module_factors(rep):
     """Composition factors of a module: ``semisimplify``'s exhaustive
     subspace search at small dimension, cyclic-submodule spinning above it."""
     if rep.dim <= 3:
-        return semisimplify(rep).factors
+        return semisimplify(rep)
     F = rep.field
     n = rep.dim
     pool = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]

@@ -16,15 +16,11 @@ from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product
 from math import prod
 
-from . import poly
-from .errors import (EnumerationCapExceeded, SearchCapExceeded, ShapeMismatch)
+from .errors import EnumerationCapExceeded, HypothesisViolation, ShapeMismatch
 from .groups import FiniteGroup
 from .linalg import (Mat, all_subspaces, block_matrix, combine, gl_order,
                      is_stable, nullspace, projective_points, reduce_vector,
                      rref)
-
-# the most intertwiner combinations isomorphic enumerates when d >= q
-INTERTWINER_POINT_CAP = 200000
 
 
 class Representation:
@@ -573,67 +569,51 @@ def _rebuild(rep, dim, images):
     return Representation(rep.source, rep.field, dim, images, check_now=False)
 
 
-class JHDecomposition:
-    """Multiset of irreducible Jordan-Hoelder factors, canonically sorted."""
-
-    def __init__(self, factors):
-        self.factors = sorted(factors, key=lambda r: r.sort_key())
-
-    def multiset_key(self):
-        """Iso-invariant key: sorted (dim, char-poly data) of each factor."""
-        out = []
-        for f in self.factors:
-            out.append((f.dim, tuple(m.char_poly_coeffs() for m in f.images)))
-        return tuple(sorted(out))
-
-    def direct_sum_rep(self):
-        return direct_sum(*self.factors)
-
-    def __repr__(self):
-        return f"JH({[f.dim for f in self.factors]})"
-
-
 def semisimplify(rep):
-    """Jordan-Hoelder factors by recursive splitting along stable subspaces."""
+    """The Jordan-Hoelder factors of rep, by recursive splitting along
+    stable subspaces, as a tuple sorted by sort_key."""
     sub_rows = invariant_subspace(rep)
     if sub_rows is None:
-        return JHDecomposition([rep])
+        return (rep,)
     sub, quo = sub_quotient_reps(rep, sub_rows)
-    return JHDecomposition(semisimplify(sub).factors + semisimplify(quo).factors)
+    return tuple(sorted(semisimplify(sub) + semisimplify(quo), key=Representation.sort_key))
+
+
+def _hom_dim(rep1, rep2):
+    """dim Hom(rep1, rep2) for representations of one dimension: the
+    T with T rep1(a) = rep2(a) T for every acting matrix."""
+    return len(intertwiner_basis(rep1.field, _acting_matrices(rep2), _acting_matrices(rep1),
+                                 rep1.dim))
+
+
+def is_semisimple(rep, factors):
+    """Whether rep, whose Jordan-Hoelder factors are ``factors``, is
+    semisimple: iff dim End rep = dim End rep^ss.  Otherwise the orbit of
+    rep^ss lies in the boundary of rep's orbit, which has lower dimension,
+    so rep^ss has the larger stabilizer."""
+    if len(factors) == 1:
+        return True
+    ss = direct_sum(*factors)
+    return _hom_dim(rep, rep) == _hom_dim(ss, ss)
 
 
 def isomorphic(rep1, rep2):
-    """Exact isomorphism test via the intertwiner space.
+    """Whether two semisimple representations are isomorphic: iff they
+    share source, field and dimension and dim Hom(rep1, rep2) =
+    dim End rep1 = dim End rep2.  With m_S and n_S the multiplicities of a
+    simple S, dim End rep1 + dim End rep2 - 2 dim Hom(rep1, rep2) is
+    sum_S (m_S - n_S)^2 dim End S, zero only when every m_S = n_S.
 
-    An invertible intertwiner exists iff det(sum x_i T_i) is a nonzero
-    polynomial; for deg < q a witness is found by deterministic
-    variable-by-variable substitution, otherwise the solution space is
-    enumerated (at most INTERTWINER_POINT_CAP points).
+    A representation that is not semisimple raises HypothesisViolation,
+    with it as the witness.
     """
+    for rep in (rep1, rep2):
+        if not is_semisimple(rep, semisimplify(rep)):
+            raise HypothesisViolation("isomorphic compares semisimple representations only",
+                                      witness=rep)
     if rep1.source is not rep2.source or rep1.field != rep2.field or rep1.dim != rep2.dim:
         return False
-    if rep1.images == rep2.images:
-        return True
-    F = rep1.field
-    d = rep1.dim
-    basis = intertwiner_basis(F, rep1.images, rep2.images, d)
-    if not basis:
-        return False
-    m = len(basis)
-    names = tuple(f"x{i}" for i in range(m))
-    entries = [poly.MPoly.linear(F, names, [B.data[c] for B in basis])
-               for c in range(d * d)]
-    detp = poly.symbolic_det(F, names, entries, d)
-    if detp.is_zero():
-        return False
-    if d < F.q:
-        return True
-    if F.q ** m > INTERTWINER_POINT_CAP:
-        raise SearchCapExceeded("intertwiner space too large to certify invertibility")
-    for coeffs in product(range(F.q), repeat=m):
-        if detp.evaluate(dict(zip(names, coeffs))):
-            return True
-    return False
+    return _hom_dim(rep1, rep2) == _hom_dim(rep1, rep1) == _hom_dim(rep2, rep2)
 
 
 # --- irreducibles and characters ---

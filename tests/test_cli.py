@@ -299,7 +299,7 @@ def test_subcommand_help_text(capsys, argv):
     assert all(sub in USAGE for sub in cli._COMMANDS)
 
 
-def test_every_subcommand_parses_every_flag():
+def test_every_subcommand_parses_every_flag(monkeypatch):
     flags = ["--d", "3", "--field", "5^2", "--cap", "17", "--chars", "triv,c1",
              "--v1", "a", "--v2", "b", "--psi", "c", "--chi", "e",
              "--output", "summary"]
@@ -310,15 +310,19 @@ def test_every_subcommand_parses_every_flag():
     # the --flag=value and unique-prefix forms, and flags before the words
     spelled = [["--output=summary"], ["--out", "summary"], ["--o=summary"]]
     assert sorted(cli._COMMANDS) == sorted(SUBCOMMANDS + ("selftest",))
-    for sub in SUBCOMMANDS + ("selftest",):
-        assert cli._COMMANDS[sub] is getattr(cli, "_cmd_" + sub.replace("-", "_"))
-        head = [sub] if sub == "selftest" else [sub, "inst.json"]
-        place = {"instance": None if sub == "selftest" else "inst.json"}
-        cases = [(head, defaults), (head + flags, set_all), (flags + head, set_all)]
-        cases += [(head + form, {**defaults, "output": "summary"}) for form in spelled]
-        for argv, want in cases:
-            got = vars(cli._parse_args(argv))
-            assert got == {"command": sub, **place, **want}
+    # the second pass: POSIXLY_CORRECT once stopped the parse at the first word
+    for posix in (False, True):
+        if posix:
+            monkeypatch.setenv("POSIXLY_CORRECT", "1")
+        for sub in SUBCOMMANDS + ("selftest",):
+            assert cli._COMMANDS[sub] is getattr(cli, "_cmd_" + sub.replace("-", "_"))
+            head = [sub] if sub == "selftest" else [sub, "inst.json"]
+            place = {"instance": None if sub == "selftest" else "inst.json"}
+            cases = [(head, defaults), (head + flags, set_all), (flags + head, set_all)]
+            cases += [(head + form, {**defaults, "output": "summary"}) for form in spelled]
+            for argv, want in cases:
+                got = vars(cli._parse_args(argv))
+                assert got == {"command": sub, **place, **want}
 
 
 S3_F3 = _inst("s3_f3.json")

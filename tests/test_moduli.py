@@ -8,13 +8,15 @@ from detlaw.moduli import (degeneration_lands_in_closed_orbit,
                            degeneration_limit, invariants_separate_laws,
                            orbit_partition, psi_fiber, word_invariant_vector,
                            word_invariants)
-from detlaw.pseudo import PseudoRep, det_law
-from detlaw.reps import Representation, characters, direct_sum, semisimplify
+from detlaw.pseudo import PseudoRep, det_law, split_search
+from detlaw.reps import Representation, characters, direct_sum, isomorphic, semisimplify
+from oracles import isomorphic_by_search
 
 F2 = make_field(2)
 F3 = make_field(3)
 F5 = make_field(5)
 F7 = make_field(7)
+F4 = make_field(2, 2)
 
 
 def test_orbit_partition_methods_agree():
@@ -105,9 +107,8 @@ def test_c3_f7_six_classes():
 def test_closed_iff_semisimple():
     report = orbit_partition(symmetric(3), 2, F3)
     for o in report.orbits:
-        from detlaw.reps import isomorphic
-        ss = semisimplify(o.rep).direct_sum_rep()
-        assert o.is_closed == isomorphic(o.rep, ss)
+        ss = direct_sum(*semisimplify(o.rep))
+        assert o.is_closed == isomorphic_by_search(o.rep, ss)
 
 
 def test_psi_fiber_c3_f3():
@@ -125,13 +126,43 @@ def test_psi_fiber_c3_f3():
 def test_psi_fiber_base_changes_orbits_to_the_split_field():
     # law 0 of C3 over F_2 at d = 2 is the 2-dimensional irreducible, which
     # splits only over F_4 into the two characters t -> w, t -> w^2: the
-    # orbit is base-changed before its Jordan-Hoelder key is compared
+    # orbit is base-changed before it is compared with the split sum
     report = orbit_partition(cyclic(3), 2, F2)
     fib = psi_fiber(report, report.pseudoreps[0])
     assert fib.orbit_indices == [0] and fib.closed_index == 0
-    assert [dim for dim, _ in fib.jh_key] == [1, 1]
+    factors = semisimplify(moduli._to_field(report.orbits[0].rep, F4))
+    assert [f.dim for f in factors] == [1, 1]
     # the images of the three elements lie in F_4^x = {1, 2, 3}, not in F_2
-    assert {c for _, images in fib.jh_key for (c,) in images} == {1, 2, 3}
+    assert {c for f in factors for m in f.images for c in m.data} == {1, 2, 3}
+    field, split = split_search(report.pseudoreps[0])
+    assert field == F4
+    assert isomorphic(direct_sum(*factors),
+                      Representation(report.group, F4, 2, split.images, check_now=False))
+
+
+@pytest.mark.parametrize("G, F, fibers", [
+    (cyclic(3), F5, [([0], 0), ([1], 1)]),
+    (cyclic(4), F3, [([0], 0), ([1], 1), ([2], 2), ([3], 3)]),
+    (cyclic(3), F2, [([0], 0), ([1], 1)]),
+], ids=["C3-F_5", "C4-F_3", "C3-F_2"])
+def test_psi_fiber_over_laws_that_split_only_over_f_q2(G, F, fibers):
+    # each case has a law whose split representation lives over F_{q^2}
+    # only, on the group algebra, which psi_fiber compares on the group
+    report = orbit_partition(G, 2, F)
+    got = [psi_fiber(report, D) for D in report.pseudoreps]
+    assert [(f.orbit_indices, f.closed_index) for f in got] == fibers
+    assert any(split_search(D)[0].q == F.q ** 2 for D in report.pseudoreps)
+
+
+def test_psi_fiber_rejects_a_member_that_is_not_the_split_representation():
+    # the orbit of law 0 carries the Jordan-Hoelder factors of another law
+    report = orbit_partition(symmetric(3), 2, F5)
+    i = report.fiber_map[0][0]
+    other = next(o for o in report.orbits if o.pseudo_index != 0)
+    report.orbits[i].jh = other.jh
+    with pytest.raises(InvariantViolation) as info:
+        psi_fiber(report, report.pseudoreps[0])
+    assert info.value.witness == {"orbit": i, "law": 0}
 
 
 def test_psi_fiber_unknown_law():
@@ -151,8 +182,7 @@ def test_degeneration_limit_is_semisimple():
     report = orbit_partition(cyclic(3), 2, F3)
     for o in report.orbits:
         lim = degeneration_limit(o.rep)
-        from detlaw.reps import isomorphic
-        assert isomorphic(lim, semisimplify(lim).direct_sum_rep())
+        assert isomorphic(lim, direct_sum(*semisimplify(lim)))
 
 
 def test_word_invariants_constant_on_orbits():

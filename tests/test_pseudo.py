@@ -256,24 +256,17 @@ def test_split_search_scans_divisors_of_lcm_1_to_d():
 
 
 def test_split_search_rejects_two_factor_multisets(monkeypatch):
-    # every match is found twice and every multiset key differs
-    keys = iter(range(1000))
-
-    class DistinctKeys:
-        def __init__(self, factors):
-            pass
-
-        def multiset_key(self):
-            return next(keys)
-
+    # every match is found twice, and the isomorphism test says no
     dim_multisets = pseudo_mod._dim_multisets
-    monkeypatch.setattr(pseudo_mod, "JHDecomposition", DistinctKeys)
+    monkeypatch.setattr(pseudo_mod, "isomorphic", lambda rep1, rep2: False)
     monkeypatch.setattr(pseudo_mod, "_dim_multisets",
                         lambda irs, d: dim_multisets(irs, d) * 2)
     cs = characters(symmetric(3), F5)
+    D = PseudoRep.induce(direct_sum(cs[0], cs[1]))
     with pytest.raises(InvariantViolation) as info:
-        split_search(PseudoRep.induce(direct_sum(cs[0], cs[1])))
-    assert len(info.value.witness) == 2
+        split_search(D)
+    first, other = info.value.witness
+    assert first == other and PseudoRep.induce(first).equals(D)
 
 
 def test_ch_quotient_rejects_a_law_that_does_not_factor(monkeypatch):

@@ -5,7 +5,7 @@ from math import prod
 import pytest
 
 from detlaw import reps
-from detlaw.errors import EnumerationCapExceeded, ShapeMismatch
+from detlaw.errors import EnumerationCapExceeded, HypothesisViolation, ShapeMismatch
 from detlaw.fields import make_field
 from detlaw.groups import (cyclic, dihedral, direct_product,
                            semidirect_cyclic_squared, symmetric)
@@ -18,6 +18,7 @@ from detlaw.reps import (Representation, centralizer_or_full, characters,
                          irreducible_reps, isomorphic, least_conjugate,
                          order_candidates, order_class_reps, semisimplify,
                          sub_quotient_reps, trivial_rep)
+from oracles import isomorphic_by_search
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -279,9 +280,7 @@ def test_semisimplify_idempotent():
     S3 = symmetric(3)
     for rep in (r for r, _ in hom_orbit_reps(S3, 2, F3)):
         jh = semisimplify(rep)
-        ss = jh.direct_sum_rep()
-        again = semisimplify(ss)
-        assert jh.multiset_key() == again.multiset_key()
+        assert semisimplify(direct_sum(*jh)) == jh
 
 
 def test_isomorphic_iff_conjugate_exhaustive():
@@ -298,13 +297,52 @@ def test_isomorphic_iff_conjugate_exhaustive():
     (symmetric(3), 3, F3)], ids=["S3-d2-F_2", "C3-d2-F_2", "D4-d2-F_2", "S3-d3-F_3"])
 def test_isomorphic_scans_the_intertwiners_when_d_reaches_q(G, d, F):
     # d >= q, so a nonzero det(sum x_i T_i) does not yet give an invertible
-    # intertwiner and isomorphic enumerates the q^m combinations
+    # intertwiner and the search oracle enumerates the q^m combinations;
+    # the rank rule agrees on semisimple pairs and refuses the others
     orbit_reps = [r for r, _ in hom_orbit_reps(G, d, F)]
     g = Mat(F, d, d, [int(x % (d + 1) == 0 or x == 1) for x in range(d * d)])
     for i, r in enumerate(orbit_reps):
-        assert isomorphic(r, conjugate_rep(r, g))
-        for s in orbit_reps[i + 1:]:
-            assert not isomorphic(r, s)
+        pairs = [(r, conjugate_rep(r, g), True)] + [(r, s, False) for s in orbit_reps[i + 1:]]
+        for a, b, want in pairs:
+            assert isomorphic_by_search(a, b) == want
+            if all(_semisimple(x) for x in (a, b)):
+                assert isomorphic(a, b) == want
+            else:
+                with pytest.raises(HypothesisViolation):
+                    isomorphic(a, b)
+
+
+def _semisimple(rep):
+    return isomorphic_by_search(rep, direct_sum(*semisimplify(rep)))
+
+
+@pytest.mark.parametrize("G, d, F", [
+    (symmetric(3), 2, F2), (symmetric(3), 2, F3), (dihedral(4), 2, F3),
+    (dihedral(4), 2, F5), (dihedral(5), 2, F5), (cyclic(3), 3, F3), (symmetric(3), 3, F3)],
+    ids=["S3-d2-F_2", "S3-d2-F_3", "D4-d2-F_3", "D4-d2-F_5", "D5-d2-F_5", "C3-d3-F_3",
+         "S3-d3-F_3"])
+def test_isomorphic_by_ranks_equals_the_search(G, d, F):
+    # every (semisimplification, closed-orbit representative) pair: the
+    # three ranks against an invertible intertwiner found by search
+    report = orbit_partition(G, d, F)
+    closed = [o.rep for o in report.orbits if o.is_closed]
+    for o in report.orbits:
+        ss = direct_sum(*o.jh)
+        got = [isomorphic(ss, c) for c in closed]
+        assert got == [isomorphic_by_search(ss, c) for c in closed]
+        assert got.count(True) == 1
+
+
+def test_isomorphic_refuses_a_non_split_extension():
+    # C3 over F_3: the unipotent rep is a non-split extension of triv by triv
+    C3 = cyclic(3)
+    u = Mat.from_rows(F3, [[1, 1], [0, 1]])
+    ext = Representation(C3, F3, 2, [u ** k for k in range(3)])
+    triv2 = trivial_rep(C3, F3, 2)
+    for args in ((ext, triv2), (triv2, ext)):
+        with pytest.raises(HypothesisViolation) as info:
+            isomorphic(*args)
+        assert info.value.witness is ext
 
 
 def test_intertwiner_basis_schur():
