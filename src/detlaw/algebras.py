@@ -180,9 +180,10 @@ class Ideal:
         return f"Ideal(dim={self.dim} in {self.parent.name})"
 
 
-def ideal_generated(algebra, elems):
-    """Smallest two-sided ideal containing elems, by span closure."""
-    basis, _ = span_closure(algebra.field, elems, algebra.multiplication_maps())
+def ideal_generated(algebra, elems, bound=None):
+    """Smallest two-sided ideal containing elems, by span closure; elems may
+    be a lazy iterable, read only until the ideal reaches dimension bound."""
+    basis, _ = span_closure(algebra.field, elems, algebra.multiplication_maps(), bound)
     return Ideal(algebra, basis, check=False)
 
 

@@ -120,30 +120,45 @@ class FieldDesc:
         return code
 
     def _build_tables(self):
+        """Addition digit by digit, multiplication and inverses from the
+        discrete logarithms to the least primitive element."""
         q, p = self.q, self.p
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        for a in range(q):
-            ca = self._coeffs[a]
-            for b in range(a, q):
-                cb = self._coeffs[b]
-                s = self._encode([(x + y) % p for x, y in zip(ca, cb)])
-                add[a * q + b] = s
-                add[b * q + a] = s
-                m = self._encode(_poly_mul_mod(list(ca), list(cb), list(self.modulus), p)) if a and b else 0
-                mul[a * q + b] = m
-                mul[b * q + a] = m
+        add, m = [0], 1  # the table on the codes below m = p^j
+        while m < q:
+            wide = []
+            for ah in range(p):  # codes a = al + m ah below m p, in order
+                highs = [m * ((ah + bh) % p) for bh in range(p)]
+                for al in range(m):
+                    low = add[al * m:(al + 1) * m]
+                    wide += [s + high for high in highs for s in low]
+            add, m = wide, m * p
+        powers = self._primitive_powers()
+        log = [0] * q
+        for i, c in enumerate(powers):
+            log[c] = i
+        logs = log[1:]
+        twice = powers + powers
+        mul = [0] * q
+        for la in logs:
+            mul.append(0)
+            mul += [twice[la + lb] for lb in logs]
         self._add = add
         self._mul = mul
         self._neg = [self._encode([(-x) % p for x in self._coeffs[a]]) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            if inv[a]:
-                continue
-            b = self.pow(a, q - 2)
-            inv[a] = b
-            inv[b] = a
-        self._inv = inv
+        self._inv = [0] + [powers[-la] for la in logs]
+
+    def _primitive_powers(self):
+        """[1, g, g^2, ..., g^(q-2)] for the least code g of multiplicative
+        order q - 1, by polynomial multiplication modulo the modulus."""
+        p, modulus = self.p, list(self.modulus)
+        for g in range(1, self.q):
+            factor, powers, x = list(self._coeffs[g]), [1], g
+            while x != 1:
+                powers.append(x)
+                x = self._encode(_poly_mul_mod(list(self._coeffs[x]), factor, modulus, p))
+            if len(powers) == self.q - 1:
+                return powers
+        raise AssertionError("no primitive element")  # unreachable: F* is cyclic
 
     # --- code-level arithmetic ---
 

@@ -307,10 +307,16 @@ def in_span(field, vec, basis, pivots):
     return not any(reduce_vector(field, vec, basis, pivots))
 
 
-def span_closure(field, rows, maps):
+def span_closure(field, rows, maps, bound=None):
     """The smallest subspace that contains rows and that every linear map in
     maps (callables on code tuples) sends into itself, as (RREF basis,
-    pivots).  Each vector that enlarges the span is mapped once."""
+    pivots).  Each vector that enlarges the span is mapped once.
+
+    Rows are read one at a time and each is closed under maps before the
+    next is read.  With ``bound`` no further row is read once the span
+    reaches that dimension: the result is then the closure of the rows read
+    so far, which is the whole closure whenever bound is an upper bound on
+    its dimension."""
     basis, pivots, added = [], [], []
 
     def grow(vec):
@@ -318,11 +324,16 @@ def span_closure(field, rows, maps):
         if _adjoin(field, basis, pivots, r):
             added.append(r)
 
-    for v in rows:
+    rows = iter(rows)
+    while bound is None or len(basis) < bound:
+        v = next(rows, None)
+        if v is None:
+            break
         grow(v)
-    for v in added:  # grows while it is walked
-        for f in maps:
-            grow(f(v))
+        for w in added:  # grows while it is walked
+            for f in maps:
+                grow(f(w))
+        added.clear()
     return [tuple(b) for b in basis], pivots
 
 

@@ -11,7 +11,7 @@ factors.
 """
 
 from collections import Counter
-from itertools import chain, combinations_with_replacement, compress, product, repeat
+from itertools import combinations_with_replacement, product
 from math import comb, lcm
 
 from .algebras import FinAlgebra, GroupAlgebra, Ideal, ideal_generated, quotient
@@ -211,7 +211,7 @@ def is_cayley_hamilton(D):
     return not ch_ideal(D).basis
 
 
-def ch_ideal(D):
+def ch_ideal(D, bound=None):
     """The obstruction ideal, generated by the coefficients of chi(x, x) at
     the generic element, computed one monomial at a time with no symbolic
     chi(x, x).
@@ -219,20 +219,22 @@ def ch_ideal(D):
     For a multiset m of d basis indices the coefficient of x^m is
     sum_i (-1)^i sum_{m' <= m, |m'| = i} L_i[m'] S(m - m'), with L_0 = 1,
     where S(k), the coefficient of x^k in x^|k|, is the sum of the products
-    of k's basis elements over its distinct orderings.  On a group algebra
-    D and every L_i are conjugation invariant, so chi(h x h^-1) =
-    h chi(x) h^-1 and one multiset per simultaneous-conjugation orbit
-    generates the same two-sided ideal.
+    of k's basis elements over its distinct orderings; each L_i[m'] is
+    looked up in L_i's terms by its exponent tuple.  chi(x + t, x + t) =
+    chi(x, x) for a scalar t, so a monomial with a positive exponent on a
+    basis element equal to the unit has coefficient 0 and is skipped.  On a
+    group algebra D and every L_i are conjugation invariant, so
+    chi(h x h^-1) = h chi(x) h^-1 and one multiset per
+    simultaneous-conjugation orbit generates the same two-sided ideal.
+
+    The coefficient rows are made lazily and closed one at a time; given
+    ``bound``, an upper bound on the ideal's dimension, no row is made once
+    the closure reaches it.
     """
     A = D.source
     F = A.field
     n = A.n
-    minus_one = F.neg(1)
-    lams = [{(): 1}]  # (-1)^i L_i, keyed by the sorted indices of a monomial
-    for i, L in enumerate(D.lambda_polys(), start=1):
-        lams.append({tuple(chain.from_iterable(repeat(j, e[j]) for j in compress(range(n), e))):
-                     F.mul(c, minus_one) if i % 2 else c
-                     for e, c in L.terms.items()})
+    lams = [{(0,) * n: 1}] + [L.terms for L in D.lambda_polys()]
     powers = {(): {j: c for j, c in enumerate(A.unit) if c}}
 
     def power_coeff(k):
@@ -253,26 +255,33 @@ def ch_ideal(D):
         G = A.group
         conjugations = [tuple(G.table[G.table[h][g]][G.inverse(h)] for g in range(n))
                         for h in range(n)]
-    seen = set()
-    rows = []
-    for m in combinations_with_replacement(range(n), D.d):
-        if m in seen:
-            continue
-        seen.update(tuple(sorted(map(p.__getitem__, m))) for p in conjugations)
-        counts = list(Counter(m).items())
-        row = [0] * n
-        for take in product(*(range(k + 1) for _, k in counts)):
-            sub, rest = (), ()
-            for (g, k), t in zip(counts, take):
-                sub += (g,) * t
-                rest += (g,) * (k - t)
-            c = lams[len(sub)].get(sub)
-            if c:
-                for j, v in power_coeff(rest).items():
-                    row[j] = F.add(row[j], F.mul(c, v))
-        if any(row):
-            rows.append(tuple(row))
-    return ideal_generated(A, rows)
+    others = [j for j, e in enumerate(A.basis) if e != A.unit]
+
+    def rows():
+        seen = set()
+        for m in combinations_with_replacement(others, D.d):
+            if m in seen:
+                continue
+            seen.update(tuple(sorted(map(p.__getitem__, m))) for p in conjugations)
+            counts = list(Counter(m).items())
+            row = [0] * n
+            key = [0] * n  # the exponent tuple of the sub-multiset m'
+            for take in product(*(range(k + 1) for _, k in counts)):
+                rest = ()
+                for (g, k), t in zip(counts, take):
+                    key[g] = t
+                    rest += (g,) * (k - t)
+                i = D.d - len(rest)
+                c = lams[i].get(tuple(key))
+                if c:
+                    if i % 2:
+                        c = F.neg(c)
+                    for j, v in power_coeff(rest).items():
+                        row[j] = F.add(row[j], F.mul(c, v))
+            if any(row):
+                yield tuple(row)
+
+    return ideal_generated(A, rows(), bound)
 
 
 def ch_quotient(D):
@@ -280,13 +289,17 @@ def ch_quotient(D):
     factored law of a law induced from a representation rho.
 
     Each rho(x) satisfies its own characteristic polynomial, so rho kills
-    the Cayley-Hamilton ideal; that is checked exactly on the ideal's basis.
-    Then rho = rho_Q o project with rho_Q = rho o lift, and D_Q is the law
-    induced from rho_Q, so D = D_Q o project."""
+    the Cayley-Hamilton ideal, which therefore lies in ker rho: its
+    closure stops once it reaches dim ker rho.  rho killing the ideal is
+    checked exactly on its basis, which with the equal dimensions also
+    certifies an early stop.  Then rho = rho_Q o project with rho_Q =
+    rho o lift, and D_Q is the law induced from rho_Q, so D = D_Q o
+    project."""
     rho = D.rep
     if rho is None:
         raise HypothesisViolation("ch_quotient needs a law induced from a representation")
-    ideal = ch_ideal(D)
+    entries = [tuple(M.data[c] for M in rho.images) for c in range(D.d * D.d)]
+    ideal = ch_ideal(D, bound=D.source.n - len(rref(D.field, entries)[0]))
     for a in ideal.basis:
         if any(rho.image_of(a).data):
             raise InvariantViolation("rho does not kill the Cayley-Hamilton ideal", witness=a)

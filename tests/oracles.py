@@ -2,6 +2,7 @@
 
 from itertools import product
 
+from detlaw.fields import _poly_mul_mod
 from detlaw.poly import MPoly, symbolic_det
 from detlaw.reps import intertwiner_basis
 
@@ -32,3 +33,20 @@ def isomorphic_by_search(rep1, rep2):
         return True
     return any(detp.evaluate(dict(zip(names, coeffs)))
                for coeffs in product(range(F.q), repeat=len(basis)))
+
+
+def field_tables_by_pairs(F):
+    """The add and mul tables of F, one unordered pair of codes at a time:
+    coefficientwise sums and products of polynomials modulo F's modulus."""
+    q, p = F.q, F.p
+    add = [0] * (q * q)
+    mul = [0] * (q * q)
+    for a in range(q):
+        ca = F.coeffs(a)
+        for b in range(a, q):
+            cb = F.coeffs(b)
+            s = F._encode([(x + y) % p for x, y in zip(ca, cb)])
+            add[a * q + b] = add[b * q + a] = s
+            m = F._encode(_poly_mul_mod(list(ca), list(cb), list(F.modulus), p)) if a and b else 0
+            mul[a * q + b] = mul[b * q + a] = m
+    return add, mul

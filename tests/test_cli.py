@@ -205,7 +205,7 @@ def test_ordinary_without_a_second_character(capsys):
 def test_invariant_violation_exits_3(capsys, monkeypatch):
     # a failed check of a mathematical claim is not bad input
     monkeypatch.setattr(pseudo_mod, "ch_ideal",
-                        lambda D: Ideal(D.source, D.source.basis))
+                        lambda D, bound=None: Ideal(D.source, D.source.basis))
     code, out = run(capsys, "ch-quotient", _inst("s3_f3.json"))
     assert code == 3
     assert json.loads(out)["error"]["code"] == "InvariantViolation"

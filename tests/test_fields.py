@@ -1,7 +1,8 @@
 import pytest
 
 from detlaw.errors import NoEmbedding, NotPrime
-from detlaw.fields import embed_code, embedding_table, make_field
+from detlaw.fields import TABLE_CAP, embed_code, embedding_table, is_prime, make_field
+from oracles import field_tables_by_pairs
 
 
 def test_prime_field_arithmetic():
@@ -31,6 +32,28 @@ def test_extension_field_axioms():
                 assert F.mul(a, b) == F.mul(b, a)
                 for c in range(q):
                     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+def _tabled_fields():
+    """(p, k) for every field with tables: all q = p^k <= TABLE_CAP."""
+    out = []
+    for p in filter(is_prime, range(2, TABLE_CAP + 1)):
+        k = 1
+        while p ** k <= TABLE_CAP:
+            out.append((p, k))
+            k += 1
+    return out
+
+
+@pytest.mark.parametrize("p, k", _tabled_fields(), ids=lambda v: str(v))
+def test_tables_match_the_pairwise_construction(p, k):
+    # the log-table products and digitwise sums equal polynomial arithmetic
+    # modulo the modulus on every pair; inverses and negatives agree with them
+    F = make_field(p, k)
+    assert (F._add, F._mul) == field_tables_by_pairs(F)
+    q = F.q
+    assert all(F._mul[a * q + F._inv[a]] == 1 for a in range(1, q))
+    assert all(F._add[a * q + F._neg[a]] == 0 for a in range(q))
 
 
 def test_multiplicative_group_order():

@@ -5,11 +5,12 @@ import pytest
 
 import detlaw.poly as poly_mod
 import detlaw.pseudo as pseudo_mod
-from detlaw.algebras import FinAlgebra, Ideal, group_algebra, ideal_generated, quotient
+from detlaw.algebras import (FinAlgebra, GroupAlgebra, Ideal, group_algebra, ideal_generated,
+                             quotient)
 from detlaw.errors import (HypothesisViolation, InvariantViolation, NotAnIdeal,
                            ShapeMismatch)
 from detlaw.fields import make_field
-from detlaw.groups import cyclic, dihedral, direct_product, symmetric
+from detlaw.groups import cyclic, dihedral, direct_product, semidirect_cyclic_squared, symmetric
 from detlaw.linalg import Mat, combine, nullspace, projective_points, rref
 from detlaw.poly import MPoly
 from detlaw.pseudo import (PseudoRep, ch_ideal, ch_quotient, det_law,
@@ -273,7 +274,7 @@ def test_ch_quotient_rejects_a_law_that_does_not_factor(monkeypatch):
     # the whole algebra in place of the Cayley-Hamilton ideal: Q = 0, so
     # D_Q o project is the zero polynomial in the n = 3 coordinates
     monkeypatch.setattr(pseudo_mod, "ch_ideal",
-                        lambda D: Ideal(D.source, D.source.basis))
+                        lambda D, bound=None: Ideal(D.source, D.source.basis))
     cs = characters(cyclic(3), F7)
     D = PseudoRep.induce(direct_sum(cs[0], cs[1]))
     with pytest.raises(InvariantViolation) as info:
@@ -290,7 +291,7 @@ def test_ch_quotient_rejects_the_augmentation_ideal(monkeypatch):
     A = D.source
     aug = ideal_generated(A, [A.sub(e, A.unit) for e in A.basis])
     assert aug.dim == 5
-    monkeypatch.setattr(pseudo_mod, "ch_ideal", lambda D: aug)
+    monkeypatch.setattr(pseudo_mod, "ch_ideal", lambda D, bound=None: aug)
     with pytest.raises(InvariantViolation):
         ch_quotient(D)
 
@@ -489,10 +490,15 @@ def test_ch_ideal_matches_the_symbolic_oracle(D):
 def test_ch_ideal_rows_are_the_coefficients_of_chi(monkeypatch):
     # a plain FinAlgebra copy of F[G] has the same structure constants but
     # no orbit reduction, so every nonzero coefficient row of chi(x, x)
-    # reaches ideal_generated
+    # reaches ideal_generated (which reads the lazy rows in full without a
+    # bound)
     seen = []
-    monkeypatch.setattr(pseudo_mod, "ideal_generated",
-                        lambda A, gens: seen.append(gens) or ideal_generated(A, gens))
+
+    def capture(A, gens, bound=None):
+        seen.append(list(gens))
+        return ideal_generated(A, seen[-1], bound)
+
+    monkeypatch.setattr(pseudo_mod, "ideal_generated", capture)
     for group, field, k in ((symmetric(3), F5, 2), (symmetric(3), F5, 3),
                             (dihedral(4), F3, 3), (dihedral(4), F3, 4)):
         cs = characters(group, field)
@@ -509,6 +515,55 @@ def test_ch_ideal_rows_are_the_coefficients_of_chi(monkeypatch):
         I = ch_ideal(D)
         assert len(seen[0]) < len(_oracle_rows(plain))
         assert I.basis == I_plain.basis
+
+
+@pytest.mark.parametrize("D", [pytest.param(D, id=name) for name, D in _ch_sweep()])
+def test_chi_has_no_monomial_on_the_unit(D):
+    # chi(x + t, x + t) = chi(x, x) for a scalar t, so no monomial with a
+    # positive exponent on a basis element equal to the unit survives: the
+    # monomials ch_ideal skips
+    A = D.source
+    units = [j for j, e in enumerate(A.basis) if e == A.unit]
+    assert units or not isinstance(A, GroupAlgebra)
+    assert not any(e[j] for c in _ch_element(D) for e in c.terms for j in units)
+
+
+def _larger_ch_laws():
+    """2-4 characters (repeated where the field has fewer) on the gma
+    workload's groups of order 12 to 50, all with p prime to |G|."""
+    out = []
+    for G, F in ((semidirect_cyclic_squared(5, 2, 4), make_field(11)),
+                 (dihedral(10), make_field(11)),
+                 (direct_product(cyclic(3), symmetric(3)), F7), (dihedral(6), F7)):
+        cs = characters(G, F)
+        out += [(f"{G.name}-F{F.q}-{k}", _sum_law([cs[i % len(cs)] for i in range(k)]))
+                for k in (2, 3, 4)]
+    return out
+
+
+@pytest.mark.parametrize("D", [pytest.param(D, id=name)
+                               for name, D in dict(_ch_sweep() + _larger_ch_laws()).items()])
+def test_ch_quotient_bounds_the_ideal_by_the_kernel_of_rho(D, monkeypatch):
+    # CH(D) lies in ker(rho), so ch_quotient stops the closure at dim
+    # ker(rho) and gets the full ideal; with p prime to |G| the quotient is
+    # semisimple (Maschke) and the ideal is all of ker(rho), so the closure
+    # does stop there
+    A = D.source
+    images = [tuple(M.data[c] for M in D.rep.images) for c in range(D.d * D.d)]
+    ker_dim = len(nullspace(A.field, images, A.n))
+    full = ch_ideal(D)
+    bounds = []
+
+    def spy(D, bound=None):
+        bounds.append(bound)
+        return ch_ideal(D, bound)
+
+    monkeypatch.setattr(pseudo_mod, "ch_ideal", spy)
+    ch_quotient(D)
+    assert bounds == [ker_dim]
+    assert ch_ideal(D, bound=ker_dim) == full
+    if isinstance(A, GroupAlgebra) and A.group.order % A.field.p:
+        assert full.dim == ker_dim
 
 
 def _kernel_cases():
