@@ -13,7 +13,7 @@ status is 1.
 import json
 import os
 import sys
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import (cohomology, fields, gma, groups, moduli, ordinary, pseudo, reps,
@@ -21,7 +21,7 @@ from . import (cohomology, fields, gma, groups, moduli, ordinary, pseudo, reps,
 from .errors import DetlawError, InvariantViolation, SchemaError
 
 
-JSON_BATCH = 4096  # encoder chunks joined into one write
+JSON_BATCH = 1024  # pieces of JSON text joined into one write
 
 # each flag's type: int, str or its choices; default None unless in DEFAULTS
 FLAGS = {"d": int, "field": str, "cap": int, "chars": str, "v1": str, "v2": str,
@@ -130,11 +130,40 @@ def _parse_args(argv):
 
 def _json_batches(report):
     """The text of json.dumps(report, sort_keys=True, indent=2) and a newline,
-    as strings of JSON_BATCH encoder chunks each.  The whole text is never
-    held at once, and one write per chunk would cost more than the encoding."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
-    while batch := list(islice(chunks, JSON_BATCH)):
-        yield "".join(batch)
+    in writes of at most JSON_BATCH pieces plus one per level of nesting, so
+    the whole text is never held at once.  A piece is a separator, a key, a
+    scalar or a list of strings, each encoded in one step by json's C
+    encoder.  Dict keys must be strings."""
+    encode, parts = encode_basestring_ascii, []
+
+    def flat(obj, pad):  # obj's text if a scalar, empty or a list of strings
+        if not obj or not isinstance(obj, (dict, list, tuple)):
+            return encode(obj) if isinstance(obj, str) else json.dumps(obj)
+        if isinstance(obj, dict) or not isinstance(obj[0], str):
+            return None
+        try:
+            return f"[\n{pad}  " + f",\n{pad}  ".join(map(encode, obj)) + f"\n{pad}]"
+        except TypeError:  # not every item is a string
+            return None
+
+    def write(obj, pad):
+        inner, keyed = pad + "  ", isinstance(obj, dict)
+        sep = "{\n" if keyed else "[\n"
+        for key in sorted(obj) if keyed else obj:
+            parts.append(sep + inner + (encode(key) + ": " if keyed else ""))
+            sep, value = ",\n", obj[key] if keyed else key
+            if (text := flat(value, inner)) is None:
+                yield from write(value, inner)
+            else:
+                parts.append(text)
+            if len(parts) >= JSON_BATCH:
+                yield "".join(parts)
+                parts.clear()
+        parts.append("\n" + pad + ("}" if keyed else "]"))
+
+    if (text := flat(report, "")) is None:
+        yield from write(report, "")
+    yield "".join(parts) if text is None else text
     yield "\n"
 
 

@@ -1,8 +1,8 @@
 """Exact matrix and subspace linear algebra over finite fields.
 
 Matrices are immutable and hashable; entries are stored as field codes.
-Over fields with tables, 2 x 2 products, determinants and inverses are
-unrolled into table lookups; every other shape runs the general loops.
+One kernel, mul_codes, multiplies code tuples for Mat and the descent of reps.
+Tabled fields unroll 2 x 2 products, determinants and inverses into lookups.
 Row-space utilities (RREF, nullspace, span membership) operate on plain
 tuples of codes so algebra modules can share them for ideal computations.
 """
@@ -73,31 +73,8 @@ class Mat:
             F = self.field
             if self.ncols != other.nrows or not (other.field is F or other.field == F):
                 raise ShapeMismatch("incompatible matrix product")
-            n, k, m = self.nrows, self.ncols, other.ncols
-            a, b = self.data, other.data
-            mul = F._mul
-            if mul is not None and n == k == m == 2:
-                # 2x2 over a tabled field: eight products, four sums
-                q, add = F.q, F._add
-                a0, a1, a2, a3 = a[0] * q, a[1] * q, a[2] * q, a[3] * q
-                b0, b1, b2, b3 = b
-                return Mat(F, 2, 2, (add[mul[a0 + b0] * q + mul[a1 + b2]],
-                                     add[mul[a0 + b1] * q + mul[a1 + b3]],
-                                     add[mul[a2 + b0] * q + mul[a3 + b2]],
-                                     add[mul[a2 + b1] * q + mul[a3 + b3]]))
-            out = [0] * (n * m)
-            for i in range(n):
-                base = i * k
-                for l in range(k):
-                    x = a[base + l]
-                    if x:
-                        brow = l * m
-                        orow = i * m
-                        for j in range(m):
-                            y = b[brow + j]
-                            if y:
-                                out[orow + j] = F.add(out[orow + j], F.mul(x, y))
-            return Mat(F, n, m, out)
+            n, m = self.nrows, other.ncols
+            return Mat(F, n, m, mul_codes(F, n, self.ncols, m, self.data, other.data))
         if isinstance(other, int):
             F = self.field
             code = F.coerce(other)
@@ -111,18 +88,7 @@ class Mat:
 
     def apply(self, vec):
         """Matrix times a column vector of codes."""
-        F = self.field
-        n, m = self.nrows, self.ncols
-        out = [0] * n
-        for i in range(n):
-            acc = 0
-            base = i * m
-            for j in range(m):
-                a = self.data[base + j]
-                if a and vec[j]:
-                    acc = F.add(acc, F.mul(a, vec[j]))
-            out[i] = acc
-        return tuple(out)
+        return mul_codes(self.field, self.nrows, self.ncols, 1, self.data, vec)
 
     def __pow__(self, e):
         self._require_square("power")
@@ -228,6 +194,34 @@ class Mat:
     def __repr__(self):
         rows = [" ".join(map(self.field.format_code, row)) for row in self.rows()]
         return "[" + "; ".join(rows) + "]"
+
+
+def mul_codes(F, n, k, m, a, b):
+    """The code tuple of the product of an n x k and a k x m matrix given by
+    their code tuples a and b; shapes are not checked."""
+    mul = F._mul
+    if mul is not None and n == k == m == 2:
+        # 2x2 over a tabled field: eight products, four sums
+        q, add = F.q, F._add
+        a0, a1, a2, a3 = a[0] * q, a[1] * q, a[2] * q, a[3] * q
+        b0, b1, b2, b3 = b
+        return (add[mul[a0 + b0] * q + mul[a1 + b2]],
+                add[mul[a0 + b1] * q + mul[a1 + b3]],
+                add[mul[a2 + b0] * q + mul[a3 + b2]],
+                add[mul[a2 + b1] * q + mul[a3 + b3]])
+    out = [0] * (n * m)
+    for i in range(n):
+        base = i * k
+        for l in range(k):
+            x = a[base + l]
+            if x:
+                brow = l * m
+                orow = i * m
+                for j in range(m):
+                    y = b[brow + j]
+                    if y:
+                        out[orow + j] = F.add(out[orow + j], F.mul(x, y))
+    return tuple(out)
 
 
 def block_matrix(field, n, blocks):

@@ -15,7 +15,7 @@ from .linalg import Mat, gl_order
 from .pseudo import PseudoRep, split_search
 from .reps import (Representation, conjugate_rep, direct_sum, enumerate_reps,
                    gl_elements, gl_generators, hom_orbit_reps, is_semisimple, isomorphic,
-                   least_conjugate, semisimplify)
+                   least_conjugate, require_semisimple, semisimple_isomorphic, semisimplify)
 
 # Largest |GL_d(F)| for which orbits are reported by their least point.  It
 # keeps printed orbits stable, as no GL_d scan bounds it: above it (F_25 and
@@ -159,11 +159,11 @@ def psi_fiber(report, D):
         raise InvariantViolation(f"fiber has {len(closed)} closed orbits",
                                  witness={"law": idx, "closed": closed})
     ext_field, split_rep = split_search(D)
-    split_rep = Representation(report.group, ext_field, split_rep.dim, split_rep.images,
-                               check_now=False)
+    split_rep = require_semisimple(Representation(report.group, ext_field, split_rep.dim,
+                                                  split_rep.images, check_now=False))
     for i in members:
-        ss = _to_field(direct_sum(*report.orbits[i].jh), ext_field)
-        if not isomorphic(ss, split_rep):
+        ss = require_semisimple(_to_field(direct_sum(*report.orbits[i].jh), ext_field))
+        if not semisimple_isomorphic(ss, split_rep):
             raise InvariantViolation(
                 "orbit's semisimplification is not the split representation of its fiber",
                 witness={"orbit": i, "law": idx})

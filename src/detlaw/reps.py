@@ -12,15 +12,15 @@ break a conjugation or power relation of the group are dropped before
 their image table.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, combinations_with_replacement, product
 from math import prod
 
 from .errors import EnumerationCapExceeded, HypothesisViolation, ShapeMismatch
 from .groups import FiniteGroup
 from .linalg import (Mat, all_subspaces, block_matrix, combine, gl_order,
-                     is_stable, nullspace, projective_points, reduce_vector,
-                     rref)
+                     is_stable, mul_codes, nullspace, projective_points,
+                     reduce_vector, rref)
 
 
 class Representation:
@@ -197,13 +197,15 @@ def _conjugacy_class(R):
     """The class of R in GL_d(F): the closure of {R} under conjugation by
     gl_generators(F, d).  Each member M maps to (N, g) with M = g N g^-1
     and N reached before M, and R maps to None."""
-    pairs = [(g, g.inverse()) for g in gl_generators(R.field, R.nrows)]
+    F, d = R.field, R.nrows
+    mul = partial(mul_codes, F, d, d, d)
+    pairs = [(g, g.inverse()) for g in gl_generators(F, d)]
     out, frontier = {R: None}, [R]
     while frontier:
         nxt = []
         for M in frontier:
             for g, ginv in pairs:
-                N = g * M * ginv
+                N = Mat(F, d, d, mul(mul(g.data, M.data), ginv.data))
                 if N not in out:
                     out[N] = (M, g)
                     nxt.append(N)
@@ -342,13 +344,14 @@ def _extend_images(group, images, assigned):
     """Extend the image table of the subgroup generated by the first
     len(assigned) - 1 generators by the image assigned[-1] of the next one.
 
-    ``images`` (element -> matrix) must already agree on every edge
-    a -> a*g by those generators, so only new edges are checked: edges by
-    the new generator and edges out of new elements.  Returns the table of
-    the larger subgroup, or None if no homomorphism takes these images.
-    """
+    ``images`` (element -> code tuple of its matrix) must already agree on
+    every edge a -> a*g by those generators, so only new edges are checked:
+    edges by the new generator and edges out of new elements.  Returns the
+    table of the larger subgroup, or None if no homomorphism takes these
+    images (the matrices ``assigned``)."""
     table = group.table
-    gens = list(zip(group.generators, assigned))
+    F, d = assigned[-1].field, assigned[-1].nrows
+    gens = [(g, M.data) for g, M in zip(group.generators, assigned)]
     out = dict(images)
     frontier = list(images)
     steps = gens[-1:]
@@ -356,9 +359,9 @@ def _extend_images(group, images, assigned):
         nxt = []
         for a in frontier:
             A = out[a]
-            for g, M in steps:
+            for g, m in steps:
                 b = table[a][g]
-                cand = A * M
+                cand = mul_codes(F, d, d, d, A, m)
                 if b not in out:
                     out[b] = cand
                     nxt.append(b)
@@ -370,7 +373,7 @@ def _extend_images(group, images, assigned):
 
 def _leaf_rep(group, field, dim, images):
     return Representation(group, field, dim,
-                          [images[x] for x in range(group.order)],
+                          [Mat(field, dim, dim, images[x]) for x in range(group.order)],
                           check_now=False)
 
 
@@ -407,8 +410,12 @@ def power_relations(group):
 
 
 def _respects(relations, powers, images, M):
-    return (all(images[h] * M == M * images[k] for h, k in relations)
-            and all(M * images[h] == images[h] * M ** k for h, k in powers))
+    F, d, m = M.field, M.nrows, M.data
+    for h, k in relations:
+        if mul_codes(F, d, d, d, images[h], m) != mul_codes(F, d, d, d, m, images[k]):
+            return False
+    return all(mul_codes(F, d, d, d, m, images[h])
+               == mul_codes(F, d, d, d, images[h], (M ** k).data) for h, k in powers)
 
 
 FULL_GL = "full"
@@ -432,6 +439,7 @@ def _descend(group, dim, field, symmetry):
     orders = [group.element_order(g) for g in gens]
     relations = conjugation_relations(group)
     powers = power_relations(group)
+    mul = partial(mul_codes, field, dim, dim, dim)
 
     def recurse(assigned, images, symmetry):
         i = len(assigned)
@@ -442,7 +450,8 @@ def _descend(group, dim, field, symmetry):
         seen = set()
         cands = (order_class_reps if full else order_candidates)(field, dim, orders[i])
         for M in cands:
-            if M in seen or not _respects(relations[i], powers[i], images, M):
+            m = M.data
+            if m in seen or not _respects(relations[i], powers[i], images, M):
                 continue
             ext = _extend_images(group, images, assigned + [M])
             if ext is None:
@@ -452,11 +461,11 @@ def _descend(group, dim, field, symmetry):
             elif _is_scalar(M):
                 stab = symmetry  # every conjugation fixes a scalar
             else:
-                seen |= {g * M * ginv for g, ginv in symmetry}
-                stab = [(g, ginv) for g, ginv in symmetry if g * M == M * g]
+                seen |= {mul(mul(g.data, m), ginv.data) for g, ginv in symmetry}
+                stab = [(g, ginv) for g, ginv in symmetry if mul(g.data, m) == mul(m, g.data)]
             yield from recurse(assigned + [M], ext, stab)
 
-    return recurse([], {group.identity: Mat.identity(field, dim)}, symmetry)
+    return recurse([], {group.identity: Mat.identity(field, dim).data}, symmetry)
 
 
 def enumerate_reps(group, dim, field, cap=10 ** 7):
@@ -597,20 +606,25 @@ def is_semisimple(rep, factors):
     return _hom_dim(rep, rep) == _hom_dim(ss, ss)
 
 
+def require_semisimple(rep):
+    """rep, or HypothesisViolation with rep as witness if it is not semisimple."""
+    if not is_semisimple(rep, semisimplify(rep)):
+        raise HypothesisViolation("isomorphic compares semisimple representations only",
+                                  witness=rep)
+    return rep
+
+
 def isomorphic(rep1, rep2):
-    """Whether two semisimple representations are isomorphic: iff they
-    share source, field and dimension and dim Hom(rep1, rep2) =
+    """semisimple_isomorphic(rep1, rep2) once both pass require_semisimple."""
+    return semisimple_isomorphic(require_semisimple(rep1), require_semisimple(rep2))
+
+
+def semisimple_isomorphic(rep1, rep2):
+    """Whether two semisimple representations (not checked) are isomorphic:
+    iff they share source, field and dimension and dim Hom(rep1, rep2) =
     dim End rep1 = dim End rep2.  With m_S and n_S the multiplicities of a
     simple S, dim End rep1 + dim End rep2 - 2 dim Hom(rep1, rep2) is
-    sum_S (m_S - n_S)^2 dim End S, zero only when every m_S = n_S.
-
-    A representation that is not semisimple raises HypothesisViolation,
-    with it as the witness.
-    """
-    for rep in (rep1, rep2):
-        if not is_semisimple(rep, semisimplify(rep)):
-            raise HypothesisViolation("isomorphic compares semisimple representations only",
-                                      witness=rep)
+    sum_S (m_S - n_S)^2 dim End S, zero only when every m_S = n_S."""
     if rep1.source is not rep2.source or rep1.field != rep2.field or rep1.dim != rep2.dim:
         return False
     return _hom_dim(rep1, rep2) == _hom_dim(rep1, rep1) == _hom_dim(rep2, rep2)

@@ -49,7 +49,8 @@ def poly_from_json(obj):
 
 
 def mat_to_json(m):
-    return [[str(x) for x in row] for row in m.rows()]
+    codes, c = list(map(str, m.data)), m.ncols
+    return [codes[i * c:(i + 1) * c] for i in range(m.nrows)]
 
 
 def rep_to_json(rep):

@@ -267,10 +267,33 @@ def test_a_long_report_is_written_in_batches(monkeypatch):
     text = "".join(out.writes)
     assert len(text) > 80000
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
-    # several full batches, the partial last one, then the newline
+    # a write joins at most JSON_BATCH pieces plus one per level of nesting
+    # (5 here), and no piece of this report is longer than a matrix row at
+    # depth 5, 46 characters: several bounded writes, then the newline
     assert len(out.writes) >= 3 and out.writes[-1] == "\n"
-    chunks = list(json.JSONEncoder(sort_keys=True, indent=2).iterencode(json.loads(text)))
-    assert len(out.writes) - 1 == -(-len(chunks) // cli.JSON_BATCH)
+    assert max(map(len, out.writes)) <= (cli.JSON_BATCH + 5) * 46 < len(text)
+
+
+# strings with quotes, backslashes, control and non-ASCII characters
+_JSON_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé \U0001f600') | st.characters(),
+                     max_size=6)
+_JSON_TREES = st.recursive(
+    st.one_of(_JSON_TEXT, st.booleans(), st.none(), st.integers(), st.lists(_JSON_TEXT)),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_JSON_TEXT, kids, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_json_batches_write_the_text_of_json_dumps(report):
+    want = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert "".join(cli._json_batches(report)) == want
+    # a batch of one piece flushes after every item
+    saved, cli.JSON_BATCH = cli.JSON_BATCH, 1
+    try:
+        assert "".join(cli._json_batches(report)) == want
+    finally:
+        cli.JSON_BATCH = saved
 
 
 USAGE = (

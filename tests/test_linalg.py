@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from detlaw.errors import ShapeMismatch
 from detlaw.fields import make_field
 from detlaw.linalg import (Mat, all_subspaces, gl_order, intersect_spans,
-                           is_stable, nullspace, proj_point_count,
+                           is_stable, mul_codes, nullspace, proj_point_count,
                            projective_points, rref, solve, span_closure)
 
 F3 = make_field(3)
@@ -141,6 +141,20 @@ def test_2x2_kernel_matches_field_method_loops(data):
     else:
         with pytest.raises(ZeroDivisionError):
             A.inverse()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mul_codes_matches_the_naive_sum(data):
+    # tabled F_4, F_7, F_25 and the untabled F_257, every shape up to 3 x 3
+    F = data.draw(st.sampled_from([make_field(2, 2), make_field(7), make_field(5, 2),
+                                   make_field(257)]))
+    n, k, m = (data.draw(st.integers(1, 3)) for _ in range(3))
+    A, B = _mat(data, F, n, k), _mat(data, F, k, m)
+    want = _product_loop(A, B)
+    assert mul_codes(F, n, k, m, A.data, B.data) == want.data
+    assert A * B == want
+    assert A.apply(B.data[::m]) == _product_loop(A, Mat(F, k, 1, B.data[::m])).data
 
 
 @pytest.mark.parametrize("F", [make_field(2, 2), make_field(7, 2), make_field(257)],

@@ -1,9 +1,10 @@
 import pytest
 
 from detlaw import moduli, reps
-from detlaw.errors import InvariantViolation, UnknownPseudoRep
+from detlaw.errors import HypothesisViolation, InvariantViolation, UnknownPseudoRep
 from detlaw.fields import make_field
 from detlaw.groups import cyclic, dihedral, symmetric
+from detlaw.linalg import Mat
 from detlaw.moduli import (degeneration_lands_in_closed_orbit,
                            degeneration_limit, invariants_separate_laws,
                            orbit_partition, psi_fiber, word_invariant_vector,
@@ -163,6 +164,34 @@ def test_psi_fiber_rejects_a_member_that_is_not_the_split_representation():
     with pytest.raises(InvariantViolation) as info:
         psi_fiber(report, report.pseudoreps[0])
     assert info.value.witness == {"orbit": i, "law": 0}
+
+
+def test_psi_fiber_checks_the_split_representation_once(monkeypatch):
+    # the fiber of law 0 of S3 over F_3 has three orbits: one semisimplicity
+    # check for the split representation and one per member
+    report = orbit_partition(symmetric(3), 2, F3)
+    D = report.pseudoreps[0]
+    found = split_search(D)
+    monkeypatch.setattr(moduli, "split_search", lambda law: found)
+    checked, is_semisimple = [], reps.is_semisimple
+    monkeypatch.setattr(reps, "is_semisimple",
+                        lambda rep, factors: checked.append(rep) or is_semisimple(rep, factors))
+    assert len(psi_fiber(report, D).orbit_indices) == 3
+    assert len(checked) == 4
+    assert checked[0].images == found[1].images and checked[0].source is report.group
+
+
+def test_psi_fiber_refuses_a_member_that_is_not_semisimple():
+    # the orbit of the law 1 + 1 of C3 over F_3 is given the non-split
+    # unipotent representation as its only Jordan-Hoelder factor
+    C3 = cyclic(3)
+    report = orbit_partition(C3, 2, F3)
+    u = Mat.from_rows(F3, [[1, 1], [0, 1]])
+    ext = Representation(C3, F3, 2, [u ** k for k in range(3)])
+    report.orbits[report.fiber_map[0][0]].jh = (ext,)
+    with pytest.raises(HypothesisViolation) as info:
+        psi_fiber(report, report.pseudoreps[0])
+    assert info.value.witness == ext
 
 
 def test_psi_fiber_unknown_law():

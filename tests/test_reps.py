@@ -222,13 +222,15 @@ def test_incremental_closure_matches_full_recompute(G):
     def walk(assigned, images):
         for M in cand_sets[len(assigned)]:
             ext = _extend_images(G, images, assigned + [M])
-            assert ext == _full_closure(G, 2, F3, assigned + [M])
+            full = _full_closure(G, 2, F3, assigned + [M])
+            assert ext == (None if full is None else {a: A.data for a, A in full.items()})
             if ext is None:
                 rejected_at.add(len(assigned))
             elif len(assigned) + 1 < len(cand_sets):
                 walk(assigned + [M], ext)
 
-    walk([], {G.identity: Mat.identity(F3, 2)})
+    # the image tables map elements to code tuples
+    walk([], {G.identity: Mat.identity(F3, 2).data})
     assert rejected_at == {0, 1}
 
 
@@ -388,7 +390,7 @@ def _enumerate_unfiltered(group, dim, field):
             if ext is not None:
                 dfs(assigned + [M], ext)
 
-    dfs([], {group.identity: Mat.identity(field, dim)})
+    dfs([], {group.identity: Mat.identity(field, dim).data})
     out.sort(key=lambda r: r.sort_key())
     return out
 
