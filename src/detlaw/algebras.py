@@ -54,20 +54,12 @@ class FinAlgebra:
         return tuple(F.mul(c, a) for a in x)
 
     def mul(self, x, y):
-        """The product of coordinate vectors: two table lookups per structure
-        constant when the field has tables; on F[G], the convolution."""
+        """The product of coordinate vectors: two field table reads per
+        structure constant; on F[G], the convolution."""
         F = self.field
         out = [0] * self.n
         xs = [(i, xi) for i, xi in enumerate(x) if xi]
         ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        if F._mul is None:
-            for i, xi in xs:
-                row = self.sc[i]
-                for j, yj in ys:
-                    c = F.mul(xi, yj)
-                    for k, s in row[j]:
-                        out[k] = F.add(out[k], F.mul(c, s))
-            return tuple(out)
         tmul, tadd, q = F._mul, F._add, F.q
         for i, xi in xs:
             row = self.sc[i]

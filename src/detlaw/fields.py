@@ -6,8 +6,12 @@ for F_{p^k} is the first monic irreducible polynomial of degree k when the
 non-leading coefficient vectors are enumerated in base-p counting order, so
 the same (p, k) always yields the identical field.
 
-For q <= 256 the field precomputes full add/mul tables; all hot loops in the
-rest of the package run on codes through these tables.
+Every field answers the same table reads: ``_add[a * q + b]``,
+``_mul[a * q + b]``, ``_neg[a]`` and ``_inv[a]``.  For q <= TABLE_CAP (256)
+they are stored lists; above it each read computes its value from the
+coefficient vectors, so q^2 entries are never stored.  All hot loops in the
+rest of the package run on codes through these reads, whichever kind the
+field has.
 """
 
 from functools import lru_cache
@@ -91,20 +95,32 @@ def _modulus_for(p, k):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+class _ComputedTable:
+    """A table whose item i is fn(i), computed when read."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, i):
+        return self.fn(i)
+
+
 class FieldDesc:
     """The finite field F_{p^k}.  Immutable; canonical per (p, k)."""
 
     def __init__(self, p, k):
         self.p = p
         self.k = k
-        self.q = p ** k
+        self.q = q = p ** k
         self.modulus = _modulus_for(p, k)
-        self._coeffs = [self._decode(c) for c in range(self.q)]
-        if self.q <= TABLE_CAP:
+        self._coeffs = [self._decode(c) for c in range(q)]
+        if q <= TABLE_CAP:
             self._build_tables()
         else:
-            self._add = None
-            self._mul = None
+            self._add = _ComputedTable(lambda i: self._sum(*divmod(i, q)))
+            self._mul = _ComputedTable(lambda i: self._product(*divmod(i, q)))
+            self._neg = _ComputedTable(lambda a: self._product(p - 1, a))
+            self._inv = _ComputedTable(lambda a: self.pow(a, q - 2))
 
     def _decode(self, code):
         out = []
@@ -144,7 +160,7 @@ class FieldDesc:
             mul += [twice[la + lb] for lb in logs]
         self._add = add
         self._mul = mul
-        self._neg = [self._encode([(-x) % p for x in self._coeffs[a]]) for a in range(q)]
+        self._neg = mul[(p - 1) * q:p * q]  # -a = (p - 1) a
         self._inv = [0] + [powers[-la] for la in logs]
 
     def _primitive_powers(self):
@@ -162,34 +178,31 @@ class FieldDesc:
 
     # --- code-level arithmetic ---
 
-    def add(self, a, b):
-        if self._add is not None:
-            return self._add[a * self.q + b]
+    def _sum(self, a, b):
         p = self.p
         return self._encode([(x + y) % p for x, y in zip(self._coeffs[a], self._coeffs[b])])
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        if self._add is not None:
-            return self._neg[a]
-        p = self.p
-        return self._encode([(-x) % p for x in self._coeffs[a]])
-
-    def mul(self, a, b):
-        if self._mul is not None:
-            return self._mul[a * self.q + b]
+    def _product(self, a, b):
         if a == 0 or b == 0:
             return 0
         return self._encode(
             _poly_mul_mod(list(self._coeffs[a]), list(self._coeffs[b]), list(self.modulus), self.p)
         )
 
+    def add(self, a, b):
+        return self._add[a * self.q + b]
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def mul(self, a, b):
+        return self._mul[a * self.q + b]
+
     def sub_mul_row(self, row, f, b):
         """The row of codes ``row - f * b``, as a list."""
-        if self._mul is None:
-            return [self.sub(x, self.mul(f, y)) for x, y in zip(row, b)]
         # only the entries where b is nonzero change; rows here are mostly sparse
         q, add, mul = self.q, self._add, self._mul
         start = self._neg[f] * q
@@ -201,9 +214,7 @@ class FieldDesc:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._mul is not None:
-            return self._inv[a]
-        return self.pow(a, self.q - 2)
+        return self._inv[a]
 
     def pow(self, a, e):
         if a == 0:

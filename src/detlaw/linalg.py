@@ -2,7 +2,7 @@
 
 Matrices are immutable and hashable; entries are stored as field codes.
 One kernel, mul_codes, multiplies code tuples for Mat and the descent of reps.
-Tabled fields unroll 2 x 2 products, determinants and inverses into lookups.
+2 x 2 products, determinants and inverses unroll into field table reads.
 Row-space utilities (RREF, nullspace, span membership) operate on plain
 tuples of codes so algebra modules can share them for ideal computations.
 """
@@ -111,7 +111,7 @@ class Mat:
         self._require_square("determinant")
         F = self.field
         n = self.nrows
-        if n == 2 and F._mul is not None:
+        if n == 2:
             q, mul = F.q, F._mul
             a, b, c, d = self.data
             return F._add[mul[a * q + d] * q + F._neg[mul[b * q + c]]]
@@ -152,7 +152,7 @@ class Mat:
         self._require_square("inverse")
         F = self.field
         n = self.nrows
-        if n == 2 and F._mul is not None:
+        if n == 2:
             # the adjugate over the determinant
             det = self.det()
             if not det:
@@ -199,10 +199,9 @@ class Mat:
 def mul_codes(F, n, k, m, a, b):
     """The code tuple of the product of an n x k and a k x m matrix given by
     their code tuples a and b; shapes are not checked."""
-    mul = F._mul
-    if mul is not None and n == k == m == 2:
-        # 2x2 over a tabled field: eight products, four sums
-        q, add = F.q, F._add
+    if n == k == m == 2:
+        # eight products, four sums
+        q, add, mul = F.q, F._add, F._mul
         a0, a1, a2, a3 = a[0] * q, a[1] * q, a[2] * q, a[3] * q
         b0, b1, b2, b3 = b
         return (add[mul[a0 + b0] * q + mul[a1 + b2]],

@@ -4,9 +4,9 @@ closed-orbit detection, fibers, and trace-of-word invariants.
 Orbits of Hom(G, GL_d(F)) under conjugation are computed by centralizer
 descent through conjugacy-class representatives (reps.hom_orbit_reps), the
 only production orbit path.  While |GL_d(F)| <= LEAST_POINT_GL, each orbit
-is reported by its least point (reps.least_conjugate), found without a
-list of GL_d, so the report does not depend on which representative the
-descent happened to pick.
+is reported by its least point (reps.least_conjugate), found on one coset
+of intertwiners without a list of GL_d, so the report does not depend on
+which representative the descent happened to pick.
 """
 
 from .errors import InvariantViolation, UnknownPseudoRep
@@ -67,9 +67,11 @@ def orbit_partition(group, dim, field):
 
     Orbits come from class descent (reps.hom_orbit_reps).  When
     |GL_d(F)| <= LEAST_POINT_GL, each orbit is reported by its least point
-    under Representation.sort_key, and its size is checked exactly:
-    size x |stabilizer| must equal |GL_d(F)|.  Above that the class
-    representative is kept.  Orbits are ordered by their representatives.
+    under Representation.sort_key, and its size is checked exactly: the
+    size, read off the descent's leaf stabilizer, times the stabilizer
+    order that least_conjugate counts on its coset must equal |GL_d(F)|.
+    Above that the class representative is kept.  Orbits are ordered by
+    their representatives.
     """
     pairs = hom_orbit_reps(group, dim, field)
     gl = gl_order(field.q, dim)
@@ -147,8 +149,7 @@ def psi_fiber(report, D):
     Verifies that exactly one orbit is closed, and that the
     semisimplification of every orbit, base-changed to the split field, is
     isomorphic to the semisimple representation found by split_search
-    (Brauer-Nesbitt).  That representation lives on D's group algebra,
-    whose acting matrices are all images, so it is compared on the group.
+    (Brauer-Nesbitt), a representation of the group.
     """
     idx = report.law_index.get(D.poly)
     if idx is None:
@@ -159,8 +160,7 @@ def psi_fiber(report, D):
         raise InvariantViolation(f"fiber has {len(closed)} closed orbits",
                                  witness={"law": idx, "closed": closed})
     ext_field, split_rep = split_search(D)
-    split_rep = require_semisimple(Representation(report.group, ext_field, split_rep.dim,
-                                                  split_rep.images, check_now=False))
+    split_rep = require_semisimple(split_rep)
     for i in members:
         ss = require_semisimple(_to_field(direct_sum(*report.orbits[i].jh), ext_field))
         if not semisimple_isomorphic(ss, split_rep):

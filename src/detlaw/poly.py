@@ -5,11 +5,11 @@ codes.  The canonical term order used for printing and serialization is
 graded lexicographic (total degree first, then lex on the exponent vector).
 
 Every product (``*``, ``**``, ``substitute``) runs through one kernel,
-``_mul_terms``.  When the field has add/mul tables (q <= 256) and no exponent
-of the result can reach 256, exponent tuples are first packed into ints, one
-byte per variable (``int.from_bytes(bytes(e), "little")``), so multiplying
-two monomials is a single integer add and each coefficient is one table
-lookup.  Otherwise, and for ``*`` on at most ``SMALL_PRODUCT`` term pairs,
+``_mul_terms``.  When no exponent of the result can reach 256, exponent
+tuples are first packed into ints, one byte per variable
+(``int.from_bytes(bytes(e), "little")``), so multiplying two monomials is a
+single integer add and each coefficient is one field table read.
+Otherwise, and for ``*`` on at most ``SMALL_PRODUCT`` term pairs,
 where packing costs more than it saves, the kernel adds exponent tuples entry
 by entry through the field's methods.  Both paths visit term pairs in the
 same order and update the result dict the same way, so a result's terms, and
@@ -28,14 +28,12 @@ PACK_LIMIT = 256  # exponents must stay below this to fit one byte each
 SMALL_PRODUCT = 16  # up to this many term pairs, packing costs more than it saves
 
 
-def _pack(F, terms, nv):
+def _pack(terms, nv):
     """A packed copy of a term dict and an upper bound on its exponents.
 
-    Returns (None, PACK_LIMIT) when F has no tables or an exponent does not
-    fit a byte.  The bound is the largest byte of the OR of all keys.
+    Returns (None, PACK_LIMIT) when an exponent does not fit a byte.  The
+    bound is the largest byte of the OR of all keys.
     """
-    if F._mul is None:
-        return None, PACK_LIMIT
     try:
         keys = list(map(int.from_bytes, map(bytes, terms), repeat("little")))
     except ValueError:  # bytes() rejects values >= 256
@@ -52,9 +50,10 @@ def _unpack(packed, nv):
 def _mul_terms(F, a, b, packed):
     """The product of two term dicts over F, as a new term dict.
 
-    With ``packed`` the keys are packed ints and F has tables; otherwise
-    they are exponent tuples.  Pairs are visited in (a, b) order and a
-    cancelled key is deleted, so later hits re-insert it at the end.
+    With ``packed`` the keys are packed ints and coefficients are read from
+    F's tables; otherwise they are exponent tuples.  Pairs are visited in
+    (a, b) order and a cancelled key is deleted, so later hits re-insert it
+    at the end.
     """
     out = {}
     get = out.get
@@ -121,7 +120,7 @@ def _add_into(F, out, items):
         if prev is None:
             out[k] = c
             continue
-        s = tab[prev * q + c] if tab is not None else F.add(prev, c)
+        s = tab[prev * q + c]
         if s:
             out[k] = s
         else:
@@ -148,10 +147,10 @@ def _substitute_terms(poly, images):
                         raise VariableMismatch(f"no image for variable {name}")
                     if img.field != tf or img.vars != tv:
                         raise VariableMismatch(f"image of {name} is not over {tf}{tv}")
-                    got = used[name] = _pack(tf, img.terms, nv)
+                    got = used[name] = _pack(img.terms, nv)
                 reach += exp * got[1]
         bound = max(bound, reach)
-    packed = tf._mul is not None and bound < PACK_LIMIT
+    packed = bound < PACK_LIMIT
     one = 0 if packed else (0,) * nv
     pow_cache = {}
     out = {}
@@ -267,8 +266,8 @@ class MPoly:
         a, b = self.terms, other.terms
         if len(a) * len(b) > SMALL_PRODUCT:
             nv = len(self.vars)
-            pa, top_a = _pack(F, a, nv)
-            pb, top_b = _pack(F, b, nv)
+            pa, top_a = _pack(a, nv)
+            pb, top_b = _pack(b, nv)
             if top_a + top_b < PACK_LIMIT:
                 return MPoly(F, self.vars, _unpack(_mul_terms(F, pa, pb, True), nv))
         return MPoly(F, self.vars, _mul_terms(F, a, b, False))
@@ -288,7 +287,7 @@ class MPoly:
         if n == 0:
             return MPoly.const(F, self.vars, 1)
         nv = len(self.vars)
-        packed, top = _pack(F, self.terms, nv)
+        packed, top = _pack(self.terms, nv)
         if n * top < PACK_LIMIT:
             return MPoly(F, self.vars, _unpack(_pow_terms(F, packed, n, True), nv))
         out = _pow_terms(F, self.terms, n, False)
@@ -377,13 +376,10 @@ class MPoly:
 def symbolic_det(field, names, entries, d):
     """The determinant of a d x d matrix of MPoly entries (row-major), by
     the Leibniz formula, summed in permutation order.  Entries are packed once
-    unless the field is untabled or the rows' exponent bounds sum past a byte."""
+    unless the rows' exponent bounds sum past a byte."""
     nv = len(names)
-    packed = field._mul is not None
-    if packed:
-        pairs = [_pack(field, e.terms, nv) for e in entries]
-        reach = sum(max(top for _, top in pairs[i * d:(i + 1) * d]) for i in range(d))
-        packed = reach < PACK_LIMIT
+    pairs = [_pack(e.terms, nv) for e in entries]
+    packed = sum(max(top for _, top in pairs[i * d:(i + 1) * d]) for i in range(d)) < PACK_LIMIT
     terms = [p for p, _ in pairs] if packed else [e.terms for e in entries]
     one = 0 if packed else (0,) * nv
     minus_one = field.neg(1)

@@ -130,14 +130,19 @@ class PseudoRep:
             return False
         right = left  # tuple keys: x^a y^b is keyed a + b
         if packed:
-            left, _top = _pack(F, left, n)
+            left, _top = _pack(left, n)
             if left is None:
                 # an exponent of D reaches 256, past every exponent of D(xy)
                 return False
             right = {b << (8 * n): c for b, c in left.items()}
-        get, mul = dz.get, F.mul
-        return all(get(a + b) == mul(ca, cb)
-                   for a, ca in left.items() for b, cb in right.items())
+        get, mul, q = dz.get, F._mul, F.q
+        pairs = list(right.items())
+        for a, ca in left.items():
+            row = ca * q
+            for b, cb in pairs:
+                if get(a + b) != mul[row + cb]:
+                    return False
+        return True
 
     def check_axioms(self):
         return self.is_homogeneous() and self.is_unital() and self.is_multiplicative()
@@ -366,7 +371,8 @@ def nilpotency_index(ideal):
 
 def split_search(D):
     """Find the smallest-degree extension carrying a semisimple representation
-    that induces D, together with that representation.
+    that induces D, together with that representation (of the group, when
+    D's source is a group algebra).
 
     D splits over F_{q^e} iff e is a multiple of the lcm of the sizes of the
     Frobenius orbits on its absolutely irreducible factors.  Those sizes sum
@@ -414,14 +420,12 @@ def _dim_multisets(irs, d):
 
 def _irreducible_modules(A, D, field):
     """Absolutely irreducible representations of A of dimension <= D.d, one
-    per class.  Splitness requires End = F (Schur condition, commutant of
-    dimension 1), so factors that only become irreducible after a further
-    extension are excluded."""
+    per class; on a group algebra they are representations of the group.
+    Splitness requires End = F (Schur condition, commutant of dimension 1),
+    so factors that only become irreducible after a further extension are
+    excluded."""
     if isinstance(A, GroupAlgebra):
-        group_irs = irreducible_reps(A.group, field, D.d)
-        group_irs = [r for r in group_irs if _absolutely_irreducible(r)]
-        return [Representation(A, field, r.dim, r.images, check_now=False)
-                for r in group_irs]
+        return [r for r in irreducible_reps(A.group, field, D.d) if _absolutely_irreducible(r)]
     regular = Representation(
         A, field, A.n,
         [A.left_mult_matrix(e) for e in A.basis],

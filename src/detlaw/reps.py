@@ -5,9 +5,9 @@ by elementary divisors, and the candidates of a generator are their union.
 One descent serves enumeration and orbit classification under
 GL_d-conjugation: it descends through class representatives and the units
 of their commutants, and reads each orbit's size off the stabilizer it
-reaches.  Least orbit points descend alike at every d: the first moving
+reaches.  Least orbit points come alike at every d: the first moving
 image goes to the least member of its class, grown by conjugation, and
-only the units of that member's commutant are scanned.  Candidates that
+only the intertwiners that take it there are scanned.  Candidates that
 break a conjugation or power relation of the group are dropped before
 their image table.
 """
@@ -195,31 +195,18 @@ def gl_generators(field, d):
 @lru_cache(maxsize=None)
 def _conjugacy_class(R):
     """The class of R in GL_d(F): the closure of {R} under conjugation by
-    gl_generators(F, d).  Each member M maps to (N, g) with M = g N g^-1
-    and N reached before M, and R maps to None."""
+    gl_generators(F, d), as a frozenset."""
     F, d = R.field, R.nrows
     mul = partial(mul_codes, F, d, d, d)
-    pairs = [(g, g.inverse()) for g in gl_generators(F, d)]
-    out, frontier = {R: None}, [R]
-    while frontier:
-        nxt = []
-        for M in frontier:
-            for g, ginv in pairs:
-                N = Mat(F, d, d, mul(mul(g.data, M.data), ginv.data))
-                if N not in out:
-                    out[N] = (M, g)
-                    nxt.append(N)
-        frontier = nxt
-    return out
-
-
-def _conjugator(cls, M):
-    """A g with g R g^-1 = M, R the root of the class cls (_conjugacy_class)."""
-    g = Mat.identity(M.field, M.nrows)
-    while cls[M]:
-        M, h = cls[M]
-        g = g * h
-    return g
+    pairs = [(g.data, g.inverse().data) for g in gl_generators(F, d)]
+    seen, found = {R.data}, [R.data]
+    for m in found:  # grows while it is walked
+        for g, ginv in pairs:
+            n = mul(mul(g, m), ginv)
+            if n not in seen:
+                seen.add(n)
+                found.append(n)
+    return frozenset(Mat(F, d, d, m) for m in found)
 
 
 @lru_cache(maxsize=None)
@@ -249,41 +236,18 @@ def gl_elements(field, d):
     return tuple(out)
 
 
-def commutant_units(field, X):
-    """X's centralizer in GL_d(F) modulo scalars, for a non-scalar X: the
-    (T, T^-1) with T = sum v_i B_i invertible, over a basis B of X's
-    commutant and v in projective_points.  At d = 2, X is cyclic, so the
-    commutant is F[X] = span(1, X) and no system is solved."""
+def intertwiner_units(field, X, Y):
+    """The invertible T with X T = T Y, one per scalar class, as (T, T^-1)
+    pairs: T = sum v_i B_i over a basis B of the intertwiners and v in
+    projective_points.  With Y = X, non-scalar, they are X's centralizer
+    modulo scalars; at d = 2, X is then cyclic, so the commutant is
+    F[X] = span(1, X) and no system is solved."""
     F, d = field, X.nrows
-    basis = [Mat.identity(F, 2), X] if d == 2 else intertwiner_basis(F, [X], [X], d)
+    basis = ([Mat.identity(F, 2), X] if d == 2 and X == Y
+             else intertwiner_basis(F, [X], [Y], d))
     units = (Mat(F, d, d, combine(F, v, [B.data for B in basis]))
              for v in projective_points(F.q, len(basis)))
     return tuple((T, T.inverse()) for T in units if T.det())
-
-
-def _least_conjugator(pairs, mats):
-    """The first (g, g^-1) of pairs whose conjugate g M g^-1 of mats is
-    least, compared lazily matrix by matrix in order against the least so
-    far and against mats itself, and the number of pairs that fix mats."""
-    best, best_data = None, {}
-    stab = 0
-    for g, ginv in pairs:
-        order = -1 if best is None else 0
-        fixed = True
-        data = {}
-        for x, M in enumerate(mats):
-            c = data[x] = (g * M * ginv).data
-            fixed = fixed and c == M.data
-            if not order:
-                if x not in best_data:
-                    best_data[x] = (best[0] * M * best[1]).data
-                order = (c > best_data[x]) - (c < best_data[x])
-            if order and not fixed:
-                break
-        stab += fixed
-        if order < 0:
-            best, best_data = (g, ginv), data
-    return best, stab
 
 
 def least_conjugate(rep):
@@ -294,15 +258,13 @@ def least_conjugate(rep):
     are compared, image by image in element order.  With none, rep is its
     own least point and all of GL_d fixes it.
 
-    The first moving image X goes to L, the least member of its class.
-    The class is found among the class representatives of the order of
-    X's element, and g0, which takes X to L, is read off the class's
-    conjugation pointers (_conjugator).  The conjugators that take X to L
-    are the coset C(L) g0, so one unit of L's commutant per scalar class
-    is scanned (commutant_units), on the later moving images; each class u
-    that fixes them all adds q - 1 to the stabilizer, since g0^-1 u g0 and
-    its multiples then fix rep.  The least point is unique, so it does not
-    depend on which g0 the pointers give.
+    The first moving image X goes to L, the least member of its class,
+    which is found among the class representatives of the order of X's
+    element.  The g with g X g^-1 = L are the invertible T with L T = T X,
+    a coset of X's centralizer, so one per scalar class is scanned
+    (intertwiner_units) on the later moving images.  The least point is the
+    least conjugate they give, and the T that reach it form one coset of
+    rep's stabilizer: their count times q - 1 is its order.
     """
     F, d, images = rep.field, rep.dim, rep.images
     moving = [x for x, m in enumerate(images) if not _is_scalar(m)]
@@ -315,11 +277,12 @@ def least_conjugate(rep):
                    if R.char_poly_coeffs() == chi)
     cls = next(c for c in chi_classes if X in c)
     L = min(cls, key=lambda M: M.data)
-    g0 = _conjugator(cls, L) * _conjugator(cls, X).inverse()
-    g0inv = g0.inverse()
-    rest = [g0 * images[x] * g0inv for x in moving[1:]]
-    best, classes = _least_conjugator(commutant_units(F, L), rest)
-    return conjugate_rep(rep, best[0] * g0), classes * (F.q - 1)
+    mul = partial(mul_codes, F, d, d, d)
+    rest = [images[x].data for x in moving[1:]]
+    units = intertwiner_units(F, L, X)
+    keys = [[mul(mul(T.data, m), Tinv.data) for m in rest] for T, Tinv in units]
+    best = min(keys)
+    return conjugate_rep(rep, units[keys.index(best)][0]), keys.count(best) * (F.q - 1)
 
 
 def intertwiner_basis(field, mats1, mats2, d):
@@ -507,7 +470,7 @@ def hom_orbit_reps(group, dim, field):
 def centralizer_or_full(field, M):
     """Centralizer of M in GL_d, one (g, g^-1) pair per scalar class (g and
     its multiples conjugate alike), or FULL_GL for scalar M."""
-    return FULL_GL if _is_scalar(M) else commutant_units(field, M)
+    return FULL_GL if _is_scalar(M) else intertwiner_units(field, M, M)
 
 
 # --- submodules, semisimplification, isomorphism ---

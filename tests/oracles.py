@@ -35,18 +35,23 @@ def isomorphic_by_search(rep1, rep2):
                for coeffs in product(range(F.q), repeat=len(basis)))
 
 
+def field_sum_and_product(F, a, b):
+    """a + b and a * b in F for codes a and b: the coefficientwise sum and
+    the product of polynomials modulo F's modulus."""
+    p, ca, cb = F.p, F.coeffs(a), F.coeffs(b)
+    s = F._encode([(x + y) % p for x, y in zip(ca, cb)])
+    m = F._encode(_poly_mul_mod(list(ca), list(cb), list(F.modulus), p)) if a and b else 0
+    return s, m
+
+
 def field_tables_by_pairs(F):
-    """The add and mul tables of F, one unordered pair of codes at a time:
-    coefficientwise sums and products of polynomials modulo F's modulus."""
-    q, p = F.q, F.p
+    """The add and mul tables of F, one unordered pair of codes at a time
+    (field_sum_and_product)."""
+    q = F.q
     add = [0] * (q * q)
     mul = [0] * (q * q)
     for a in range(q):
-        ca = F.coeffs(a)
         for b in range(a, q):
-            cb = F.coeffs(b)
-            s = F._encode([(x + y) % p for x, y in zip(ca, cb)])
-            add[a * q + b] = add[b * q + a] = s
-            m = F._encode(_poly_mul_mod(list(ca), list(cb), list(F.modulus), p)) if a and b else 0
-            mul[a * q + b] = mul[b * q + a] = m
+            add[a * q + b], mul[a * q + b] = add[b * q + a], mul[b * q + a] = \
+                field_sum_and_product(F, a, b)
     return add, mul

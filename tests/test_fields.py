@@ -2,7 +2,7 @@ import pytest
 
 from detlaw.errors import NoEmbedding, NotPrime
 from detlaw.fields import TABLE_CAP, embed_code, embedding_table, is_prime, make_field
-from oracles import field_tables_by_pairs
+from oracles import field_sum_and_product, field_tables_by_pairs
 
 
 def test_prime_field_arithmetic():
@@ -54,6 +54,22 @@ def test_tables_match_the_pairwise_construction(p, k):
     q = F.q
     assert all(F._mul[a * q + F._inv[a]] == 1 for a in range(1, q))
     assert all(F._add[a * q + F._neg[a]] == 0 for a in range(q))
+
+
+@pytest.mark.parametrize("p, k", [(257, 1), (17, 2), (5, 4)], ids=str)
+def test_computed_tables_match_the_pairwise_construction(p, k):
+    # above the table cap every read computes its item: sums and products
+    # of sampled codes agree with polynomial arithmetic, and negatives and
+    # inverses with them
+    F = make_field(p, k)
+    q = F.q
+    assert q > TABLE_CAP
+    codes = sorted({0, 1, q - 1, *range(2, q, q // 40)})
+    for a in codes:
+        for b in codes:
+            assert (F._add[a * q + b], F._mul[a * q + b]) == field_sum_and_product(F, a, b)
+        assert F._add[a * q + F._neg[a]] == 0
+        assert a == 0 or F._mul[a * q + F._inv[a]] == 1
 
 
 def test_multiplicative_group_order():

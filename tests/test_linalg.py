@@ -118,7 +118,7 @@ def _inverse2_loop(A):
                          F.neg(F.mul(i, A[1, 0])), F.mul(i, A[0, 0])))
 
 
-# tabled fields of every size class up to the table cap, and F_257 without
+# stored tables of every size class up to the table cap, and F_257's computed ones
 _KERNEL_FIELDS = [make_field(2), make_field(2, 2), make_field(3, 2),
                   make_field(5, 2), make_field(7, 2), make_field(2, 8),
                   make_field(257)]
@@ -146,7 +146,7 @@ def test_2x2_kernel_matches_field_method_loops(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mul_codes_matches_the_naive_sum(data):
-    # tabled F_4, F_7, F_25 and the untabled F_257, every shape up to 3 x 3
+    # stored tables of F_4, F_7, F_25 and computed ones of F_257, every shape up to 3 x 3
     F = data.draw(st.sampled_from([make_field(2, 2), make_field(7), make_field(5, 2),
                                    make_field(257)]))
     n, k, m = (data.draw(st.integers(1, 3)) for _ in range(3))

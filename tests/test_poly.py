@@ -102,7 +102,7 @@ def test_sorted_terms_graded_lex():
 # --- the product kernel ---
 
 F25 = make_field(5, 2)
-F257 = make_field(257)  # q > 256: no add/mul tables
+F257 = make_field(257)  # q > 256: computed table reads
 
 
 def _ref_mul(F, a, b):
@@ -280,24 +280,20 @@ def test_symbolic_det_matches_reference_loop(data):
 def _det_entries(F, top):
     """A 2x2 matrix whose rows' exponent bounds are both ``top``, so the
     bounds sum to 2 * top."""
-    return [MPoly.from_terms(F, XY, [((top, 0), 1), ((0, 1), 2)]), x() + 1,
-            MPoly.from_terms(F, XY, [((top, 1), 3), ((0, 2), 1)]), y() * y()]
+    return [MPoly.from_terms(F, XY, pairs) for pairs in (
+        [((top, 0), 1), ((0, 1), 2)], [((1, 0), 1), ((0, 0), 1)],
+        [((top, 1), 3), ((0, 2), 1)], [((0, 2), 1)])]
 
 
-@pytest.mark.parametrize("top, packed", [(127, True), (128, False), (300, False)])
-def test_symbolic_det_packs_below_the_byte_limit(monkeypatch, top, packed):
-    entries = _det_entries(F5, top)
+@pytest.mark.parametrize("F, top, packed", [
+    pytest.param(F, top, packed, id=f"{top}-{packed}" if F is F5 else f"{F}-{top}-{packed}")
+    for F in (F5, F257) for top, packed in [(127, True), (128, False), (300, False)]])
+def test_symbolic_det_packs_below_the_byte_limit(monkeypatch, F, top, packed):
+    # the path depends on the exponent bound alone: F_257 computes its table
+    # reads and packs like F_5, which stores them
+    entries = _det_entries(F, top)
     calls = _count_kernel_calls(monkeypatch)
-    got = symbolic_det(F5, XY, entries, 2)
+    got = symbolic_det(F, XY, entries, 2)
     assert {p for _same, p in calls} == {packed}
     assert list(got.terms.items()) == \
-        list(_ref_symbolic_det(F5, XY, entries, 2).terms.items())
-
-
-def test_symbolic_det_untabled_field_takes_the_tuple_path(monkeypatch):
-    entries = [MPoly.var(F257, XY, "x").scale(c) + c for c in (3, 256, 1, 200)]
-    calls = _count_kernel_calls(monkeypatch)
-    got = symbolic_det(F257, XY, entries, 2)
-    assert {p for _same, p in calls} == {False}
-    assert list(got.terms.items()) == \
-        list(_ref_symbolic_det(F257, XY, entries, 2).terms.items())
+        list(_ref_symbolic_det(F, XY, entries, 2).terms.items())

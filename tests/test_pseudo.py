@@ -200,6 +200,7 @@ def test_split_search_finds_characters():
     D = PseudoRep.induce(direct_sum(cs[0], cs[1]))
     field, rep = split_search(D)
     assert field == F5  # already split
+    assert rep.source is S3  # a law on F[G] splits as a representation of G
     assert PseudoRep.induce(rep).equals(D)
 
 
@@ -210,7 +211,7 @@ def test_split_search_cube_roots_needs_degree_2():
     rep = Representation(C3, F5, 2, [Mat.identity(F5, 2), g, g * g])
     D = PseudoRep.induce(rep)
     field, split = split_search(D)
-    assert field.k == 2
+    assert field.k == 2 and split.source is C3
     assert PseudoRep.induce(split).equals(D.base_change(field))
 
 
@@ -697,7 +698,7 @@ def _multiplicativity_cases():
         for F in (F3, F5):
             out.append((f"M{d}-F{F.q}", det_law(F, d), True))
     out.append(("dual-numbers-F5", _dual_numbers_law(), True))
-    F257 = make_field(257)  # no tables: exponent-tuple keys
+    F257 = make_field(257)  # computed table reads
     out.append(("S3-F257-2", _sum_law(characters(symmetric(3), F257)), True))
     C1 = group_algebra(cyclic(1), F3)
     out.append(("C1-F3-degree-256", PseudoRep(
@@ -791,7 +792,7 @@ def _lambda_oracle(D):
 def _lambda_laws():
     """Laws on group algebras at d = 2 and 3, the determinant on M_1..M_3
     over F_2..F_5, Cayley-Hamilton quotients whose unit has two or three
-    nonzero coordinates, and laws over the untabled F_17^2, F_7^3, F_5^4."""
+    nonzero coordinates, and laws over F_17^2, F_7^3, F_5^4 above the table cap."""
     F2, F4 = make_field(2), make_field(2, 2)
     out = []
     for G, F in ((cyclic(3), F4), (cyclic(3), F7), (symmetric(3), F5),

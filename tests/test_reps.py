@@ -467,6 +467,27 @@ def test_orbit_sizes_at_d2_solve_no_intertwiner_system(monkeypatch, G, F):
     assert _orbit_keys(hom_orbit_reps.__wrapped__(G, 2, F)) == want
 
 
+@pytest.mark.parametrize("d, F", [(2, F4), (2, F5), (2, F7), (3, F2), (3, F3)], ids=str)
+def test_intertwiner_units_are_the_conjugators_up_to_scalars(d, F):
+    # for X and L in one class, X = L included, the units of {T : L T = T X}
+    # are, one per scalar class, exactly the g in GL_d with g X g^-1 = L
+    gl = gl_elements(F, d)
+    samples = 0
+    for m in (2, 3, 4):
+        for R in order_class_reps(F, d, m):
+            if reps._is_scalar(R):
+                continue
+            cls = sorted(reps._conjugacy_class(R), key=lambda M: M.data)
+            for X, L in [(R, R), (cls[-1], cls[0]), (cls[len(cls) // 2], R)]:
+                units = reps.intertwiner_units(F, L, X)
+                want = {g.data for g in gl if g * X == L * g}
+                assert {(T * c).data for T, _ in units for c in range(1, F.q)} == want
+                assert len(units) * (F.q - 1) == len(want)
+                assert all((T * Tinv).is_identity() for T, Tinv in units)
+                samples += 1
+    assert samples >= 6
+
+
 def _classes_reversed(field, d, m):
     return tuple(M for R in reversed(order_class_reps(field, d, m))
                  for M in sorted(reps._conjugacy_class(R), key=lambda M: M.data))
