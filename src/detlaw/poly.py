@@ -4,42 +4,43 @@ Terms are stored as a dict mapping exponent tuples to nonzero coefficient
 codes.  The canonical term order used for printing and serialization is
 graded lexicographic (total degree first, then lex on the exponent vector).
 
-Every product (``*``, ``**``, ``substitute``) runs through one kernel,
-``_mul_terms``.  When no exponent of the result can reach 256, exponent
-tuples are first packed into ints, one byte per variable
-(``int.from_bytes(bytes(e), "little")``), so multiplying two monomials is a
-single integer add and each coefficient is one field table read.
-Otherwise, and for ``*`` on at most ``SMALL_PRODUCT`` term pairs,
-where packing costs more than it saves, the kernel adds exponent tuples entry
-by entry through the field's methods.  Both paths visit term pairs in the
-same order and update the result dict the same way, so a result's terms, and
-their insertion order, do not depend on the path.
+Every product (``*``, ``**``, ``substitute``, ``symbolic_det``) runs through
+one kernel, ``_mul_terms``, on packed keys: an exponent tuple becomes an int
+with one byte per variable (``int.from_bytes(bytes(e), "little")``), so
+multiplying two monomials is a single integer add and each coefficient is
+one field table read.  A product whose exponent of some variable could reach
+256 (its factors' largest exponents of that variable sum past 255) raises
+SizeCapExceeded before it is computed; a law of degree d has none past d.
 """
 
-from functools import reduce
 from itertools import permutations, repeat
-from operator import add as _add_ints, or_
+from operator import add as _add_ints
 
-from .errors import VariableMismatch
+from .errors import SizeCapExceeded, VariableMismatch
 from .fields import embed_code
 from .linalg import _perm_sign
 
 PACK_LIMIT = 256  # exponents must stay below this to fit one byte each
-SMALL_PRODUCT = 16  # up to this many term pairs, packing costs more than it saves
 
 
 def _pack(terms, nv):
-    """A packed copy of a term dict and an upper bound on its exponents.
-
-    Returns (None, PACK_LIMIT) when an exponent does not fit a byte.  The
-    bound is the largest byte of the OR of all keys.
-    """
+    """A packed copy of a term dict and the largest exponent of each of its
+    nv variables.  Raises SizeCapExceeded on an exponent that does not fit a
+    byte."""
     try:
         keys = list(map(int.from_bytes, map(bytes, terms), repeat("little")))
-    except ValueError:  # bytes() rejects values >= 256
-        return None, PACK_LIMIT
-    top = max(reduce(or_, keys, 0).to_bytes(nv, "little"), default=0)
+    except ValueError:  # bytes() rejects values outside 0..255
+        raise SizeCapExceeded(f"exponents must stay below {PACK_LIMIT}") from None
+    top = next(iter(terms), (0,) * nv) if len(terms) < 2 else tuple(map(max, zip(*terms)))
     return dict(zip(keys, terms.values())), top
+
+
+def _fits(reach):
+    """Raise SizeCapExceeded unless each of a product's exponent bounds, one
+    per variable, fits a byte."""
+    top = max(reach, default=0)
+    if top >= PACK_LIMIT:
+        raise SizeCapExceeded(f"a product's exponent can reach {top}, past {PACK_LIMIT - 1}")
 
 
 def _unpack(packed, nv):
@@ -47,68 +48,45 @@ def _unpack(packed, nv):
     return dict(zip(keys, packed.values()))
 
 
-def _mul_terms(F, a, b, packed):
-    """The product of two term dicts over F, as a new term dict.
-
-    With ``packed`` the keys are packed ints and coefficients are read from
-    F's tables; otherwise they are exponent tuples.  Pairs are visited in
-    (a, b) order and a cancelled key is deleted, so later hits re-insert it
-    at the end.
-    """
+def _mul_terms(F, a, b):
+    """The product of two packed term dicts over F, read from F's tables.
+    Pairs are visited in (a, b) order and a cancelled key is deleted, so
+    later hits re-insert it at the end."""
     out = {}
     get = out.get
-    if packed:
-        mul, add, q = F._mul, F._add, F.q
-        b_items = list(b.items())
-        for k1, c1 in a.items():
-            row = c1 * q
-            for k2, c2 in b_items:
-                c = mul[row + c2]
-                if not c:
-                    continue
-                k = k1 + k2
-                prev = get(k)
-                if prev is None:
-                    out[k] = c
-                else:
-                    s = add[prev * q + c]
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        return out
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            c = F.mul(c1, c2)
+    mul, add, q = F._mul, F._add, F.q
+    b_items = list(b.items())
+    for k1, c1 in a.items():
+        row = c1 * q
+        for k2, c2 in b_items:
+            c = mul[row + c2]
             if not c:
                 continue
-            e = tuple(map(_add_ints, e1, e2))
-            prev = get(e)
+            k = k1 + k2
+            prev = get(k)
             if prev is None:
-                out[e] = c
+                out[k] = c
             else:
-                s = F.add(prev, c)
+                s = add[prev * q + c]
                 if s:
-                    out[e] = s
+                    out[k] = s
                 else:
-                    del out[e]
+                    del out[k]
     return out
 
 
-def _pow_terms(F, terms, n, packed):
-    """terms ** n for n >= 1 by binary powering through _mul_terms.
-
-    Squares only while higher bits remain, so 2**k costs k squarings.
-    """
+def _pow_terms(F, terms, n):
+    """terms ** n for n >= 1 by binary powering through _mul_terms; squares
+    only while higher bits remain, so 2**k costs k squarings."""
     result = None
     while True:
         if n & 1:
             # 1 * terms == terms, so the first factor is taken as is
-            result = terms if result is None else _mul_terms(F, result, terms, packed)
+            result = terms if result is None else _mul_terms(F, result, terms)
         n >>= 1
         if not n:
             return result
-        terms = _mul_terms(F, terms, terms, packed)
+        terms = _mul_terms(F, terms, terms)
 
 
 def _add_into(F, out, items):
@@ -128,43 +106,35 @@ def _add_into(F, out, items):
 
 
 def _substitute_terms(poly, images):
-    """The terms of ``poly.substitute(images)`` as the kernel leaves them:
-    (terms, packed), with packed-int keys over the images' variables when
-    ``packed`` is true and exponent tuples otherwise."""
+    """The terms of ``poly.substitute(images)`` as the kernel leaves them,
+    packed over the images' variables."""
     some = next(iter(images.values()))
     tf, tv = some.field, some.vars
     nv = len(tv)
-    used = {}  # name -> (packed image, its exponent bound)
-    bound = 0  # the largest exponent any term's product can reach
-    for e in poly.terms:
-        reach = 0
-        for name, exp in zip(poly.vars, e):
-            if exp:
-                got = used.get(name)
-                if got is None:
-                    img = images.get(name)
-                    if img is None:
-                        raise VariableMismatch(f"no image for variable {name}")
-                    if img.field != tf or img.vars != tv:
-                        raise VariableMismatch(f"image of {name} is not over {tf}{tv}")
-                    got = used[name] = _pack(img.terms, nv)
-                reach += exp * got[1]
-        bound = max(bound, reach)
-    packed = bound < PACK_LIMIT
-    one = 0 if packed else (0,) * nv
+    used = {}  # name -> (packed image, its largest exponents)
     pow_cache = {}
     out = {}
     for e, c in poly.terms.items():
-        term = {one: embed_code(poly.field, tf, c)}
+        term, reach = {0: embed_code(poly.field, tf, c)}, (0,) * nv
         for name, exp in zip(poly.vars, e):
-            if exp:
-                p = pow_cache.get((name, exp))
-                if p is None:
-                    base = used[name][0] if packed else images[name].terms
-                    p = pow_cache[name, exp] = _pow_terms(tf, base, exp, packed)
-                term = _mul_terms(tf, term, p, packed)
+            if not exp:
+                continue
+            got = used.get(name)
+            if got is None:
+                img = images.get(name)
+                if img is None:
+                    raise VariableMismatch(f"no image for variable {name}")
+                if img.field != tf or img.vars != tv:
+                    raise VariableMismatch(f"image of {name} is not over {tf}{tv}")
+                got = used[name] = _pack(img.terms, nv)
+            reach = [r + exp * t for r, t in zip(reach, got[1])]
+            _fits(reach)
+            p = pow_cache.get((name, exp))
+            if p is None:
+                p = pow_cache[name, exp] = _pow_terms(tf, got[0], exp)
+            term = _mul_terms(tf, term, p)
         _add_into(tf, out, term.items())
-    return out, packed
+    return out
 
 
 class MPoly:
@@ -262,15 +232,11 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
-        F = self.field
-        a, b = self.terms, other.terms
-        if len(a) * len(b) > SMALL_PRODUCT:
-            nv = len(self.vars)
-            pa, top_a = _pack(a, nv)
-            pb, top_b = _pack(b, nv)
-            if top_a + top_b < PACK_LIMIT:
-                return MPoly(F, self.vars, _unpack(_mul_terms(F, pa, pb, True), nv))
-        return MPoly(F, self.vars, _mul_terms(F, a, b, False))
+        nv = len(self.vars)
+        pa, top_a = _pack(self.terms, nv)
+        pb, top_b = _pack(other.terms, nv)
+        _fits(map(_add_ints, top_a, top_b))
+        return MPoly(self.field, self.vars, _unpack(_mul_terms(self.field, pa, pb), nv))
 
     __rmul__ = __mul__
 
@@ -288,10 +254,8 @@ class MPoly:
             return MPoly.const(F, self.vars, 1)
         nv = len(self.vars)
         packed, top = _pack(self.terms, nv)
-        if n * top < PACK_LIMIT:
-            return MPoly(F, self.vars, _unpack(_pow_terms(F, packed, n, True), nv))
-        out = _pow_terms(F, self.terms, n, False)
-        return MPoly(F, self.vars, dict(out) if out is self.terms else out)
+        _fits([n * t for t in top])
+        return MPoly(F, self.vars, _unpack(_pow_terms(F, packed, n), nv))
 
     # --- structure ---
 
@@ -312,9 +276,8 @@ class MPoly:
         VariableMismatch.
         """
         some = next(iter(images.values()))
-        terms, packed = _substitute_terms(self, images)
         return MPoly(some.field, some.vars,
-                     _unpack(terms, len(some.vars)) if packed else terms)
+                     _unpack(_substitute_terms(self, images), len(some.vars)))
 
     def evaluate(self, point):
         """Evaluate at a dict var -> code; returns a code."""
@@ -375,23 +338,23 @@ class MPoly:
 
 def symbolic_det(field, names, entries, d):
     """The determinant of a d x d matrix of MPoly entries (row-major), by
-    the Leibniz formula, summed in permutation order.  Entries are packed once
-    unless the rows' exponent bounds sum past a byte."""
+    the Leibniz formula, summed in permutation order.  Each Leibniz product
+    takes one entry per row, so its exponent bound is the sum over rows of
+    the row's largest exponents."""
     nv = len(names)
     pairs = [_pack(e.terms, nv) for e in entries]
-    packed = sum(max(top for _, top in pairs[i * d:(i + 1) * d]) for i in range(d)) < PACK_LIMIT
-    terms = [p for p, _ in pairs] if packed else [e.terms for e in entries]
-    one = 0 if packed else (0,) * nv
+    rows = (map(max, zip(*(top for _, top in pairs[i * d:(i + 1) * d]))) for i in range(d))
+    _fits(map(sum, zip(*rows)))
     minus_one = field.neg(1)
     acc = {}
     for perm in permutations(range(d)):
-        term = {one: 1}
+        term = {0: 1}
         for i, j in enumerate(perm):
-            term = _mul_terms(field, term, terms[i * d + j], packed)
+            term = _mul_terms(field, term, pairs[i * d + j][0])
             if not term:
                 break
         if term:
             if _perm_sign(perm) < 0:
                 term = {k: field.mul(c, minus_one) for k, c in term.items()}
             _add_into(field, acc, term.items())
-    return MPoly(field, names, _unpack(acc, nv) if packed else acc)
+    return MPoly(field, names, _unpack(acc, nv))

@@ -113,30 +113,24 @@ class PseudoRep:
         that is nonzero in a field, and distinct pairs give distinct
         monomials.  So D is multiplicative iff D(xy) has len(D)^2 terms and
         the term of each pair has coefficient c_a c_b; the product is never
-        expanded.  D(xy) keeps the substitution kernel's keys: packed ints,
-        x_i in byte i and y_i in byte n + i, or exponent tuples.
+        expanded.  D(xy) keeps the substitution kernel's packed keys, x_i in
+        byte i and y_i in byte n + i.  A law with an exponent past 255, or
+        whose D(xy) could reach one, raises SizeCapExceeded.
         """
         A = self.source
         F = self.field
         n = A.n
         xs = self.poly.vars
+        left = _pack(self.poly.terms, n)[0]
         both = tuple(f"x{i}" for i in range(n)) + tuple(f"y{i}" for i in range(n))
         xv = tuple(MPoly.var(F, both, both[i]) for i in range(n))
         yv = tuple(MPoly.var(F, both, both[n + i]) for i in range(n))
         zv = A.mul_poly(xv, yv, MPoly.zero(F, both))
-        dz, packed = _substitute_terms(self.poly, {xs[i]: zv[i] for i in range(n)})
-        left = self.poly.terms
+        dz = _substitute_terms(self.poly, {xs[i]: zv[i] for i in range(n)})
         if len(dz) != len(left) ** 2:
             return False
-        right = left  # tuple keys: x^a y^b is keyed a + b
-        if packed:
-            left, _top = _pack(left, n)
-            if left is None:
-                # an exponent of D reaches 256, past every exponent of D(xy)
-                return False
-            right = {b << (8 * n): c for b, c in left.items()}
         get, mul, q = dz.get, F._mul, F.q
-        pairs = list(right.items())
+        pairs = [(b << (8 * n), c) for b, c in left.items()]
         for a, ca in left.items():
             row = ca * q
             for b, cb in pairs:

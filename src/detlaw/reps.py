@@ -395,8 +395,9 @@ def _descend(group, dim, field, symmetry):
     candidates of that order, the first of each orbit of the pairs is kept,
     and the symmetry becomes the pairs that commute with it.  So the leaf
     symmetry is rep's stabilizer in the symmetry group, one pair per scalar
-    class, or FULL_GL while every image is scalar.  From the identity pair
-    alone every homomorphism comes out once.
+    class, or FULL_GL while every image is scalar.  From no pairs nothing is
+    identified, so every homomorphism comes out once; the identity pair would
+    do the same with products that can only give back each image.
     """
     gens = group.generators
     orders = [group.element_order(g) for g in gens]
@@ -439,8 +440,7 @@ def enumerate_reps(group, dim, field, cap=10 ** 7):
     if total > cap:
         raise EnumerationCapExceeded(
             f"{total} candidate tuples exceed enumeration cap {cap}")
-    eye = Mat.identity(field, dim)
-    out = [rep for rep, _ in _descend(group, dim, field, [(eye, eye)])]
+    out = [rep for rep, _ in _descend(group, dim, field, [])]
     out.sort(key=lambda r: r.sort_key())
     return out
 

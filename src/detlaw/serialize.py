@@ -37,12 +37,20 @@ def _code(field, text):
     return c
 
 
+def _exponents(nv, exps):
+    """An exponent vector read from JSON: nv entries, each in 0..255 since
+    poly packs one byte per variable; else ValueError."""
+    e = tuple(map(int, exps))
+    if len(e) != nv or not all(0 <= x < poly.PACK_LIMIT for x in e):
+        raise ValueError(f"exponents {list(e)} are not {nv} values in 0..{poly.PACK_LIMIT - 1}")
+    return e
+
+
 def poly_from_json(obj):
     try:
         F = field_from_json(obj["field"])
         names = tuple(obj["vars"])
-        pairs = [(tuple(int(e) for e in exps), _code(F, c))
-                 for exps, c in obj["terms"]]
+        pairs = [(_exponents(len(names), exps), _code(F, c)) for exps, c in obj["terms"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad polynomial: {exc}") from exc
     return poly.MPoly.from_terms(F, names, pairs)

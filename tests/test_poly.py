@@ -5,10 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detlaw.poly as poly_mod
-from detlaw.errors import VariableMismatch
+from detlaw.algebras import FinAlgebra, group_algebra
+from detlaw.errors import SizeCapExceeded, VariableMismatch
 from detlaw.fields import make_field
+from detlaw.groups import cyclic
 from detlaw.linalg import _perm_sign
 from detlaw.poly import MPoly, symbolic_det
+from detlaw.pseudo import PseudoRep
 
 F5 = make_field(5)
 XY = ("x", "y")
@@ -169,9 +172,9 @@ def _count_kernel_calls(monkeypatch):
     calls = []
     kernel = poly_mod._mul_terms
 
-    def counted(F, a, b, packed):
-        calls.append((a is b, packed))
-        return kernel(F, a, b, packed)
+    def counted(F, a, b):
+        calls.append(a is b)
+        return kernel(F, a, b)
 
     monkeypatch.setattr(poly_mod, "_mul_terms", counted)
     return calls
@@ -197,26 +200,8 @@ def test_pow_of_two_squares_k_times(monkeypatch, k):
     p = x() + 2 * y() + 3
     calls = _count_kernel_calls(monkeypatch)
     got = p ** (2 ** k)
-    assert calls == [(True, True)] * k
+    assert calls == [True] * k
     assert list(got.terms.items()) == list(_ref_pow(F5, p.terms, 2 ** k, 2).items())
-
-
-def test_exponent_sums_past_a_byte_take_the_tuple_path(monkeypatch):
-    p = MPoly.from_terms(F5, XY, [((200, i), i + 1) for i in range(4)] + [((0, 0), 1)])
-    q = MPoly.from_terms(F5, XY, [((100, i), 1) for i in range(4)] + [((0, 0), 1)])
-    calls = _count_kernel_calls(monkeypatch)
-    got = p * q
-    assert calls == [(False, False)]
-    assert list(got.terms.items()) == list(_ref_mul(F5, p.terms, q.terms).items())
-    assert got.terms[(300, 0)] == 1
-
-
-def test_small_exponents_take_the_packed_path(monkeypatch):
-    p = (x() + y() + 1) ** 3
-    calls = _count_kernel_calls(monkeypatch)
-    got = p * p
-    assert calls == [(False, True)]
-    assert list(got.terms.items()) == list(_ref_mul(F5, p.terms, p.terms).items())
 
 
 def _sparse(field, names, max_exp):
@@ -285,15 +270,86 @@ def _det_entries(F, top):
         [((top, 1), 3), ((0, 2), 1)], [((0, 2), 1)])]
 
 
-@pytest.mark.parametrize("F, top, packed", [
-    pytest.param(F, top, packed, id=f"{top}-{packed}" if F is F5 else f"{F}-{top}-{packed}")
-    for F in (F5, F257) for top, packed in [(127, True), (128, False), (300, False)]])
-def test_symbolic_det_packs_below_the_byte_limit(monkeypatch, F, top, packed):
-    # the path depends on the exponent bound alone: F_257 computes its table
+@pytest.mark.parametrize("F, top, fits", [
+    pytest.param(F, top, fits, id=f"{top}-{fits}" if F is F5 else f"{F}-{top}-{fits}")
+    for F in (F5, F257) for top, fits in [(127, True), (128, False), (300, False)]])
+def test_symbolic_det_packs_below_the_byte_limit(F, top, fits):
+    # the cap depends on the exponent bound alone: F_257 computes its table
     # reads and packs like F_5, which stores them
     entries = _det_entries(F, top)
-    calls = _count_kernel_calls(monkeypatch)
+    if not fits:
+        with pytest.raises(SizeCapExceeded):
+            symbolic_det(F, XY, entries, 2)
+        return
     got = symbolic_det(F, XY, entries, 2)
-    assert {p for _same, p in calls} == {packed}
     assert list(got.terms.items()) == \
         list(_ref_symbolic_det(F, XY, entries, 2).terms.items())
+
+
+# --- the exponent cap: every product packs one byte per variable ---
+
+def _mul_case(F, top):
+    p = MPoly.from_terms(F, XY, [((top - 100, i), i + 1) for i in range(4)] + [((0, 0), 1)])
+    q = MPoly.from_terms(F, XY, [((100, i), 1) for i in range(4)] + [((0, 0), 1)])
+    return lambda: (p * q).terms, _ref_mul(F, p.terms, q.terms)
+
+
+def _pow_case(F, top):
+    p = MPoly.from_terms(F, XY, [((1, 0), 1), ((0, 0), 1)])
+    return lambda: (p ** top).terms, _ref_pow(F, p.terms, top, 2)
+
+
+def _substitute_case(F, top):
+    p = MPoly.from_terms(F, XY, [((top - 100, 1), 1), ((0, 0), 2)])
+    uv = ("u", "v")
+    images = {"x": MPoly.from_terms(F, uv, [((1, 0), 1), ((0, 1), 1)]),
+              "y": MPoly.from_terms(F, uv, [((100, 0), 1), ((0, 0), 1)])}
+    return lambda: p.substitute(images).terms, _ref_substitute(p, images)
+
+
+def _symbolic_det_case(F, top):
+    # the rows' largest x exponents are a and top - a, met by the diagonal
+    a = top // 2
+    e = [MPoly.from_terms(F, XY, pairs) for pairs in (
+        [((a, 0), 1), ((0, 1), 2)], [((1, 0), 1), ((0, 0), 1)],
+        [((0, 2), 1)], [((top - a, 1), 3), ((0, 2), 1)])]
+    minus = {k: F.neg(c) for k, c in _ref_mul(F, e[1].terms, e[2].terms).items()}
+    want = _ref_add(F, _ref_mul(F, e[0].terms, e[3].terms), minus)
+    return lambda: symbolic_det(F, XY, e, 2).terms, want
+
+
+def _power_law_case(F, top):
+    # x0^top on the one-dimensional algebra F[C1] is multiplicative
+    C1 = group_algebra(cyclic(1), F)
+    D = PseudoRep(C1, top, MPoly.from_terms(F, ("x0",), [((top,), 1)]))
+    return D.is_multiplicative, True
+
+
+def _zero_product_case(F, top):
+    # z has zero products, so no exponent of D(xy) comes near the x1^top
+    # term of D, and D(xy) has the 4 = 2^2 terms of x0 y0 (x0 y2 + x2 y0)^3
+    one, e = ((0, 1),), ((2, 1),)
+    A = FinAlgebra(F, ("1", "z", "e"), [[one, (), e], [(), (), ()], [e, (), ()]],
+                   (1, 0, 0), check=False)
+    D = PseudoRep(A, 4, MPoly.from_terms(F, ("x0", "x1", "x2"),
+                                        [((1, 0, 3), 1), ((0, top, 0), 1)]))
+    return D.is_multiplicative, False
+
+
+_CAPPED = {"mul": _mul_case, "pow": _pow_case, "substitute": _substitute_case,
+           "symbolic_det": _symbolic_det_case, "is_multiplicative": _power_law_case,
+           "is_multiplicative-zero-product": _zero_product_case}
+
+
+@pytest.mark.parametrize("case, F, top", [
+    pytest.param(case, F, top, id=f"{case}-{F}-{top}")
+    for case in _CAPPED for F in (F5, F257) for top in (255, 256)])
+def test_products_cap_exponents_at_255(case, F, top):
+    run, want = _CAPPED[case](F, top)
+    if top >= poly_mod.PACK_LIMIT:
+        with pytest.raises(SizeCapExceeded):
+            run()
+    elif isinstance(want, bool):
+        assert run() is want
+    else:
+        assert list(run().items()) == list(want.items())

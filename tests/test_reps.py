@@ -136,6 +136,18 @@ def test_enumerate_reps_counts():
     assert len(reps) == want
 
 
+def test_enumerate_reps_makes_no_identity_products(monkeypatch):
+    # the descent starts from no symmetry pairs: the identity pair's seen-set
+    # and stabilizer products could only give back each image
+    G = dihedral(4)
+    want = enumerate_reps(G, 2, F7)  # warm: the candidates are cached
+    calls = []
+    kernel = reps.mul_codes
+    monkeypatch.setattr(reps, "mul_codes", lambda *args: calls.append(1) or kernel(*args))
+    assert enumerate_reps(G, 2, F7) == want
+    assert len(want) == 676 and len(calls) == 20112
+
+
 def test_enumerate_reps_respects_relations():
     S3 = symmetric(3)
     for rep in enumerate_reps(S3, 1, F7):

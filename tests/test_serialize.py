@@ -130,6 +130,17 @@ def test_out_of_range_codes_are_rejected():
     assert poly_from_json(poly).terms == {(1,): 6}
 
 
+@pytest.mark.parametrize("exps", [["-1", "2"], ["1"], ["1", "2", "0"], ["256", "0"]],
+                         ids=["negative", "short", "long", "past-a-byte"])
+def test_exponent_vectors_must_fit_the_variables(exps):
+    # one entry per variable, each in 0..255
+    poly = {"field": field_to_json(F5), "vars": ["x0", "x1"], "terms": [[exps, "1"]]}
+    with pytest.raises(SchemaError):
+        poly_from_json(poly)
+    poly["terms"] = [[["0", "255"], "1"]]
+    assert poly_from_json(poly).terms == {(0, 255): 1}
+
+
 def test_schema_errors():
     with pytest.raises(SchemaError):
         field_from_json({"p": "four"})
